@@ -348,6 +348,8 @@ def _run_su_verify(args):
 
 
 def _run_split_assemble(args):
+    if args.q < 2:
+        raise UsageError(f"--q must be at least 2 (got {args.q})")
     rep = su_assemble(args.n, args.q, sample_budget=args.sample_budget,
                       seed=args.seed, order=args.order, t=args.t,
                       y_cap=args.y_cap)

@@ -4,20 +4,45 @@ Entries may be ints, rationals, GaussRational, EpsLaurent, CycloNum, or
 float complex.  Determinants use fraction-free (Bareiss) elimination for
 exact division-friendly scalars and a subset-DP cofactor expansion for
 series entries (sizes here stay small, n <= 8).
+
+Series products run on a packed kernel (PackedSeriesMat).  Mat.matmul uses it
+whenever one operand is all EpsLaurent and the other holds only EpsLaurent or
+exact rational/Gaussian entries; exact entries are lifted to constant series
+with an unlimited window, as EpsLaurent arithmetic lifts them.  A packed
+matrix stores one common denominator and, per entry, its window (lo, hi), its
+effective valuation (the valuation, or hi for an entry that is zero on its
+window) and its nonzero coefficients as (exponent, re_num, im_num) integer
+triples (Python ints, or gmpy2 mpz under the mpq backend).  The product is
+an integer convolution that applies the window rules of EpsLaurent.__mul__
+and __add__ term by term, so its entries are bit-identical, windows
+included, to the boxed sum of series products:
+
+- each term a_it * b_tj has window [v1 + v2, min(v1 + hi_b, v2 + hi_a)],
+  with v the effective valuations and every edge sum saturating at
+  INF_ORDER; an empty term window raises InsufficientOrderError;
+- the entry's window takes the minimum lo and the minimum hi over its terms;
+- coefficients beyond the entry's hi are dropped, never fabricated, and
+  coefficients that cancel to zero are not stored.
+
+Chains of products (the TPP/DPP products and the separation arguments) stay
+packed between factors and are unpacked only where boxed series are needed.
 """
 
 from __future__ import annotations
+
+import math
 
 from .scalars import (
     ExactArithmeticError,
     GaussRational,
     QQ,
+    QQ_ZERO,
     conj_scalar,
     is_zero_scalar,
     one_like,
     zero_like,
 )
-from .series import EpsLaurent, INF_ORDER
+from .series import EpsLaurent, INF_ORDER, InsufficientOrderError
 
 
 class Mat:
@@ -116,6 +141,8 @@ class Mat:
             raise ExactArithmeticError(
                 f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        if _packable(self, other):
+            return PackedSeriesMat.pack(self).matmul(PackedSeriesMat.pack(other)).unpack()
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.data, other.data
         out = []
@@ -188,6 +215,137 @@ class Mat:
 
     def map(self, f) -> "Mat":
         return Mat(self.rows, self.cols, [f(x) for x in self.data])
+
+
+# ---------------------------------------------------------------------------
+# Packed series kernel
+# ---------------------------------------------------------------------------
+
+def _liftable(x) -> bool:
+    """True for the entries EpsLaurent arithmetic lifts to constant series."""
+    return isinstance(x, (EpsLaurent, int, GaussRational)) or hasattr(x, "denominator")
+
+
+def _packable(a: Mat, b: Mat) -> bool:
+    """One operand all series, the other series or exact: the packed kernel applies."""
+    def all_series(m):
+        return all(isinstance(x, EpsLaurent) for x in m.data)
+
+    def all_liftable(m):
+        return all(_liftable(x) for x in m.data)
+
+    sa, sb = all_series(a), all_series(b)
+    return (sa and (sb or all_liftable(b))) or (sb and all_liftable(a))
+
+
+class PackedSeriesMat:
+    """A series matrix over one common denominator (see the module docstring).
+
+    entries[i * cols + j] is (lo, hi, val, terms): the window, the effective
+    valuation, and the nonzero coefficients as (e, re_num, im_num) triples
+    sorted by exponent; the coefficient at eps^e is (re_num + i im_num) / den.
+    """
+
+    __slots__ = ("rows", "cols", "den", "entries")
+
+    def __init__(self, rows: int, cols: int, den: int, entries: list):
+        self.rows = rows
+        self.cols = cols
+        self.den = den
+        self.entries = entries
+
+    @classmethod
+    def pack(cls, m: Mat) -> "PackedSeriesMat":
+        """Pack series entries; exact entries become constant series."""
+        lifted = [x if isinstance(x, EpsLaurent) else EpsLaurent.const(x) for x in m.data]
+        dens = {1}
+        for s in lifted:
+            for c in s.coeffs.values():
+                dens.add(c.re.denominator)
+                dens.add(c.im.denominator)
+        den = math.lcm(*dens)
+        scale = {d: den // d for d in dens}
+        entries = []
+        for s in lifted:
+            cs = s.coeffs
+            terms = []
+            for e in sorted(cs):
+                re, im = cs[e].re, cs[e].im
+                terms.append((e, re.numerator * scale[re.denominator],
+                              im.numerator * scale[im.denominator]))
+            entries.append((s.lo, s.hi, terms[0][0] if terms else s.hi, tuple(terms)))
+        return cls(m.rows, m.cols, den, entries)
+
+    def unpack(self) -> Mat:
+        den = self.den
+        parts = {0: QQ_ZERO}         # numerator -> QQ, shared across entries
+        data = []
+        for lo, hi, _, terms in self.entries:
+            cc = {}
+            for e, re, im in terms:
+                a = parts.get(re)
+                if a is None:
+                    a = parts[re] = QQ(re, den)
+                b = parts.get(im)
+                if b is None:
+                    b = parts[im] = QQ(im, den)
+                cc[e] = GaussRational.from_qq(a, b)
+            s = EpsLaurent.zero()
+            s.coeffs, s.lo, s.hi = cc, lo, hi
+            data.append(s)
+        return Mat(self.rows, self.cols, data)
+
+    def matmul(self, other: "PackedSeriesMat") -> "PackedSeriesMat":
+        """Truncated product over the product of the two denominators."""
+        if self.cols != other.rows:
+            raise ExactArithmeticError(
+                f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
+            )
+        n, k, m = self.rows, self.cols, other.cols
+        a = self.entries
+        cols = [other.entries[j::m] for j in range(m)]
+        out = []
+        for i in range(n):
+            arow = a[i * k : (i + 1) * k]
+            for col in cols:
+                lo = hi = None
+                pairs = []
+                for (_, h1, v1, t1), (_, h2, v2, t2) in zip(arow, col):
+                    # _sat_add, inlined: window edges saturate at INF_ORDER
+                    if v1 >= INF_ORDER or v2 >= INF_ORDER:
+                        plo = phi = INF_ORDER
+                    else:
+                        plo = v1 + v2
+                        phi = v1 + h2 if h2 < INF_ORDER else INF_ORDER
+                        phi2 = v2 + h1 if h1 < INF_ORDER else INF_ORDER
+                        if phi2 < phi:
+                            phi = phi2
+                        if plo > phi:
+                            raise InsufficientOrderError(
+                                "insufficient truncation order: empty product window")
+                    if lo is None or plo < lo:
+                        lo = plo
+                    if hi is None or phi < hi:
+                        hi = phi
+                    if t1 and t2:
+                        pairs.append((t1, t2))
+                acc = {}
+                for t1, t2 in pairs:
+                    for e1, r1, i1 in t1:
+                        cap = hi - e1
+                        for e2, r2, i2 in t2:
+                            if e2 > cap:
+                                break
+                            if i1 or i2:
+                                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                            else:
+                                re, im = r1 * r2, 0
+                            e = e1 + e2
+                            s = acc.get(e)
+                            acc[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
+                terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
+                out.append((lo, hi, terms[0][0] if terms else hi, terms))
+        return PackedSeriesMat(n, m, self.den * other.den, out)
 
 
 # ---------------------------------------------------------------------------

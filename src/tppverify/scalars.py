@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, cyclotomic numbers.
 
 All exact computation in this package runs on top of the rational backend
-``QQ`` (gmpy2.mpq when available, fractions.Fraction otherwise).  Both keep
-values reduced to lowest terms with a positive denominator.
+``QQ``: gmpy2.mpq when gmpy2 is installed (the optional ``fast`` extra),
+fractions.Fraction otherwise.  Both keep values reduced to lowest terms with
+a positive denominator.
 
 Float-complex values are plain Python ``complex``; they are only allowed in
 explicitly tolerance-tagged operations (default tolerance 1e-9).
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is an install requirement
+except ImportError:  # gmpy2 is optional: pip install tppverify[fast]
     from fractions import Fraction as QQ
 
 QQ_ZERO = QQ(0)
@@ -61,6 +62,14 @@ class GaussRational:
         self.im = as_qq(im)
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def from_qq(cls, re, im) -> "GaussRational":
+        """Trusted constructor for parts that are already QQ values."""
+        g = object.__new__(cls)
+        g.re = re
+        g.im = im
+        return g
+
     @classmethod
     def from_any(cls, x) -> "GaussRational":
         if isinstance(x, GaussRational):

@@ -144,10 +144,8 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         key = (ix2, iy, iy2, iz2)
         m = prod_cache.get(key)
         if m is None:
-            m = inst.element("x", ix2)
-            m = m.matmul(inst.inv_element("y", iy))
-            m = m.matmul(inst.element("y", iy2))
-            m = m.matmul(inst.inv_element("z", iz2))
+            m = inst.packed_product((("x", ix2, False), ("y", iy, True),
+                                     ("y", iy2, False), ("z", iz2, True))).unpack()
             if len(prod_cache) < 4096:
                 prod_cache[key] = m
         expected = 1 if (ix2 == ix and iz2 == iz and iy == iy2) else 0

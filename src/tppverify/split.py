@@ -293,6 +293,8 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
 
     a_tuples, sampled_a = coord_tuples(inputs.coord_set_a, dx)
     b_tuples, sampled_b = coord_tuples(inputs.coord_set_b, dz)
+    if not a_tuples or not b_tuples:
+        raise SplitError(f"no coordinate tuples to assemble (q = {q})")
 
     xfams = [mat_exp_trunc(inputs.fx.apply(a), order) for a in a_tuples]
     zfams = [mat_exp_trunc(inputs.fz.apply(b), order) for b in b_tuples]

@@ -8,7 +8,10 @@ For 1-parameter families the product of a non-all-equal tuple is certified
 distinct from the identity by exhibiting a nonzero series coefficient within
 the valid window (an analytic function with a nonzero truncated coefficient
 is nonzero on a punctured neighborhood of 0).  If every known coefficient
-vanishes the tuple is reported inconclusive, never silently passed.
+vanishes the tuple is reported inconclusive, never silently passed.  Family
+products are chains of packed series matrices (PackedSeriesMat): every
+element and inverse is packed once per instance, and the product is
+classified without unpacking it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .matrices import Mat, mat_inv_exact, mat_inv_series, mat_to_series
+from .matrices import Mat, PackedSeriesMat, mat_inv_exact, mat_inv_series, mat_to_series
 from .series import EpsLaurent
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 7
@@ -84,6 +87,7 @@ class TppInstance:
         self.z = list(z)
         self.mode = mode
         self._inv_cache = {}
+        self._packed = {}
         self._check_distinct()
 
     # -- load-time checks ---------------------------------------------------
@@ -128,6 +132,26 @@ class TppInstance:
 
     def element(self, which: str, idx: int):
         return {"x": self.x, "y": self.y, "z": self.z}[which][idx]
+
+    def packed_product(self, factors) -> PackedSeriesMat:
+        """Family mode: the packed product of (which, idx, inverse) factors.
+
+        Each element and inverse is packed once and memoized per instance;
+        an inverse computed here is not kept in boxed form as well.
+        """
+        if self.mode != "family":
+            raise InstanceError("packed products need a family instance")
+        out = None
+        for key in factors:
+            p = self._packed.get(key)
+            if p is None:
+                which, idx, inverse = key
+                m = self.element(which, idx)
+                if inverse:
+                    m = self._inv_cache.get((which, idx)) or mat_inv_series(mat_to_series(m))
+                p = self._packed[key] = PackedSeriesMat.pack(m)
+            out = p if out is None else out.matmul(p)
+        return out
 
     def is_identity(self, g) -> bool:
         if self.mode == "table":
@@ -228,6 +252,10 @@ def verify_tpp(inst: TppInstance, mode: str = "auto", sample_budget: int = 10 **
 
 
 def _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2):
+    if inst.mode == "family":
+        return inst.packed_product((("x", ix, False), ("x", ix2, True),
+                                    ("y", iy, False), ("y", iy2, True),
+                                    ("z", iz, False), ("z", iz2, True)))
     x = inst.element("x", ix)
     y = inst.element("y", iy)
     z = inst.element("z", iz)
@@ -286,6 +314,9 @@ def _identity_for(group, mode_kind, sample):
 
 
 def _dpp_product(inst, ix, ix2, iz, iz2):
+    if inst.mode == "family":
+        return inst.packed_product((("x", ix, True), ("x", ix2, False),
+                                    ("z", iz, True), ("z", iz2, False)))
     xinv = inst.inv_element("x", ix)
     x2 = inst.element("x", ix2)
     zinv = inst.inv_element("z", iz)
@@ -299,23 +330,29 @@ def _dpp_product(inst, ix, ix2, iz, iz2):
 # Series-mode verification
 # ---------------------------------------------------------------------------
 
-def _series_deviation(prod: Mat, order: int):
-    """(certified_nonzero, usable_order) for prod - I on the valid window."""
-    n = prod.rows
+def _series_deviation(prod: PackedSeriesMat, order: int):
+    """(certified_nonzero, usable_order) for prod - I on the valid window.
+
+    A coefficient is compared in numerator form: the constant term of a
+    diagonal entry is 1 exactly when its numerator is (den, 0).
+    """
+    cols = prod.cols
     min_hi = order
     deviates = False
-    for i in range(n):
-        for j in range(n):
-            s = prod[i, j]
-            if not isinstance(s, EpsLaurent):
-                s = EpsLaurent.const(s)
-            min_hi = min(min_hi, s.hi)
-            target = 1 if i == j else 0
-            if s.known(0) and s.coeff(0) != target:
+    for idx, (_, hi, _, terms) in enumerate(prod.entries):
+        if hi < min_hi:
+            min_hi = hi
+        if deviates:
+            continue
+        target = prod.den if idx // cols == idx % cols else 0
+        c0 = (0, 0)
+        for e, re, im in terms:
+            if e == 0:
+                c0 = (re, im)
+            elif e <= order:
                 deviates = True
-            if any(e != 0 and e <= order and not c.is_zero()
-                   for e, c in s.coeffs.items()):
-                deviates = True
+        if hi >= 0 and c0 != (target, 0):
+            deviates = True
     return deviates, min_hi
 
 

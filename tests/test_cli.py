@@ -176,6 +176,17 @@ def test_split_assemble_emit_instance_feeds_tpp_verify(tmp_path, capsys):
     assert rep["details"]["sizes"] == [4, 8, 4]
 
 
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_split_assemble_rejects_small_q(q, capsys):
+    code = main(["split-assemble", "--n", "4", "--q", q, "--sample-budget", "10",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "--q must be at least 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_report_schema_fields(capsys):
     code, out = run_cli(["su-construct", "--n", "4", "--no-timestamp"], capsys)
     rep = json.loads(out)

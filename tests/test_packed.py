@@ -1,0 +1,236 @@
+"""Differential tests of the packed series kernel against the boxed loop.
+
+The boxed loop below is the generic Mat.matmul inner loop as it runs on
+EpsLaurent entries (a sum of EpsLaurent products); it is kept here only as
+an oracle.  Every entry of a packed product must equal it bit for bit,
+windows included, and InsufficientOrderError must be raised in exactly the
+same cases.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tppverify.groups import MatrixGroupOps
+from tppverify.matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
+from tppverify.scalars import GaussRational, QQ
+from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
+from tppverify.tpp import (
+    TppInstance,
+    _dpp_product,
+    _series_deviation,
+    _tpp_product,
+    verify_tpp_series,
+)
+
+
+def boxed_matmul(a: Mat, b: Mat) -> Mat:
+    """Oracle: the boxed sum of series products."""
+    n, k, m = a.rows, a.cols, b.cols
+    out = []
+    for i in range(n):
+        arow = a.data[i * k : (i + 1) * k]
+        for j in range(m):
+            acc = arow[0] * b.data[j]
+            for t in range(1, k):
+                acc = acc + arow[t] * b.data[t * m + j]
+            out.append(acc)
+    return Mat(n, m, out)
+
+
+def boxed_series_deviation(prod: Mat, order: int):
+    """Oracle: classify prod - I entry by entry on boxed series."""
+    n = prod.rows
+    min_hi = order
+    deviates = False
+    for i in range(n):
+        for j in range(n):
+            s = prod[i, j]
+            if not isinstance(s, EpsLaurent):
+                s = EpsLaurent.const(s)
+            min_hi = min(min_hi, s.hi)
+            target = 1 if i == j else 0
+            if s.known(0) and s.coeff(0) != target:
+                deviates = True
+            if any(e != 0 and e <= order and not c.is_zero()
+                   for e, c in s.coeffs.items()):
+                deviates = True
+    return deviates, min_hi
+
+
+def same_entries(p: Mat, q: Mat) -> bool:
+    return (p.rows, p.cols) == (q.rows, q.cols) and all(
+        type(s) is type(t) is EpsLaurent
+        and s.coeffs == t.coeffs and s.lo == t.lo and s.hi == t.hi
+        for s, t in zip(p.data, q.data))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientOrderError:
+        return InsufficientOrderError
+
+
+# -- strategies -----------------------------------------------------------------
+
+rationals = st.builds(QQ, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+gauss = st.builds(GaussRational, rationals, st.one_of(st.just(0), rationals))
+
+
+@st.composite
+def series_entries(draw):
+    lo = draw(st.integers(-3, 3))
+    # finite windows ending below and above a typical order, windows that
+    # saturate INF_ORDER, and unlimited ones
+    hi = draw(st.one_of(st.integers(lo, lo + 5), st.just(INF_ORDER - 1),
+                        st.just(INF_ORDER)))
+    top = min(hi, lo + 5)
+    exps = draw(st.lists(st.integers(lo, top), max_size=4, unique=True))
+    return EpsLaurent({e: draw(gauss) for e in exps}, lo=lo, hi=hi)
+
+
+exact_entries = st.one_of(st.integers(-3, 3), rationals, gauss)
+
+
+def matrices(rows, cols, entries):
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda data: Mat(rows, cols, data))
+
+
+@st.composite
+def operand_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    # the other operand: all series, mixed series/exact, or all exact
+    other = draw(st.sampled_from([series_entries(),
+                                  st.one_of(series_entries(), exact_entries),
+                                  exact_entries]))
+    series_left = draw(st.booleans())
+    a = draw(matrices(n, k, series_entries() if series_left else other))
+    b = draw(matrices(k, m, other if series_left else series_entries()))
+    return a, b
+
+
+# -- kernel ---------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_packed_matmul_matches_boxed_loop(ab):
+    a, b = ab
+    want = outcome(boxed_matmul, a, b)
+    got = outcome(a.matmul, b)
+    if want is InsufficientOrderError:
+        assert got is InsufficientOrderError
+    else:
+        assert got is not InsufficientOrderError
+        assert same_entries(got, want)
+
+
+def test_packed_matmul_raises_on_empty_term_window():
+    # zero on a window that stops just short of INF_ORDER, times eps^2 known
+    # exactly: the term window [INF_ORDER + 1, INF_ORDER] is empty
+    a = Mat(1, 1, [EpsLaurent({}, lo=0, hi=INF_ORDER - 1)])
+    b = Mat(1, 1, [EpsLaurent.eps(2)])
+    with pytest.raises(InsufficientOrderError):
+        boxed_matmul(a, b)
+    with pytest.raises(InsufficientOrderError):
+        a.matmul(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_pairs())
+def test_pack_unpack_roundtrip_and_backend_type(ab):
+    a, b = ab
+    series_side = a if all(isinstance(x, EpsLaurent) for x in a.data) else b
+    assert same_entries(PackedSeriesMat.pack(series_side).unpack(), series_side)
+    prod = outcome(a.matmul, b)
+    if prod is InsufficientOrderError:
+        return
+    qq = type(QQ(0))
+    for s in prod.data:
+        for c in s.coeffs.values():
+            assert type(c) is GaussRational
+            assert type(c.re) is qq and type(c.im) is qq
+
+
+def test_exact_operands_keep_the_generic_path():
+    a = Mat.from_rows([[1, 2], [3, 4]])
+    assert a.matmul(a) == Mat.from_rows([[7, 10], [15, 22]])
+    g = Mat.from_rows([[GaussRational(0, 1), 1], [0, 1]])
+    assert all(type(x) is not EpsLaurent for x in g.matmul(g).data)
+
+
+# -- packed chains and _series_deviation -----------------------------------------
+
+def random_family(n, rng, order):
+    a = Mat.from_rows([[GaussRational(QQ(rng.randint(-3, 3), rng.choice([1, 2, 3])),
+                                      QQ(rng.randint(-2, 2), rng.choice([1, 2])))
+                        for _ in range(n)] for _ in range(n)])
+    return mat_exp_trunc(a, order)
+
+
+def boxed_chain(factors):
+    p = factors[0]
+    for f in factors[1:]:
+        p = boxed_matmul(p, f)
+    return p
+
+
+def test_series_deviation_matches_reference_on_random_chains():
+    rng = random.Random(7)
+    for trial in range(12):
+        n = rng.choice([2, 3])
+        orders = [rng.randint(1, 3) for _ in range(3)]
+        fams = {w: [random_family(n, rng, o) for _ in range(3)]
+                for w, o in zip("xyz", orders)}
+        inst = TppInstance(MatrixGroupOps(n), fams["x"], fams["y"], fams["z"], "family")
+        tuples = [tuple(rng.randrange(3) for _ in range(6)) for _ in range(6)]
+        tuples.append((1, 1, 2, 2, 0, 0))                  # planted all-equal tuple
+        for ix, ix2, iy, iy2, iz, iz2 in tuples:
+            boxed = boxed_chain([inst.element("x", ix), inst.inv_element("x", ix2),
+                                 inst.element("y", iy), inst.inv_element("y", iy2),
+                                 inst.element("z", iz), inst.inv_element("z", iz2)])
+            packed = _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2)
+            assert same_entries(packed.unpack(), boxed)
+            for order in (0, 1, 2, 3, 5):
+                assert _series_deviation(packed, order) == boxed_series_deviation(boxed, order)
+        boxed = boxed_chain([inst.inv_element("x", 0), inst.element("x", 1),
+                             inst.inv_element("z", 2), inst.element("z", 0)])
+        for order in (1, 3):
+            assert (_series_deviation(_dpp_product(inst, 0, 1, 2, 0), order)
+                    == boxed_series_deviation(boxed, order))
+
+
+def test_series_deviation_planted_tuples():
+    rng = random.Random(11)
+    xs = [random_family(3, rng, 3) for _ in range(2)]
+    ys = [random_family(3, rng, 3)]
+    # Z' = X': x0 x1^-1 y y^-1 x1 x0^-1 = I exactly, so no coefficient in the
+    # window can certify it; the all-equal tuple is I as well
+    inst = TppInstance(MatrixGroupOps(3), xs, ys, xs, "family")
+    for tup in [(0, 1, 0, 0, 1, 0), (1, 1, 0, 0, 0, 0)]:
+        packed = _tpp_product(inst, *tup)
+        boxed = boxed_chain([inst.element("x", tup[0]), inst.inv_element("x", tup[1]),
+                             inst.element("y", 0), inst.inv_element("y", 0),
+                             inst.element("z", tup[4]), inst.inv_element("z", tup[5])])
+        assert _series_deviation(packed, 3) == boxed_series_deviation(boxed, 3)
+        assert _series_deviation(packed, 3) == (False, 3)
+    rep = verify_tpp_series(inst, order=3, mode="exhaustive")
+    assert rep.verdict == "inconclusive"
+    ix, ix2, iy, iy2, iz, iz2 = rep.witness.indices
+    assert ix != ix2 and iy == iy2 and (iz, iz2) == (ix2, ix)
+
+
+def test_packed_memo_keeps_public_api_boxed():
+    rng = random.Random(3)
+    fams = [random_family(2, rng, 2) for _ in range(2)]
+    inst = TppInstance(MatrixGroupOps(2), fams, fams[:1], fams, "family")
+    _tpp_product(inst, 0, 1, 0, 0, 1, 0)
+    for which in "xyz":
+        for idx in range(len(getattr(inst, which))):
+            assert all(isinstance(s, EpsLaurent) for s in inst.element(which, idx).data)
+    inv = inst.inv_element("x", 1)
+    assert all(isinstance(s, EpsLaurent) for s in inv.data)
+    assert same_entries(boxed_matmul(inv, fams[1]), inv.matmul(fams[1]))
+    assert same_entries(mat_inv_series(fams[1]), inv)

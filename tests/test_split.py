@@ -84,6 +84,12 @@ def test_assemble_q1_degenerate():
     assert out.degree_report["deg_total"] == out.degree_report["deg_p0"]
 
 
+def test_assemble_q0_raises_split_error():
+    # q = 0 leaves no coordinate tuples: a construction error, not a crash
+    with pytest.raises(SplitError, match="no coordinate tuples"):
+        assemble_split(base_inputs(q=0))
+
+
 def test_degree_bookkeeping_identity():
     out = assemble_split(base_inputs(q=3))
     dr = out.degree_report
