@@ -242,6 +242,12 @@ def _run_embed_demo(args):
 
 
 def _run_running_example(args):
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2 (got {args.n})")
+    # below 2 the orthogonal family cannot be built, and the border lattice
+    # [-q/2, q/2] is the single point 0, which would pass vacuously
+    if args.q < 2:
+        raise UsageError(f"--q must be at least 2 (got {args.q})")
     deviations = []
     if args.border:
         p0, yfams, rep = running_border_p0(args.n, args.q, yfam_cap=args.set_cap,
@@ -309,6 +315,8 @@ def _run_su_construct(args):
 
 
 def _run_su_verify(args):
+    if args.q < 1:
+        raise UsageError(f"--q must be at least 1 (got {args.q})")
     constr = su_build(args.n)
     rng = random.Random(args.seed)
     coords, _ = su_y_lattice(constr, args.q, cap=64, seed=args.seed)

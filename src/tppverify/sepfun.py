@@ -20,9 +20,11 @@ evaluation (the Taylor coefficients are cached per expansion point).
 
 from __future__ import annotations
 
-from .matrices import Mat, lpm as mat_lpm, mat_det, mat_minor
+import math
+
+from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det, mat_minor
 from .scalars import GaussRational, QQ, as_qq
-from .series import EpsLaurent
+from .series import INF_ORDER, EpsLaurent
 
 
 class SepFunctionError(ValueError):
@@ -196,32 +198,6 @@ def lagrange_indicator(point, points) -> UniPoly:
 # ---------------------------------------------------------------------------
 # Scalar-kind helpers for mixed evaluation
 # ---------------------------------------------------------------------------
-
-def _re_part(x):
-    if isinstance(x, EpsLaurent):
-        out = EpsLaurent.zero()
-        out.coeffs = {e: GaussRational(c.re) for e, c in x.coeffs.items() if c.re != 0}
-        out.lo, out.hi = x.lo, x.hi
-        return out
-    if isinstance(x, GaussRational):
-        return GaussRational(x.re)
-    if isinstance(x, complex):
-        return x.real
-    return x
-
-
-def _im_part(x):
-    if isinstance(x, EpsLaurent):
-        out = EpsLaurent.zero()
-        out.coeffs = {e: GaussRational(c.im) for e, c in x.coeffs.items() if c.im != 0}
-        out.lo, out.hi = x.lo, x.hi
-        return out
-    if isinstance(x, GaussRational):
-        return GaussRational(x.im)
-    if isinstance(x, complex):
-        return x.imag
-    return 0
-
 
 def _to_series_scalar(x):
     return x if isinstance(x, EpsLaurent) else EpsLaurent.const(x)
@@ -572,6 +548,15 @@ class LinearForm(SepFunction):
         self.ri = ri
         self.ir = ir
         self.ii = ii
+        # the four coefficient matrices over one common denominator, kept per
+        # entry with a nonzero coefficient as (index, rr, ri, ir, ii) numerators
+        cells = [tuple(as_qq(c) for c in cell)
+                 for cell in zip(rr.data, ri.data, ir.data, ii.data)]
+        den = math.lcm(*(c.denominator for cell in cells for c in cell))
+        self._den = den
+        self._terms = tuple(
+            (idx, *(c.numerator * (den // c.denominator) for c in cell))
+            for idx, cell in enumerate(cells) if any(cell))
 
     @property
     def degree(self):
@@ -588,19 +573,7 @@ class LinearForm(SepFunction):
                     im_acc += float(self.ir[j, k]) * x.real + float(self.ii[j, k]) * x.imag
             return complex(re_acc, im_acc)
         if m.has_series_entries():
-            acc = EpsLaurent.const(0)
-            for j in range(m.rows):
-                for k in range(m.cols):
-                    x = _to_series_scalar(m[j, k])
-                    re = _re_part(x)
-                    im = _im_part(x)
-                    coef_r = GaussRational(self.rr[j, k], self.ir[j, k])
-                    coef_i = GaussRational(self.ri[j, k], self.ii[j, k])
-                    if not coef_r.is_zero():
-                        acc = acc + coef_r * re
-                    if not coef_i.is_zero():
-                        acc = acc + coef_i * im
-            return acc
+            return self._eval_series(m)
         acc = GaussRational(0)
         for j in range(m.rows):
             for k in range(m.cols):
@@ -608,6 +581,48 @@ class LinearForm(SepFunction):
                 acc = acc + GaussRational(self.rr[j, k], self.ir[j, k]) * GaussRational(x.re)
                 acc = acc + GaussRational(self.ri[j, k], self.ii[j, k]) * GaussRational(x.im)
         return acc
+
+    def _eval_series(self, m):
+        """The boxed sum of coef_r * Re(x) + coef_i * Im(x), on integers.
+
+        Each term's window is that of a product with an exact nonzero
+        constant: it starts at the valuation of the part it scales (the
+        entry's hi when that part is zero on the window) and ends at the
+        entry's hi.  The sum takes the minimum of both edges over the terms
+        with a nonzero coefficient, starting from the constant 0, and keeps no
+        coefficient beyond its hi.
+        """
+        entries = PackedSeriesMat.pack(m)
+        lo, hi = 0, INF_ORDER
+        re_acc = {}
+        im_acc = {}
+        for idx, rr, ri, ir, ii in self._terms:
+            _, ehi, _, terms = entries.entries[idx]
+            if ehi < hi:
+                hi = ehi
+            for coef_re, coef_im, part in ((rr, ir, 1), (ri, ii, 2)):
+                if not (coef_re or coef_im):
+                    continue
+                v = ehi
+                for term in terms:
+                    x = term[part]
+                    if x:
+                        e = term[0]
+                        if e < v:
+                            v = e
+                        re_acc[e] = re_acc.get(e, 0) + coef_re * x
+                        im_acc[e] = im_acc.get(e, 0) + coef_im * x
+                if v < lo:
+                    lo = v
+        den = self._den * entries.den
+        cc = {}
+        for e in sorted(re_acc):
+            re, im = re_acc[e], im_acc[e]
+            if e <= hi and (re or im):
+                cc[e] = GaussRational.from_qq(QQ(re, den), QQ(im, den))
+        out = EpsLaurent.zero()
+        out.coeffs, out.lo, out.hi = cc, lo, hi
+        return out
 
     def to_json(self):
         def ser(mat):

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 
 from .scalars import GaussRational, approx_eq
-from .sepfun import EvalContext, SepFunction
+from .sepfun import EvalContext, Product, SepFunction
 from .series import EpsLaurent, InsufficientOrderError
 from .tpp import TppInstance, quotient_product_set
 
@@ -45,6 +45,77 @@ def _eval_family_fn(fn, g, ctx=None):
     if isinstance(fn, SepFunction):
         return fn.eval(g, ctx or EvalContext())
     return fn(g)
+
+
+# Entries of the per-call memo of verify_separating_border (node values and
+# interned arguments each); past it, values are computed and not kept.
+MEMO_CAP = 1 << 14
+
+
+def _shared_nodes(family) -> set:
+    """ids of the nodes that more than one family member reaches.
+
+    A member is walked through its Product nodes, the only nodes whose
+    children all see the member's own argument and context.
+    """
+    reached = {}
+    for fn in family.values():
+        seen = set()
+        stack = [fn]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if type(node) is Product:
+                    stack.extend(node.children)
+        for key in seen:
+            reached[key] = reached.get(key, 0) + 1
+    return {key for key, count in reached.items() if count > 1}
+
+
+class _NodeMemo:
+    """Values of shared nodes per (node, argument), for one verifier call.
+
+    Arguments are interned by their exact key: equal keys are equal entries,
+    windows included, so a node's value at one is its value at the other.
+    Values are handed out as they are and never mutated.
+    """
+
+    def __init__(self, shared, ctx):
+        self.shared = shared
+        self.ctx = ctx
+        self.cap = MEMO_CAP
+        self.mids = {}
+        self.values = {}
+
+    def intern(self, m):
+        """A small int naming m's value, or None once the table is full."""
+        key = m.key()
+        mid = self.mids.get(key)
+        if mid is None and len(self.mids) < self.cap:
+            mid = self.mids[key] = len(self.mids)
+        return mid
+
+    def eval(self, node, m, mid):
+        """node.eval(m, ctx), with shared nodes taken from the memo."""
+        if id(node) in self.shared:
+            if mid is None:
+                return node.eval(m, self.ctx)
+            key = (id(node), mid)
+            v = self.values.get(key)
+            if v is None:
+                v = node.eval(m, self.ctx)
+                if len(self.values) < self.cap:
+                    self.values[key] = v
+            return v
+        if type(node) is Product:
+            # Product.eval, over the memo
+            acc = None
+            for child in node.children:
+                v = self.eval(child, m, mid)
+                acc = v if acc is None else acc * v
+            return acc if acc is not None else GaussRational(1)
+        return node.eval(m, self.ctx)
 
 
 def verify_separating(family, inst: TppInstance, tol: float | None = None) -> SepReport:
@@ -139,18 +210,29 @@ def verify_separating_border(family, inst: TppInstance, order: int,
                 yield (ix, iz, rng.randrange(nx), rng.randrange(ny),
                        rng.randrange(ny), rng.randrange(nz))
 
+    # Members that share node objects (p0 and the coordinate indicators of an
+    # assembled split family) evaluate each shared node once per distinct M;
+    # families without shared nodes, such as loaded ones, evaluate per tuple.
+    shared = _shared_nodes(family)
+    memo = _NodeMemo(shared, ctx or EvalContext()) if shared else None
     prod_cache = {}
     for ix, iz, ix2, iy, iy2, iz2 in tuples():
         key = (ix2, iy, iy2, iz2)
-        m = prod_cache.get(key)
-        if m is None:
+        cached = prod_cache.get(key)
+        if cached is None:
             m = inst.packed_product((("x", ix2, False), ("y", iy, True),
                                      ("y", iy2, False), ("z", iz2, True))).unpack()
+            cached = m, memo.intern(m) if memo is not None else None
             if len(prod_cache) < 4096:
-                prod_cache[key] = m
+                prod_cache[key] = cached
+        m, mid = cached
         expected = 1 if (ix2 == ix and iz2 == iz and iy == iy2) else 0
+        fn = family[(ix, iz)]
         try:
-            val = _eval_family_fn(family[(ix, iz)], m, ctx)
+            if memo is not None and isinstance(fn, SepFunction):
+                val = memo.eval(fn, m, mid)
+            else:
+                val = _eval_family_fn(fn, m, ctx)
             status, detail = check_border_value(val, expected)
         except InsufficientOrderError as exc:
             status, detail = "inconclusive", str(exc)

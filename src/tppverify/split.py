@@ -301,18 +301,25 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
     yfams_reparam = [f.map(lambda s: (s if isinstance(s, EpsLaurent) else EpsLaurent.const(s)).reparametrize(t))
                      for f in inputs.yfams]
 
-    # per-coordinate Lagrange indicators, shared across pairs
-    alphas = {v: lagrange_indicator(v, inputs.coord_set_a) for v in inputs.coord_set_a}
-    betas = {v: lagrange_indicator(v, inputs.coord_set_b) for v in inputs.coord_set_b}
+    # per-coordinate Lagrange indicators of (M - I)/eps, one node per (side,
+    # coordinate, value) shared by every pair that reads it, so that the
+    # border verifier can evaluate each of them once per argument
+    def indicator_nodes(values, forms):
+        polys = {v: lagrange_indicator(v, values) for v in values}
+        return [{v: ShiftIdentity(-1, MatEpsShift(-1, PolyApply(polys[v], form)))
+                 for v in values}
+                for form in forms]
+
+    alphas = indicator_nodes(inputs.coord_set_a, inputs.px_forms)
+    betas = indicator_nodes(inputs.coord_set_b, inputs.pz_forms)
 
     p0_part = Reparam(t, inputs.p0) if t > 1 else inputs.p0
     sep_family = {}
     deg_total = None
     for ai, a in enumerate(a_tuples):
         for bi, b in enumerate(b_tuples):
-            indicators = [PolyApply(alphas[a[s]], inputs.px_forms[s]) for s in range(dx)]
-            indicators += [PolyApply(betas[b[s]], inputs.pz_forms[s]) for s in range(dz)]
-            r_ab = ShiftIdentity(-1, MatEpsShift(-1, Product(indicators)))
+            r_ab = Product([alphas[s][a[s]] for s in range(dx)]
+                           + [betas[s][b[s]] for s in range(dz)])
             p_xz = Product([p0_part, r_ab])
             sep_family[(ai, bi)] = p_xz
             if deg_total is None:

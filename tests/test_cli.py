@@ -176,14 +176,28 @@ def test_split_assemble_emit_instance_feeds_tpp_verify(tmp_path, capsys):
     assert rep["details"]["sizes"] == [4, 8, 4]
 
 
-@pytest.mark.parametrize("q", ["0", "1"])
-def test_split_assemble_rejects_small_q(q, capsys):
-    code = main(["split-assemble", "--n", "4", "--q", q, "--sample-budget", "10",
-                 "--no-timestamp"])
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["split-assemble", "--n", "4", "--q", "0", "--sample-budget", "10"],
+                 "--q must be at least 2", id="0"),
+    pytest.param(["split-assemble", "--n", "4", "--q", "1", "--sample-budget", "10"],
+                 "--q must be at least 2", id="1"),
+    pytest.param(["running-example", "--n", "3", "--q", "0"],
+                 "--q must be at least 2", id="running-example-q0"),
+    pytest.param(["running-example", "--n", "3", "--q", "1"],
+                 "--q must be at least 2", id="running-example-q1"),
+    pytest.param(["running-example", "--n", "3", "--q", "1", "--border"],
+                 "--q must be at least 2", id="running-example-border-q1"),
+    pytest.param(["running-example", "--n", "1", "--q", "2"],
+                 "--n must be at least 2", id="running-example-n1"),
+    pytest.param(["su-verify", "--n", "4", "--q", "0", "--trials", "5", "--pairs", "2"],
+                 "--q must be at least 1", id="su-verify-q0"),
+])
+def test_split_assemble_rejects_small_q(argv, message, capsys):
+    code = main(argv + ["--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "--q must be at least 2" in captured.err
+    assert message in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -1,10 +1,11 @@
-"""Differential tests of the packed series kernel against the boxed loop.
+"""Differential tests of the packed series kernels against boxed loops.
 
 The boxed loop below is the generic Mat.matmul inner loop as it runs on
 EpsLaurent entries (a sum of EpsLaurent products); it is kept here only as
 an oracle.  Every entry of a packed product must equal it bit for bit,
 windows included, and InsufficientOrderError must be raised in exactly the
-same cases.
+same cases.  LinearForm's series evaluation is held to the boxed sum of
+coefficient times real or imaginary part in the same way.
 """
 
 import random
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from tppverify.groups import MatrixGroupOps
 from tppverify.matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
 from tppverify.scalars import GaussRational, QQ
+from tppverify.sepfun import LinearForm
 from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 from tppverify.tpp import (
     TppInstance,
@@ -234,3 +236,76 @@ def test_packed_memo_keeps_public_api_boxed():
     assert all(isinstance(s, EpsLaurent) for s in inv.data)
     assert same_entries(boxed_matmul(inv, fams[1]), inv.matmul(fams[1]))
     assert same_entries(mat_inv_series(fams[1]), inv)
+
+
+# -- LinearForm on series arguments ----------------------------------------------
+
+def boxed_linear_form(form: LinearForm, m: Mat) -> EpsLaurent:
+    """Oracle: sum of coef_r * Re(x) + coef_i * Im(x) over boxed series."""
+    def part(x, which):
+        out = EpsLaurent.zero()
+        out.coeffs = {e: GaussRational(getattr(c, which))
+                      for e, c in x.coeffs.items() if getattr(c, which) != 0}
+        out.lo, out.hi = x.lo, x.hi
+        return out
+
+    acc = EpsLaurent.const(0)
+    for j in range(m.rows):
+        for k in range(m.cols):
+            x = m[j, k] if isinstance(m[j, k], EpsLaurent) else EpsLaurent.const(m[j, k])
+            coef_r = GaussRational(form.rr[j, k], form.ir[j, k])
+            coef_i = GaussRational(form.ri[j, k], form.ii[j, k])
+            if not coef_r.is_zero():
+                acc = acc + coef_r * part(x, "re")
+            if not coef_i.is_zero():
+                acc = acc + coef_i * part(x, "im")
+    return acc
+
+
+# mostly zero, as the left-inverse forms are
+form_coeffs = st.one_of(st.just(QQ(0)), st.just(QQ(0)), rationals)
+
+
+@st.composite
+def form_and_argument(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mats = [draw(matrices(rows, cols, form_coeffs)) for _ in range(4)]
+    # zero coefficient rows, in all four matrices at once
+    for j in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        for mat in mats:
+            for k in range(cols):
+                mat[j, k] = QQ(0)
+    m = draw(matrices(rows, cols, st.one_of(series_entries(), series_entries(),
+                                            exact_entries)))
+    if not m.has_series_entries():
+        m[0, 0] = draw(series_entries())
+    return LinearForm(*mats), m
+
+
+@settings(max_examples=400, deadline=None)
+@given(form_and_argument())
+def test_linear_form_series_matches_boxed_sum(fm):
+    form, m = fm
+    want = boxed_linear_form(form, m)
+    got = form.eval(m)
+    assert type(got) is EpsLaurent
+    assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
+    qq = type(QQ(0))
+    for c in got.coeffs.values():
+        assert type(c) is GaussRational
+        assert type(c.re) is qq and type(c.im) is qq
+
+
+def test_linear_form_windows_of_zero_parts():
+    # Re part zero on [-2, 1], Im part eps^-1: the real term starts at hi = 1,
+    # the imaginary one at -1; the sum stops at the smallest hi over its terms
+    one = Mat(1, 1, [QQ(1)])
+    zero = Mat(1, 1, [QQ(0)])
+    x = EpsLaurent({-1: GaussRational(0, 3)}, lo=-2, hi=1)
+    for form, lo in [(LinearForm(one, zero, zero, zero), 0),
+                     (LinearForm(zero, one, zero, zero), -1),
+                     (LinearForm(zero, zero, zero, zero), 0)]:
+        got = form.eval(Mat(1, 1, [x]))
+        want = boxed_linear_form(form, Mat(1, 1, [x]))
+        assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
+        assert got.lo == lo

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tppverify import sepverify
 from tppverify.groups import MatrixGroupOps
 from tppverify.matrices import Mat
 from tppverify.scalars import GaussRational
-from tppverify.sepfun import Const, PolyApply, lagrange_indicator
-from tppverify.sepverify import verify_separating_border
-from tppverify.series import EpsLaurent
+from tppverify.sepfun import Const, PolyApply, SepFunction, lagrange_indicator
+from tppverify.sepverify import SepReport, check_border_value, verify_separating_border
+from tppverify.series import EpsLaurent, InsufficientOrderError
 from tppverify.split import (
     SplitError,
     SplitInputs,
@@ -176,3 +179,118 @@ def test_reparametrization_guard_failure_and_fix():
                           out_ok.zfams, "family")
     rep_ok = verify_separating_border(out_ok.sep_family, inst_ok, order=out_ok.order)
     assert rep_ok.verdict == "pass"
+
+
+# -- memoised border verification against the per-tuple loop -------------------
+
+def reference_border_report(family, inst, order, sample_budget, seed):
+    """Oracle: every member evaluated in full on every tuple, no reuse."""
+    nx, ny, nz = inst.sizes()
+    report = SepReport("pass", order_used=order)
+    pair_keys = sorted(family)
+    if nx * nz * nx * ny * ny * nz <= sample_budget:
+        tuples = [(ix, iz, ix2, iy, iy2, iz2) for ix, iz in pair_keys
+                  for ix2 in range(nx) for iy in range(ny) for iy2 in range(ny)
+                  for iz2 in range(nz)]
+    else:
+        rng = random.Random(seed)
+        report.sampled, report.seed = True, seed
+        tuples = []
+        for i in range(sample_budget):
+            ix, iz = pair_keys[rng.randrange(len(pair_keys))]
+            if i < sample_budget // 2:
+                iy = rng.randrange(ny)
+                tuples.append((ix, iz, ix, iy, iy, iz))
+            else:
+                tuples.append((ix, iz, rng.randrange(nx), rng.randrange(ny),
+                               rng.randrange(ny), rng.randrange(nz)))
+    for ix, iz, ix2, iy, iy2, iz2 in tuples:
+        m = (inst.element("x", ix2).matmul(inst.inv_element("y", iy))
+             .matmul(inst.element("y", iy2)).matmul(inst.inv_element("z", iz2)))
+        expected = 1 if (ix2 == ix and iz2 == iz and iy == iy2) else 0
+        try:
+            status, detail = check_border_value(family[(ix, iz)].eval(m), expected)
+        except InsufficientOrderError as exc:
+            status, detail = "inconclusive", str(exc)
+        report.checked += 1
+        entry = {"tuple": (ix, iz, ix2, iy, iy2, iz2), "expected": expected,
+                 "detail": detail}
+        if status == "fail":
+            report.failures.append(entry)
+        elif status == "inconclusive":
+            report.inconclusive.append(entry)
+    if report.failures:
+        report.verdict = "fail"
+    elif report.inconclusive:
+        report.verdict = "inconclusive"
+    return report
+
+
+def assembled_family(q, middle, t, order):
+    """(out, inst) for the small disjoint split, with a chosen middle set:
+    the identity family; the identity and a constant known only to eps^0,
+    so that y^-1 y' is I for both y = y' but with different windows
+    ("windows"); or the offset families with the offset-aware p0 ("offset")
+    or with the constant p0 1, which cannot vanish on y != y'."""
+    if middle == "identity":
+        inputs = base_inputs(q=q)
+    elif middle == "windows":
+        short = Mat.from_rows([[EpsLaurent({0: c}, lo=0, hi=0) for c in row]
+                               for row in ([1, 1], [0, 1])])
+        inputs = base_inputs(q=q, p0=offset_aware_p0(), yfams=[ident_family(2), short])
+    else:
+        p0 = offset_aware_p0() if middle == "offset" else Const(1)
+        inputs = base_inputs(q=q, p0=p0, yfams=middle_with_constant_offset())
+    out = assemble_split(inputs, t=t, order=order, run_dpp_check=False)
+    inst = TppInstance(MatrixGroupOps(2), out.xfams, out.yfams_reparam, out.zfams,
+                       "family")
+    return out, inst
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 3),
+       middle=st.sampled_from(["identity", "windows", "offset", "constant-p0"]),
+       t=st.sampled_from([None, 1, 2]),
+       order=st.integers(2, 8),
+       budget=st.one_of(st.integers(1, 40), st.just(10 ** 4)),
+       seed=st.integers(0, 3),
+       cap=st.sampled_from([0, 1, 3, sepverify.MEMO_CAP]))
+def test_memoised_border_matches_per_tuple_loop(q, middle, t, order, budget, seed, cap):
+    out, inst = assembled_family(q, middle, t, order)
+    want = reference_border_report(out.sep_family, inst, order, budget, seed).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sepverify, "MEMO_CAP", cap)
+        got = verify_separating_border(out.sep_family, inst, order,
+                                       sample_budget=budget, seed=seed)
+    assert got.to_json() == want
+    # a loaded family shares no nodes and takes the per-tuple path
+    loaded = {k: SepFunction.from_json(fn.to_json()) for k, fn in out.sep_family.items()}
+    assert not sepverify._shared_nodes(loaded)
+    got = verify_separating_border(loaded, inst, order, sample_budget=budget, seed=seed)
+    assert got.to_json() == want
+
+
+@pytest.mark.parametrize("middle, t, order, verdict", [
+    # forced t = 1 lets r's negative powers survive
+    ("offset", 1, 4, "fail"),
+    # a constant p0 fails to vanish on y != y'
+    ("constant-p0", None, 8, "fail"),
+    # M = I with two windows: only the narrow one leaves r unknown at eps^0
+    ("windows", 1, 4, "inconclusive"),
+])
+def test_memoised_border_planted_failures_and_reuse(middle, t, order, verdict):
+    out, inst = assembled_family(2, middle, t, order)
+    p0 = out.sep_family[(0, 0)].children[0]
+    assert all(fn.children[0] is p0 for fn in out.sep_family.values())
+    evals = []
+    orig = p0.eval
+    p0.eval = lambda m, ctx=None: evals.append(m.key()) or orig(m, ctx)
+    try:
+        got = verify_separating_border(out.sep_family, inst, order)
+    finally:
+        del p0.eval
+    want = reference_border_report(out.sep_family, inst, order, 10 ** 4, 0)
+    assert got.verdict == verdict
+    assert got.to_json() == want.to_json()
+    # p0 is evaluated once per distinct argument, not once per tuple
+    assert len(evals) == len(set(evals)) < got.checked
