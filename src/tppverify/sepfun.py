@@ -675,12 +675,16 @@ class Product(SepFunction):
     def degree(self):
         return sum(c.degree for c in self.children)
 
-    def eval(self, m, ctx=None):
+    @staticmethod
+    def combine(values):
+        """The left-to-right product of values, and 1 when there are none."""
         acc = None
-        for c in self.children:
-            v = c.eval(m, ctx)
+        for v in values:
             acc = v if acc is None else acc * v
         return acc if acc is not None else GaussRational(1)
+
+    def eval(self, m, ctx=None):
+        return self.combine(c.eval(m, ctx) for c in self.children)
 
     def to_json(self):
         return {"kind": self.kind, "children": [c.to_json() for c in self.children]}

@@ -109,12 +109,7 @@ class _NodeMemo:
                     self.values[key] = v
             return v
         if type(node) is Product:
-            # Product.eval, over the memo
-            acc = None
-            for child in node.children:
-                v = self.eval(child, m, mid)
-                acc = v if acc is None else acc * v
-            return acc if acc is not None else GaussRational(1)
+            return Product.combine(self.eval(c, m, mid) for c in node.children)
         return node.eval(m, self.ctx)
 
 
@@ -211,10 +206,8 @@ def verify_separating_border(family, inst: TppInstance, order: int,
                        rng.randrange(ny), rng.randrange(nz))
 
     # Members that share node objects (p0 and the coordinate indicators of an
-    # assembled split family) evaluate each shared node once per distinct M;
-    # families without shared nodes, such as loaded ones, evaluate per tuple.
-    shared = _shared_nodes(family)
-    memo = _NodeMemo(shared, ctx or EvalContext()) if shared else None
+    # assembled split family) evaluate each shared node once per distinct M.
+    memo = _NodeMemo(_shared_nodes(family), ctx or EvalContext())
     prod_cache = {}
     for ix, iz, ix2, iy, iy2, iz2 in tuples():
         key = (ix2, iy, iy2, iz2)
@@ -222,17 +215,14 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         if cached is None:
             m = inst.packed_product((("x", ix2, False), ("y", iy, True),
                                      ("y", iy2, False), ("z", iz2, True))).unpack()
-            cached = m, memo.intern(m) if memo is not None else None
+            cached = m, memo.intern(m)
             if len(prod_cache) < 4096:
                 prod_cache[key] = cached
         m, mid = cached
         expected = 1 if (ix2 == ix and iz2 == iz and iy == iy2) else 0
         fn = family[(ix, iz)]
         try:
-            if memo is not None and isinstance(fn, SepFunction):
-                val = memo.eval(fn, m, mid)
-            else:
-                val = _eval_family_fn(fn, m, ctx)
+            val = memo.eval(fn, m, mid) if isinstance(fn, SepFunction) else fn(m)
             status, detail = check_border_value(val, expected)
         except InsufficientOrderError as exc:
             status, detail = "inconclusive", str(exc)

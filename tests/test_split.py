@@ -263,7 +263,7 @@ def test_memoised_border_matches_per_tuple_loop(q, middle, t, order, budget, see
         got = verify_separating_border(out.sep_family, inst, order,
                                        sample_budget=budget, seed=seed)
     assert got.to_json() == want
-    # a loaded family shares no nodes and takes the per-tuple path
+    # a loaded family shares no nodes: the same walk caches nothing
     loaded = {k: SepFunction.from_json(fn.to_json()) for k, fn in out.sep_family.items()}
     assert not sepverify._shared_nodes(loaded)
     got = verify_separating_border(loaded, inst, order, sample_budget=budget, seed=seed)
