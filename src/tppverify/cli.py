@@ -73,8 +73,6 @@ def _common_flags(p):
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
     p.add_argument("--sample-budget", type=int, default=10 ** 4)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker hint recorded in the report (0 = auto)")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--no-timestamp", action="store_true",
@@ -411,6 +409,9 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("output", "format")}
     try:
+        # a sampled run with no samples would pass without checking anything
+        if args.sample_budget < 1:
+            raise UsageError(f"--sample-budget must be at least 1 (got {args.sample_budget})")
         verdict, details, deviations, rows = _DRIVERS[args.subcommand](args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -40,6 +40,20 @@ class SepReport:
             out["notes"] = self.notes
         return out
 
+    def record(self, status: str, entry: dict):
+        """File a 'fail' or 'inconclusive' outcome and update the verdict.
+
+        A failure outranks an inconclusive outcome, which outranks a pass;
+        an 'ok' outcome changes nothing.
+        """
+        if status == "fail":
+            self.failures.append(entry)
+            self.verdict = "fail"
+        elif status == "inconclusive":
+            self.inconclusive.append(entry)
+            if self.verdict == "pass":
+                self.verdict = "inconclusive"
+
 
 def _eval_family_fn(fn, g, ctx=None):
     if isinstance(fn, SepFunction):
@@ -137,14 +151,12 @@ def verify_separating(family, inst: TppInstance, tol: float | None = None) -> Se
             else:
                 ok = approx_eq(val, expected, tol)
             if not ok:
-                report.failures.append({
+                report.record("fail", {
                     "xz": (ix, iz),
                     "quotient_provenance": provenance[0],
                     "expected": expected,
                     "got": repr(val),
                 })
-    if report.failures:
-        report.verdict = "fail"
     return report
 
 
@@ -177,6 +189,8 @@ def verify_separating_border(family, inst: TppInstance, order: int,
     a seeded sample is drawn, stratified so that expected-1 tuples (which
     form a vanishing fraction of the grid) are exercised too.
     """
+    if sample_budget < 1:
+        raise ValueError(f"a sampled run needs a budget of at least 1 (got {sample_budget})")
     nx, ny, nz = inst.sizes()
     total = nx * nz * nx * ny * ny * nz
     report = SepReport("pass", order_used=order)
@@ -213,8 +227,8 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         key = (ix2, iy, iy2, iz2)
         cached = prod_cache.get(key)
         if cached is None:
-            m = inst.packed_product((("x", ix2, False), ("y", iy, True),
-                                     ("y", iy2, False), ("z", iz2, True))).unpack()
+            m = inst.product((("x", ix2, False), ("y", iy, True),
+                              ("y", iy2, False), ("z", iz2, True))).unpack()
             cached = m, memo.intern(m)
             if len(prod_cache) < 4096:
                 prod_cache[key] = cached
@@ -227,16 +241,8 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         except InsufficientOrderError as exc:
             status, detail = "inconclusive", str(exc)
         report.checked += 1
-        entry = {"tuple": (ix, iz, ix2, iy, iy2, iz2), "expected": expected,
-                 "detail": detail}
-        if status == "fail":
-            report.failures.append(entry)
-        elif status == "inconclusive":
-            report.inconclusive.append(entry)
-    if report.failures:
-        report.verdict = "fail"
-    elif report.inconclusive:
-        report.verdict = "inconclusive"
+        report.record(status, {"tuple": (ix, iz, ix2, iy, iy2, iz2), "expected": expected,
+                               "detail": detail})
     return report
 
 
@@ -277,15 +283,11 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
         except InsufficientOrderError as exc:
             status, detail = "inconclusive", str(exc)
         report.checked += 1
+        entry = {"pair": (i, j), "detail": detail}
         if status == "fail":
-            report.failures.append({"pair": (i, j), "expected": expected, "detail": detail})
-        elif status == "inconclusive":
-            report.inconclusive.append({"pair": (i, j), "detail": detail})
+            entry["expected"] = expected
+        report.record(status, entry)
     report.notes.append(f"pairs: {equal_pairs} equal, {unequal_pairs} unequal")
     report.equal_pairs = equal_pairs
     report.unequal_pairs = unequal_pairs
-    if report.failures:
-        report.verdict = "fail"
-    elif report.inconclusive:
-        report.verdict = "inconclusive"
     return report

@@ -4,6 +4,11 @@ Verification is brute force by design: every claim a report makes is backed
 by an enumerated (or seeded-sampled) set of tuples, and any failure carries a
 witness that can be re-evaluated standalone.
 
+Every TPP and DPP check runs through one tuple engine (_verify) with three
+inputs: a tuple source (exhaustive in lexicographic order, or seeded
+samples), a factor list per tuple (TppInstance.product), and a three-way
+classifier of the product (proved identity, proved non-identity, unknown).
+
 For 1-parameter families the product of a non-all-equal tuple is certified
 distinct from the identity by exhibiting a nonzero series coefficient within
 the valid window (an analytic function with a nonzero truncated coefficient
@@ -16,6 +21,8 @@ classified without unpacking it.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -133,15 +140,20 @@ class TppInstance:
     def element(self, which: str, idx: int):
         return {"x": self.x, "y": self.y, "z": self.z}[which][idx]
 
-    def packed_product(self, factors) -> PackedSeriesMat:
-        """Family mode: the packed product of (which, idx, inverse) factors.
+    def product(self, factors):
+        """The product of (which, idx, inverse) factors, left to right.
 
-        Each element and inverse is packed once and memoized per instance;
-        an inverse computed here is not kept in boxed form as well.
+        Family mode returns the packed chain: each element and inverse is
+        packed once and memoized per instance, and an inverse computed here
+        is not kept in boxed form as well.  Exact and table mode fold mul
+        over element/inv_element.
         """
-        if self.mode != "family":
-            raise InstanceError("packed products need a family instance")
         out = None
+        if self.mode != "family":
+            for which, idx, inverse in factors:
+                m = self.inv_element(which, idx) if inverse else self.element(which, idx)
+                out = m if out is None else self.mul(out, m)
+            return out
         for key in factors:
             p = self._packed.get(key)
             if p is None:
@@ -177,158 +189,119 @@ def _families_equal(a: Mat, b: Mat) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# The tuple engine
+# ---------------------------------------------------------------------------
+
+# Factor templates (set, position in the index tuple, inverse).  A TPP tuple
+# (ix, ix', iy, iy', iz, iz') multiplies x x'^-1 y y'^-1 z z'^-1; a DPP tuple
+# (ix, ix', iz, iz') multiplies x^-1 x' z^-1 z'.
+_FACTORS = {
+    "tpp": (("x", 0, False), ("x", 1, True), ("y", 2, False), ("y", 3, True),
+            ("z", 4, False), ("z", 5, True)),
+    "dpp": (("x", 0, True), ("x", 1, False), ("z", 2, True), ("z", 3, False)),
+}
+
+# TPP witness details by (all_equal, family mode); DPP witnesses carry none.
+_TPP_DETAIL = {
+    (True, False): "all-equal tuple does not multiply to identity",
+    (False, False): "product is identity",
+    (True, True): "all-equal tuple deviates from identity",
+    (False, True): "no certified nonzero coefficient in window",
+}
+
+
+def _factors(kind, tup):
+    return [(which, tup[pos], inverse) for which, pos, inverse in _FACTORS[kind]]
+
+
 def _tuple_space(sizes, exhaustive_cap, mode, sample_budget):
-    total = 1
-    for s in sizes:
-        total *= s
-    if mode == "exhaustive":
+    total = math.prod(sizes)
+    if total == 0:
+        raise InstanceError("an empty element set leaves no tuple to verify")
+    if mode == "exhaustive" or (mode != "sampled" and total <= exhaustive_cap):
         return "exhaustive", total
+    if sample_budget < 1:
+        raise ValueError(f"a sampled run needs a budget of at least 1 (got {sample_budget})")
     if mode == "sampled":
-        return "sampled", min(sample_budget or 0, total) or sample_budget
-    # auto
-    if total <= exhaustive_cap:
-        return "exhaustive", total
+        return "sampled", min(sample_budget, total)
     return "sampled", sample_budget
 
 
 def _iter_tuples(sizes, how, budget, seed):
+    """Exhaustive runs go in lexicographic order, so witnesses are reproducible."""
     if how == "exhaustive":
-        def gen():
-            idx = [0] * len(sizes)
-            while True:
-                yield tuple(idx)
-                for pos in range(len(sizes) - 1, -1, -1):
-                    idx[pos] += 1
-                    if idx[pos] < sizes[pos]:
-                        break
-                    idx[pos] = 0
-                else:
-                    return
-        return gen()
+        return itertools.product(*(range(s) for s in sizes))
     rng = random.Random(seed)
-
-    def gen_sampled():
-        for _ in range(budget):
-            yield tuple(rng.randrange(s) for s in sizes)
-    return gen_sampled()
+    return (tuple(rng.randrange(s) for s in sizes) for _ in range(budget))
 
 
-# ---------------------------------------------------------------------------
-# Exact-mode verification
-# ---------------------------------------------------------------------------
+def _classifier(inst: TppInstance, order):
+    """prod -> (is_identity, window edge), is_identity None when unknown.
 
-def verify_tpp(inst: TppInstance, mode: str = "auto", sample_budget: int = 10 ** 5,
-               seed: int = 0, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> TppReport:
-    """Check x x'^-1 y y'^-1 z z'^-1 = 1 <=> x=x', y=y', z=z' over all tuples.
-
-    Exact-element or table mode only; lexicographic iteration over the index
-    tuple (ix, ix', iy, iy', iz, iz') makes failure witnesses reproducible.
+    Exact and table products are decided by equality.  A family product is
+    proved to differ from I by a nonzero coefficient in its window, and never
+    proved equal to I: the coefficients beyond the window are unknown.
     """
-    if inst.mode == "family":
-        raise InstanceError("use verify_tpp_series for family instances")
+    if inst.mode != "family":
+        return lambda prod: (inst.is_identity(prod), None)
+
+    def classify(prod):
+        deviates, used = _series_deviation(prod, order)
+        return (False if deviates else None), used
+    return classify
+
+
+def _verify(inst: TppInstance, kind: str, order, mode, sample_budget, seed,
+            exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP) -> TppReport:
+    """The one tuple loop behind verify_tpp, verify_dpp and verify_tpp_series.
+
+    A tuple fails when its product is proved to be I although some pair is
+    unequal, or proved not to be I although every pair is equal.  An unequal
+    tuple whose product is not proved to differ from I is inconclusive, never
+    a pass; the first one is the witness.  In family mode order_used is the
+    minimum of the requested order and every product's window edge.
+    """
     if inst.mode == "exact" and any(
-        isinstance(e, complex) or (isinstance(e, Mat) and any(isinstance(v, (float, complex)) for v in e.data))
+        isinstance(e, complex)
+        or (isinstance(e, Mat) and any(isinstance(v, (float, complex)) for v in e.data))
         for lst in (inst.x, inst.y, inst.z) for e in lst
     ):
-        raise InstanceError("float elements are forbidden in verify_tpp; "
+        raise InstanceError(f"float elements are forbidden in verify_{kind}; "
                             "use the tolerance-tagged numeric variant")
-    nx, ny, nz = inst.sizes()
-    sizes = (nx, nx, ny, ny, nz, nz)
+    sizes = tuple(len(getattr(inst, which)) for which, _, _ in _FACTORS[kind])
     how, budget = _tuple_space(sizes, exhaustive_cap, mode, sample_budget)
-    checked = 0
-    for ix, ix2, iy, iy2, iz, iz2 in _iter_tuples(sizes, how, budget, seed):
+    sampled = how == "sampled"
+    seed_used = seed if sampled else None
+    family = inst.mode == "family"
+    classify = _classifier(inst, order)
+    checked = inconclusive = 0
+    first_inconclusive = None
+    order_used = order
+    for tup in _iter_tuples(sizes, how, budget, seed):
         checked += 1
-        prod = _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2)
-        all_equal = ix == ix2 and iy == iy2 and iz == iz2
-        if all_equal != inst.is_identity(prod):
-            witness = TppWitness("tpp", (ix, ix2, iy, iy2, iz, iz2),
-                                 "product is identity" if not all_equal else
-                                 "all-equal tuple does not multiply to identity")
-            return TppReport("fail", witness=witness, tuples_checked=checked,
-                             seed=seed if how == "sampled" else None,
-                             sampled=how == "sampled")
-    return TppReport("pass", tuples_checked=checked,
-                     seed=seed if how == "sampled" else None, sampled=how == "sampled")
+        all_equal = tup[0::2] == tup[1::2]
+        is_identity, used = classify(inst.product(_factors(kind, tup)))
+        if used is not None:
+            order_used = min(order_used, used)
+        if is_identity is None:
+            if not all_equal:
+                inconclusive += 1
+                if first_inconclusive is None:
+                    first_inconclusive = _witness(kind, tup, all_equal, family)
+        elif is_identity != all_equal:
+            return TppReport("fail", witness=_witness(kind, tup, all_equal, family),
+                             order_used=used, tuples_checked=checked,
+                             seed=seed_used, sampled=sampled)
+    return TppReport("inconclusive" if inconclusive else "pass",
+                     witness=first_inconclusive, order_used=order_used,
+                     tuples_checked=checked, inconclusive_count=inconclusive,
+                     seed=seed_used, sampled=sampled)
 
 
-def _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2):
-    if inst.mode == "family":
-        return inst.packed_product((("x", ix, False), ("x", ix2, True),
-                                    ("y", iy, False), ("y", iy2, True),
-                                    ("z", iz, False), ("z", iz2, True)))
-    x = inst.element("x", ix)
-    y = inst.element("y", iy)
-    z = inst.element("z", iz)
-    xi = inst.inv_element("x", ix2)
-    yi = inst.inv_element("y", iy2)
-    zi = inst.inv_element("z", iz2)
-    p = inst.mul(x, xi)
-    p = inst.mul(p, y)
-    p = inst.mul(p, yi)
-    p = inst.mul(p, z)
-    return inst.mul(p, zi)
+def _witness(kind, tup, all_equal, family):
+    return TppWitness(kind, tup, _TPP_DETAIL[all_equal, family] if kind == "tpp" else "")
 
-
-def recheck_tpp_witness(inst: TppInstance, witness: TppWitness) -> bool:
-    """Standalone re-evaluation of a witness; True if it reproduces a violation."""
-    if witness.kind == "tpp":
-        ix, ix2, iy, iy2, iz, iz2 = witness.indices
-        prod = _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2)
-        all_equal = ix == ix2 and iy == iy2 and iz == iz2
-        return all_equal != inst.is_identity(prod)
-    ix, ix2, iz, iz2 = witness.indices
-    prod = _dpp_product(inst, ix, ix2, iz, iz2)
-    all_equal = ix == ix2 and iz == iz2
-    return all_equal != inst.is_identity(prod)
-
-
-def verify_dpp(x, z, group, mode_kind: str, mode: str = "auto",
-               sample_budget: int = 10 ** 5, seed: int = 0) -> TppReport:
-    """Check x^-1 x' z^-1 z' = 1 <=> x=x' and z=z' (double product property)."""
-    inst = TppInstance(group, x, [_identity_for(group, mode_kind, x)], z, mode_kind)
-    if mode_kind == "family":
-        return _verify_dpp_series(inst, mode=mode, sample_budget=sample_budget, seed=seed)
-    nx, _, nz = inst.sizes()
-    sizes = (nx, nx, nz, nz)
-    how, budget = _tuple_space(sizes, DEFAULT_EXHAUSTIVE_CAP, mode, sample_budget)
-    checked = 0
-    for ix, ix2, iz, iz2 in _iter_tuples(sizes, how, budget, seed):
-        checked += 1
-        prod = _dpp_product(inst, ix, ix2, iz, iz2)
-        all_equal = ix == ix2 and iz == iz2
-        if all_equal != inst.is_identity(prod):
-            return TppReport("fail", witness=TppWitness("dpp", (ix, ix2, iz, iz2)),
-                             tuples_checked=checked, sampled=how == "sampled",
-                             seed=seed if how == "sampled" else None)
-    return TppReport("pass", tuples_checked=checked, sampled=how == "sampled",
-                     seed=seed if how == "sampled" else None)
-
-
-def _identity_for(group, mode_kind, sample):
-    if mode_kind == "table":
-        return group.identity
-    dim = sample[0].rows if sample else group.dim
-    if mode_kind == "exact":
-        return Mat.identity(dim)
-    return Mat.identity(dim, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
-
-
-def _dpp_product(inst, ix, ix2, iz, iz2):
-    if inst.mode == "family":
-        return inst.packed_product((("x", ix, True), ("x", ix2, False),
-                                    ("z", iz, True), ("z", iz2, False)))
-    xinv = inst.inv_element("x", ix)
-    x2 = inst.element("x", ix2)
-    zinv = inst.inv_element("z", iz)
-    z2 = inst.element("z", iz2)
-    p = inst.mul(xinv, x2)
-    p = inst.mul(p, zinv)
-    return inst.mul(p, z2)
-
-
-# ---------------------------------------------------------------------------
-# Series-mode verification
-# ---------------------------------------------------------------------------
 
 def _series_deviation(prod: PackedSeriesMat, order: int):
     """(certified_nonzero, usable_order) for prod - I on the valid window.
@@ -356,79 +329,58 @@ def _series_deviation(prod: PackedSeriesMat, order: int):
     return deviates, min_hi
 
 
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+def verify_tpp(inst: TppInstance, mode: str = "auto", sample_budget: int = 10 ** 5,
+               seed: int = 0, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> TppReport:
+    """Check x x'^-1 y y'^-1 z z'^-1 = 1 <=> x=x', y=y', z=z' over all tuples.
+
+    Exact-element or table mode only; lexicographic iteration over the index
+    tuple (ix, ix', iy, iy', iz, iz') makes failure witnesses reproducible.
+    """
+    if inst.mode == "family":
+        raise InstanceError("use verify_tpp_series for family instances")
+    return _verify(inst, "tpp", None, mode, sample_budget, seed, exhaustive_cap)
+
+
 def verify_tpp_series(inst: TppInstance, order: int, mode: str = "auto",
                       sample_budget: int = 10 ** 4, seed: int = 0) -> TppReport:
     """TPP check for 1-parameter families, certified up to the given order."""
     if inst.mode != "family":
         raise InstanceError("verify_tpp_series requires a family instance")
-    nx, ny, nz = inst.sizes()
-    sizes = (nx, nx, ny, ny, nz, nz)
-    how, budget = _tuple_space(sizes, DEFAULT_EXHAUSTIVE_CAP, mode, sample_budget)
-    checked = 0
-    inconclusive = 0
-    first_inconclusive = None
-    min_order = order
-    for ix, ix2, iy, iy2, iz, iz2 in _iter_tuples(sizes, how, budget, seed):
-        checked += 1
-        all_equal = ix == ix2 and iy == iy2 and iz == iz2
-        prod = _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2)
-        deviates, used = _series_deviation(prod, order)
-        min_order = min(min_order, used)
-        if all_equal:
-            if deviates:
-                return TppReport("fail",
-                                 witness=TppWitness("tpp", (ix, ix2, iy, iy2, iz, iz2),
-                                                    "all-equal tuple deviates from identity"),
-                                 order_used=used, tuples_checked=checked,
-                                 sampled=how == "sampled",
-                                 seed=seed if how == "sampled" else None)
-        elif not deviates:
-            inconclusive += 1
-            if first_inconclusive is None:
-                first_inconclusive = TppWitness("tpp", (ix, ix2, iy, iy2, iz, iz2),
-                                                "no certified nonzero coefficient in window")
-    if inconclusive:
-        return TppReport("inconclusive", witness=first_inconclusive,
-                         order_used=min_order, tuples_checked=checked,
-                         inconclusive_count=inconclusive,
-                         sampled=how == "sampled", seed=seed if how == "sampled" else None)
-    return TppReport("pass", order_used=min_order, tuples_checked=checked,
-                     sampled=how == "sampled", seed=seed if how == "sampled" else None)
+    return _verify(inst, "tpp", order, mode, sample_budget, seed)
 
 
-def _verify_dpp_series(inst: TppInstance, mode: str = "auto",
-                       sample_budget: int = 10 ** 4, seed: int = 0,
-                       order: int | None = None) -> TppReport:
-    nx, _, nz = inst.sizes()
-    sizes = (nx, nx, nz, nz)
-    how, budget = _tuple_space(sizes, DEFAULT_EXHAUSTIVE_CAP, mode, sample_budget)
-    if order is None:
-        his = [x.hi for m in inst.x + inst.z for x in m.data if isinstance(x, EpsLaurent)]
+def verify_dpp(x, z, group, mode_kind: str, mode: str = "auto",
+               sample_budget: int = 10 ** 5, seed: int = 0) -> TppReport:
+    """Check x^-1 x' z^-1 z' = 1 <=> x=x' and z=z' (double product property).
+
+    Families are certified up to the smallest window edge of their entries.
+    """
+    inst = TppInstance(group, x, [_identity_for(group, mode_kind, x)], z, mode_kind)
+    order = None
+    if mode_kind == "family":
+        his = [s.hi for m in inst.x + inst.z for s in m.data if isinstance(s, EpsLaurent)]
         order = min(his) if his else 0
-    checked = 0
-    inconclusive = 0
-    first_inconclusive = None
-    for ix, ix2, iz, iz2 in _iter_tuples(sizes, how, budget, seed):
-        checked += 1
-        all_equal = ix == ix2 and iz == iz2
-        prod = _dpp_product(inst, ix, ix2, iz, iz2)
-        deviates, used = _series_deviation(prod, order)
-        if all_equal:
-            if deviates:
-                return TppReport("fail", witness=TppWitness("dpp", (ix, ix2, iz, iz2)),
-                                 order_used=used, tuples_checked=checked,
-                                 sampled=how == "sampled",
-                                 seed=seed if how == "sampled" else None)
-        elif not deviates:
-            inconclusive += 1
-            if first_inconclusive is None:
-                first_inconclusive = TppWitness("dpp", (ix, ix2, iz, iz2))
-    if inconclusive:
-        return TppReport("inconclusive", witness=first_inconclusive, order_used=order,
-                         tuples_checked=checked, inconclusive_count=inconclusive,
-                         sampled=how == "sampled", seed=seed if how == "sampled" else None)
-    return TppReport("pass", order_used=order, tuples_checked=checked,
-                     sampled=how == "sampled", seed=seed if how == "sampled" else None)
+    return _verify(inst, "dpp", order, mode, sample_budget, seed)
+
+
+def _identity_for(group, mode_kind, sample):
+    if mode_kind == "table":
+        return group.identity
+    dim = sample[0].rows if sample else group.dim
+    if mode_kind == "exact":
+        return Mat.identity(dim)
+    return Mat.identity(dim, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
+
+
+def recheck_tpp_witness(inst: TppInstance, witness: TppWitness) -> bool:
+    """Standalone re-evaluation of a witness; True if it reproduces a violation."""
+    tup = tuple(witness.indices)
+    prod = inst.product(_factors(witness.kind, tup))
+    return (tup[0::2] == tup[1::2]) != inst.is_identity(prod)
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +396,12 @@ def quotient_product_set(inst: TppInstance):
         raise InstanceError("quotient enumeration requires exact or table mode")
     seen = {}
     ordered = []
-    for ix in range(len(inst.x)):
-        for iy in range(len(inst.y)):
-            for iy2 in range(len(inst.y)):
-                for iz in range(len(inst.z)):
-                    x = inst.element("x", ix)
-                    yi = inst.inv_element("y", iy)
-                    y2 = inst.element("y", iy2)
-                    zi = inst.inv_element("z", iz)
-                    g = inst.mul(inst.mul(inst.mul(x, yi), y2), zi)
-                    key = g if inst.mode == "table" else g.key()
-                    if key not in seen:
-                        seen[key] = (g, [])
-                        ordered.append(key)
-                    seen[key][1].append((ix, iy, iy2, iz))
+    nx, ny, nz = inst.sizes()
+    for ix, iy, iy2, iz in itertools.product(range(nx), range(ny), range(ny), range(nz)):
+        g = inst.product((("x", ix, False), ("y", iy, True), ("y", iy2, False), ("z", iz, True)))
+        key = g if inst.mode == "table" else g.key()
+        if key not in seen:
+            seen[key] = (g, [])
+            ordered.append(key)
+        seen[key][1].append((ix, iy, iy2, iz))
     return [seen[k] for k in ordered]

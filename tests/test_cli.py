@@ -191,6 +191,16 @@ def test_split_assemble_emit_instance_feeds_tpp_verify(tmp_path, capsys):
                  "--n must be at least 2", id="running-example-n1"),
     pytest.param(["su-verify", "--n", "4", "--q", "0", "--trials", "5", "--pairs", "2"],
                  "--q must be at least 1", id="su-verify-q0"),
+    # the instance is never read: the budget is rejected before any driver runs
+    pytest.param(["tpp-verify", "--instance", "z2.json", "--mode", "sampled",
+                  "--sample-budget", "0"],
+                 "--sample-budget must be at least 1", id="tpp-verify-budget0"),
+    pytest.param(["tpp-verify", "--instance", "z2.json", "--mode", "sampled",
+                  "--sample-budget", "-1"],
+                 "--sample-budget must be at least 1", id="tpp-verify-budget-1"),
+    pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
+                  "--sample-budget", "0"],
+                 "--sample-budget must be at least 1", id="split-assemble-budget0"),
 ])
 def test_split_assemble_rejects_small_q(argv, message, capsys):
     code = main(argv + ["--no-timestamp"])

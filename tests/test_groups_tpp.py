@@ -4,6 +4,7 @@ import pytest
 
 from tppverify.groups import GroupFormatError, MatrixGroupOps, TableGroup
 from tppverify.matrices import Mat, mat_exp_trunc
+from tppverify.scalars import QQ
 from tppverify.series import EpsLaurent
 from tppverify.tpp import (
     InstanceError,
@@ -171,3 +172,244 @@ def test_series_inconclusive_when_window_exhausted():
     assert rep.inconclusive_count > 0
     rep3 = verify_tpp_series(inst, order=3)
     assert rep3.verdict == "pass"
+
+
+# -- golden reports ------------------------------------------------------------
+
+def _unitri(n, i, j, v=1):
+    m = Mat.identity(n).map(QQ)
+    m[i, j] = QQ(v)
+    return m
+
+
+def _fam(n, i, j, order, v=1):
+    a = Mat.zeros(n, n)
+    a[i, j] = v
+    return mat_exp_trunc(a, order)
+
+
+def _golden_runs():
+    """(name, zero-argument callable) for every entry point and mode.
+
+    The instances are small and fixed; each callable returns a report's
+    to_json(), or a recheck result, so the whole output can be pinned.
+    """
+    z7 = TableGroup.cyclic(7)
+    z5 = TableGroup.cyclic(5)
+    z2 = TableGroup.cyclic(2)
+    ops2, ops3 = MatrixGroupOps(2), MatrixGroupOps(3)
+    ex_x = [Mat.identity(3).map(QQ), _unitri(3, 0, 1), _unitri(3, 0, 2, 2)]
+    ex_y = [Mat.identity(3).map(QQ), _unitri(3, 1, 2)]
+    ex_z = [Mat.identity(3).map(QQ), _unitri(3, 1, 0), _unitri(3, 2, 0, 3)]
+    ident2 = Mat.identity(2, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
+    fx = [ident2, _fam(2, 1, 0, 2), _fam(2, 1, 0, 2, 3)]
+    fz = [ident2.copy(), _fam(2, 0, 1, 2), _fam(2, 0, 1, 2, 5)]
+    # lower, diagonal and upper: unique LDU factorisation makes this a TPP triple
+    fy = [ident2.copy(), mat_exp_trunc(Mat.from_rows([[1, 0], [0, -1]]), 2)]
+    f3x = [_fam(3, 1, 0, 3), _fam(3, 2, 1, 3, 2)]
+    f3y = [_fam(3, 0, 2, 3)]
+    x1 = _fam(2, 1, 0, 3)
+    x2 = _fam(2, 1, 0, 3)
+    x2[0, 1] = x2[0, 1] + EpsLaurent({3: 1}, lo=0, hi=3)
+
+    table_fail = TppInstance(z2, [0, 1], [0, 1], [0], "table")
+    exact_fail = TppInstance(ops3, ex_x, ex_y, ex_x, "exact")
+    fam_collide = TppInstance(ops3, f3x, f3y, f3x, "family")
+
+    def tpp(inst, **kw):
+        return lambda: verify_tpp(inst, **kw).to_json()
+
+    def series(inst, order, **kw):
+        return lambda: verify_tpp_series(inst, order, **kw).to_json()
+
+    def dpp(x, z, group, kind, **kw):
+        return lambda: verify_dpp(x, z, group, kind, **kw).to_json()
+
+    def recheck(inst, run):
+        return lambda: recheck_tpp_witness(inst, run().witness)
+
+    return [
+        ("table-tpp-pass", tpp(TppInstance(z5, list(range(5)), [0], [0], "table"))),
+        ("table-tpp-fail-late", tpp(TppInstance(z7, [0, 1, 3], [0, 2], [0], "table"))),
+        ("table-tpp-fail", tpp(table_fail)),
+        ("table-tpp-fail-recheck", recheck(table_fail, lambda: verify_tpp(table_fail))),
+        ("table-tpp-sampled", tpp(TppInstance(z5, list(range(5)), [0], [0], "table"),
+                                  mode="sampled", sample_budget=10, seed=42)),
+        ("table-tpp-sampled-fail", tpp(TppInstance(z7, [0, 1, 2], [0, 1], [0, 3], "table"),
+                                       mode="sampled", sample_budget=200, seed=3)),
+        ("table-dpp-pass", dpp([0, 1], [0, 2], z5, "table")),
+        ("table-dpp-fail", dpp([0, 1], [0, 1], z2, "table")),
+        ("table-dpp-sampled", dpp([0, 1, 2], [0, 3], z7, "table", mode="sampled",
+                                  sample_budget=7, seed=9)),
+        ("exact-tpp-pass", tpp(TppInstance(ops3, ex_x, ex_y, ex_z, "exact"))),
+        ("exact-tpp-fail", tpp(exact_fail)),
+        ("exact-tpp-fail-recheck", recheck(exact_fail, lambda: verify_tpp(exact_fail))),
+        ("exact-tpp-sampled", tpp(TppInstance(ops3, ex_x, ex_y, ex_z, "exact"),
+                                  mode="sampled", sample_budget=25, seed=1)),
+        ("exact-dpp-pass", dpp(ex_x, ex_z, ops3, "exact")),
+        ("exact-dpp-fail", dpp(ex_x, ex_x, ops3, "exact")),
+        ("exact-dpp-sampled", dpp(ex_x, ex_z, ops3, "exact", mode="sampled",
+                                  sample_budget=12, seed=4)),
+        ("family-tpp-pass", series(TppInstance(ops2, fx, fy, fz, "family"), 3)),
+        ("family-tpp-sampled", series(TppInstance(ops2, fx, fy, fz, "family"), 1,
+                                      mode="sampled", sample_budget=40, seed=7)),
+        ("family-tpp-collision", series(fam_collide, 3, mode="exhaustive")),
+        ("family-tpp-window", series(TppInstance(ops2, [x1, x2], [ident2], [ident2.copy()],
+                                                 "family"), 2)),
+        ("family-dpp-pass", dpp(fx, fz, ops2, "family")),
+        ("family-dpp-collision", dpp(f3x, f3x, ops3, "family")),
+        ("family-dpp-sampled", dpp(fx, fz, ops2, "family", mode="sampled",
+                                   sample_budget=30, seed=2)),
+    ]
+
+
+GOLDEN = {"table-tpp-pass": {"verdict": "pass", "tuples_checked": 25, "sampled": False},
+          "table-tpp-fail-late": {"verdict": "fail",
+                                  "tuples_checked": 23,
+                                  "sampled": False,
+                                  "witness": {"kind": "tpp",
+                                              "indices": [1, 2, 1, 0, 0, 0],
+                                              "detail": "product is identity"}},
+          "table-tpp-fail": {"verdict": "fail",
+                             "tuples_checked": 6,
+                             "sampled": False,
+                             "witness": {"kind": "tpp",
+                                         "indices": [0, 1, 0, 1, 0, 0],
+                                         "detail": "product is identity"}},
+          "table-tpp-fail-recheck": True,
+          "table-tpp-sampled": {"verdict": "pass",
+                                "tuples_checked": 10,
+                                "sampled": True,
+                                "seed": 42},
+          "table-tpp-sampled-fail": {"verdict": "fail",
+                                     "tuples_checked": 1,
+                                     "sampled": True,
+                                     "witness": {"kind": "tpp",
+                                                 "indices": [0, 2, 0, 1, 1, 0],
+                                                 "detail": "product is identity"},
+                                     "seed": 3},
+          "table-dpp-pass": {"verdict": "pass", "tuples_checked": 16, "sampled": False},
+          "table-dpp-fail": {"verdict": "fail",
+                             "tuples_checked": 6,
+                             "sampled": False,
+                             "witness": {"kind": "dpp", "indices": [0, 1, 0, 1], "detail": ""}},
+          "table-dpp-sampled": {"verdict": "pass",
+                                "tuples_checked": 7,
+                                "sampled": True,
+                                "seed": 9},
+          "exact-tpp-pass": {"verdict": "pass", "tuples_checked": 324, "sampled": False},
+          "exact-tpp-fail": {"verdict": "fail",
+                             "tuples_checked": 40,
+                             "sampled": False,
+                             "witness": {"kind": "tpp",
+                                         "indices": [0, 1, 0, 0, 1, 0],
+                                         "detail": "product is identity"}},
+          "exact-tpp-fail-recheck": True,
+          "exact-tpp-sampled": {"verdict": "pass",
+                                "tuples_checked": 25,
+                                "sampled": True,
+                                "seed": 1},
+          "exact-dpp-pass": {"verdict": "pass", "tuples_checked": 81, "sampled": False},
+          "exact-dpp-fail": {"verdict": "fail",
+                             "tuples_checked": 13,
+                             "sampled": False,
+                             "witness": {"kind": "dpp", "indices": [0, 1, 1, 0], "detail": ""}},
+          "exact-dpp-sampled": {"verdict": "pass",
+                                "tuples_checked": 12,
+                                "sampled": True,
+                                "seed": 4},
+          "family-tpp-pass": {"verdict": "pass",
+                              "tuples_checked": 324,
+                              "sampled": False,
+                              "order_used": 2},
+          "family-tpp-sampled": {"verdict": "pass",
+                                 "tuples_checked": 40,
+                                 "sampled": True,
+                                 "order_used": 1,
+                                 "seed": 7},
+          "family-tpp-collision": {"verdict": "inconclusive",
+                                   "tuples_checked": 16,
+                                   "sampled": False,
+                                   "witness": {"kind": "tpp",
+                                               "indices": [0, 1, 0, 0, 1, 0],
+                                               "detail": "no certified nonzero coefficient in "
+                                                         "window"},
+                                   "order_used": 3,
+                                   "inconclusive_count": 2},
+          "family-tpp-window": {"verdict": "inconclusive",
+                                "tuples_checked": 4,
+                                "sampled": False,
+                                "witness": {"kind": "tpp",
+                                            "indices": [0, 1, 0, 0, 0, 0],
+                                            "detail": "no certified nonzero coefficient in "
+                                                      "window"},
+                                "order_used": 2,
+                                "inconclusive_count": 2},
+          "family-dpp-pass": {"verdict": "pass",
+                              "tuples_checked": 81,
+                              "sampled": False,
+                              "order_used": 2},
+          "family-dpp-collision": {"verdict": "inconclusive",
+                                   "tuples_checked": 16,
+                                   "sampled": False,
+                                   "witness": {"kind": "dpp",
+                                               "indices": [0, 1, 1, 0],
+                                               "detail": ""},
+                                   "order_used": 3,
+                                   "inconclusive_count": 2},
+          "family-dpp-sampled": {"verdict": "pass",
+                                 "tuples_checked": 30,
+                                 "sampled": True,
+                                 "order_used": 2,
+                                 "seed": 2}}
+
+
+def test_golden_reports():
+    """Every entry point's full report on fixed table, exact and family instances."""
+    got = {name: run() for name, run in _golden_runs()}
+    assert got == GOLDEN
+
+
+def test_series_dpp_order_used_is_the_smallest_product_window():
+    # Laurent entries eps^-1 known to eps^2: the derived order is 2, but a
+    # product of two eps^-1 terms is known only to eps^1 (and less further on)
+    one, zero = EpsLaurent.const(1), EpsLaurent.zero()
+    ident = Mat.identity(2, one=one, zero=zero)
+
+    def off(c, i, j):
+        m = ident.copy()
+        m[i, j] = EpsLaurent({-1: c}, lo=-1, hi=2)
+        return m
+
+    xs, zs = [ident, off(1, 1, 0), off(2, 1, 0)], [ident.copy(), off(1, 0, 1)]
+    rep = verify_dpp(xs, zs, MatrixGroupOps(2), "family")
+    inv = MatrixGroupOps(2).inv
+    edges = [min(s.hi for s in inv(x).matmul(x2).matmul(inv(z)).matmul(z2).data)
+             for x, x2, z, z2 in itertools.product(xs, xs, zs, zs)]
+    assert rep.verdict == "pass"
+    assert rep.order_used == min(edges + [2]) < 2
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst, fam: verify_tpp(inst, mode="sampled", sample_budget=0),
+    lambda inst, fam: verify_tpp(inst, mode="sampled", sample_budget=-1),
+    lambda inst, fam: verify_tpp(inst, sample_budget=0, exhaustive_cap=1),
+    lambda inst, fam: verify_dpp([0, 1], [0, 2], TableGroup.cyclic(5), "table",
+                                 mode="sampled", sample_budget=0),
+    lambda inst, fam: verify_tpp_series(fam, 2, mode="sampled", sample_budget=0),
+], ids=["tpp-0", "tpp-negative", "tpp-auto-0", "dpp-0", "series-0"])
+def test_sampled_budget_below_one_rejected(run):
+    """A sampled run with no samples would pass having checked nothing."""
+    inst = TppInstance(TableGroup.cyclic(2), [0, 1], [0, 1], [0], "table")
+    ident = Mat.identity(2, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
+    fam = TppInstance(MatrixGroupOps(2), [ident, _fam(2, 1, 0, 2)], [ident.copy()],
+                      [ident.copy()], "family")
+    with pytest.raises(ValueError, match="budget of at least 1"):
+        run(inst, fam)
+    # an exhaustive run draws no samples, so its budget is not read
+    assert verify_tpp(inst, mode="exhaustive", sample_budget=0).verdict == "fail"
+
+
+def test_empty_element_set_rejected():
+    with pytest.raises(InstanceError, match="empty element set"):
+        verify_tpp(TppInstance(TableGroup.cyclic(3), [], [0], [0], "table"))

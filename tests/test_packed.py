@@ -20,9 +20,7 @@ from tppverify.sepfun import LinearForm
 from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 from tppverify.tpp import (
     TppInstance,
-    _dpp_product,
     _series_deviation,
-    _tpp_product,
     verify_tpp_series,
 )
 
@@ -172,6 +170,12 @@ def random_family(n, rng, order):
     return mat_exp_trunc(a, order)
 
 
+def tpp_factors(ix, ix2, iy, iy2, iz, iz2):
+    """TppInstance.product keys of x x'^-1 y y'^-1 z z'^-1."""
+    return (("x", ix, False), ("x", ix2, True), ("y", iy, False),
+            ("y", iy2, True), ("z", iz, False), ("z", iz2, True))
+
+
 def boxed_chain(factors):
     p = factors[0]
     for f in factors[1:]:
@@ -193,14 +197,15 @@ def test_series_deviation_matches_reference_on_random_chains():
             boxed = boxed_chain([inst.element("x", ix), inst.inv_element("x", ix2),
                                  inst.element("y", iy), inst.inv_element("y", iy2),
                                  inst.element("z", iz), inst.inv_element("z", iz2)])
-            packed = _tpp_product(inst, ix, ix2, iy, iy2, iz, iz2)
+            packed = inst.product(tpp_factors(ix, ix2, iy, iy2, iz, iz2))
             assert same_entries(packed.unpack(), boxed)
             for order in (0, 1, 2, 3, 5):
                 assert _series_deviation(packed, order) == boxed_series_deviation(boxed, order)
         boxed = boxed_chain([inst.inv_element("x", 0), inst.element("x", 1),
                              inst.inv_element("z", 2), inst.element("z", 0)])
         for order in (1, 3):
-            assert (_series_deviation(_dpp_product(inst, 0, 1, 2, 0), order)
+            dpp = inst.product((("x", 0, True), ("x", 1, False), ("z", 2, True), ("z", 0, False)))
+            assert (_series_deviation(dpp, order)
                     == boxed_series_deviation(boxed, order))
 
 
@@ -212,7 +217,7 @@ def test_series_deviation_planted_tuples():
     # window can certify it; the all-equal tuple is I as well
     inst = TppInstance(MatrixGroupOps(3), xs, ys, xs, "family")
     for tup in [(0, 1, 0, 0, 1, 0), (1, 1, 0, 0, 0, 0)]:
-        packed = _tpp_product(inst, *tup)
+        packed = inst.product(tpp_factors(*tup))
         boxed = boxed_chain([inst.element("x", tup[0]), inst.inv_element("x", tup[1]),
                              inst.element("y", 0), inst.inv_element("y", 0),
                              inst.element("z", tup[4]), inst.inv_element("z", tup[5])])
@@ -228,7 +233,7 @@ def test_packed_memo_keeps_public_api_boxed():
     rng = random.Random(3)
     fams = [random_family(2, rng, 2) for _ in range(2)]
     inst = TppInstance(MatrixGroupOps(2), fams, fams[:1], fams, "family")
-    _tpp_product(inst, 0, 1, 0, 0, 1, 0)
+    inst.product(tpp_factors(0, 1, 0, 0, 1, 0))
     for which in "xyz":
         for idx in range(len(getattr(inst, which))):
             assert all(isinstance(s, EpsLaurent) for s in inst.element(which, idx).data)

@@ -294,3 +294,11 @@ def test_memoised_border_planted_failures_and_reuse(middle, t, order, verdict):
     assert got.to_json() == want.to_json()
     # p0 is evaluated once per distinct argument, not once per tuple
     assert len(evals) == len(set(evals)) < got.checked
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_border_sampled_budget_below_one_rejected(budget):
+    # a sampled run with no samples would pass having checked nothing
+    out, inst = assembled_family(2, "identity", None, 4)
+    with pytest.raises(ValueError, match="budget of at least 1"):
+        verify_separating_border(out.sep_family, inst, 4, sample_budget=budget)
