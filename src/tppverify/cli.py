@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .embedding import cyclic_characters, embed_group_algebra, realize_algorithm
-from .groups import TableGroup
+from .groups import GroupFormatError, TableGroup
 from .instances import canonical_json, load_instance
 from .matrices import Mat
 from .repdim import (
@@ -36,9 +36,11 @@ from .running_example import (
     verify_tpp_numeric,
 )
 from .scalars import GaussRational
-from .sepfun import SepFunction
+from .sepfun import SepFunction, SepFunctionError
 from .sepverify import verify_separating, verify_separating_border
+from .split import SplitError
 from .su import (
+    SuConstructionError,
     kvn_inequality_check,
     su_assemble,
     su_build,
@@ -47,12 +49,17 @@ from .su import (
     su_s_matrix,
     su_y_lattice,
 )
-from .tpp import TppInstance, verify_tpp, verify_tpp_series
+from .tpp import InstanceError, TppInstance, verify_tpp, verify_tpp_series
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+# Errors that reject an instance file or a construction: nothing was verified,
+# so they exit as usage errors, never as a failed verification.
+_INPUT_ERRORS = (InstanceError, GroupFormatError, SplitError, SuConstructionError,
+                 SepFunctionError)
 
 _VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "no_bound": EXIT_FAIL,
                  "inconclusive": EXIT_INCONCLUSIVE}
@@ -413,10 +420,7 @@ def main(argv=None) -> int:
         if args.sample_budget < 1:
             raise UsageError(f"--sample-budget must be at least 1 (got {args.sample_budget})")
         verdict, details, deviations, rows = _DRIVERS[args.subcommand](args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError, *_INPUT_ERRORS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     report = {

@@ -42,6 +42,8 @@ def _mat_to_json(m: Mat):
 
 
 def _mat_from_json(rows, mode) -> Mat:
+    if len({len(row) for row in rows}) > 1:
+        raise InstanceError("malformed matrix: ragged rows")
     return Mat.from_rows([[_scalar_from_json(x, mode) for x in row] for row in rows])
 
 

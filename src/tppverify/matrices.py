@@ -2,8 +2,9 @@
 
 Entries may be ints, rationals, GaussRational, EpsLaurent, CycloNum, or
 float complex.  Determinants use fraction-free (Bareiss) elimination for
-exact division-friendly scalars and a subset-DP cofactor expansion for
-series entries (sizes here stay small, n <= 8).
+exact division-friendly scalars, and otherwise a cofactor expansion by DP
+over column subsets (n <= 10): packed for series matrices, boxed for float
+and complex ones.
 
 Series products run on a packed kernel (PackedSeriesMat).  Mat.matmul uses it
 whenever one operand is all EpsLaurent and the other holds only EpsLaurent or
@@ -12,10 +13,10 @@ with an unlimited window, as EpsLaurent arithmetic lifts them.  A packed
 matrix stores one common denominator and, per entry, its window (lo, hi), its
 effective valuation (the valuation, or hi for an entry that is zero on its
 window) and its nonzero coefficients as (exponent, re_num, im_num) integer
-triples (Python ints, or gmpy2 mpz under the mpq backend).  The product is
-an integer convolution that applies the window rules of EpsLaurent.__mul__
-and __add__ term by term, so its entries are bit-identical, windows
-included, to the boxed sum of series products:
+triples (Python ints, or gmpy2 mpz under the mpq backend).  Each product
+entry is one sum of products (_dot): an integer convolution that applies the
+window rules of EpsLaurent.__mul__ and __add__ term by term, so its entries
+are bit-identical, windows included, to the boxed sum of series products:
 
 - each term a_it * b_tj has window [v1 + v2, min(v1 + hi_b, v2 + hi_a)],
   with v the effective valuations and every edge sum saturating at
@@ -23,6 +24,15 @@ included, to the boxed sum of series products:
 - the entry's window takes the minimum lo and the minimum hi over its terms;
 - coefficients beyond the entry's hi are dropped, never fabricated, and
   coefficients that cancel to zero are not stored.
+
+The determinant of a series matrix whose other entries are exact runs the
+same DP on the packed kernel.  The matrix is packed once, exact entries
+lifted as above; each new DP state is one _dot over a row, the signed sum of
+state * entry terms (a sign is a negated entry), so the window rules are
+those of a matmul entry.  Every state of row i is over den^(i+1), and the
+determinant is unpacked once over den^n.  Its entries are bit-identical,
+windows included, to the DP run on boxed series.  A 1x1 matrix returns its
+entry object unchanged.
 
 Chains of products (the TPP/DPP products and the separation arguments) stay
 packed between factors and are unpacked only where boxed series are needed.
@@ -308,44 +318,54 @@ class PackedSeriesMat:
         for i in range(n):
             arow = a[i * k : (i + 1) * k]
             for col in cols:
-                lo = hi = None
-                pairs = []
-                for (_, h1, v1, t1), (_, h2, v2, t2) in zip(arow, col):
-                    # _sat_add, inlined: window edges saturate at INF_ORDER
-                    if v1 >= INF_ORDER or v2 >= INF_ORDER:
-                        plo = phi = INF_ORDER
-                    else:
-                        plo = v1 + v2
-                        phi = v1 + h2 if h2 < INF_ORDER else INF_ORDER
-                        phi2 = v2 + h1 if h1 < INF_ORDER else INF_ORDER
-                        if phi2 < phi:
-                            phi = phi2
-                        if plo > phi:
-                            raise InsufficientOrderError(
-                                "insufficient truncation order: empty product window")
-                    if lo is None or plo < lo:
-                        lo = plo
-                    if hi is None or phi < hi:
-                        hi = phi
-                    if t1 and t2:
-                        pairs.append((t1, t2))
-                acc = {}
-                for t1, t2 in pairs:
-                    for e1, r1, i1 in t1:
-                        cap = hi - e1
-                        for e2, r2, i2 in t2:
-                            if e2 > cap:
-                                break
-                            if i1 or i2:
-                                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-                            else:
-                                re, im = r1 * r2, 0
-                            e = e1 + e2
-                            s = acc.get(e)
-                            acc[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
-                terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
-                out.append((lo, hi, terms[0][0] if terms else hi, terms))
+                out.append(_dot(zip(arow, col)))
         return PackedSeriesMat(n, m, self.den * other.den, out)
+
+
+def _dot(pairs):
+    """One packed entry: the sum of a * b over (a, b) pairs of packed entries.
+
+    Numerators only: the result's denominator is the product of the
+    operands' denominators, which the caller keeps.  The window rules are
+    those of the module docstring.
+    """
+    lo = hi = None
+    nonzero = []
+    for (_, h1, v1, t1), (_, h2, v2, t2) in pairs:
+        # _sat_add, inlined: window edges saturate at INF_ORDER
+        if v1 >= INF_ORDER or v2 >= INF_ORDER:
+            plo = phi = INF_ORDER
+        else:
+            plo = v1 + v2
+            phi = v1 + h2 if h2 < INF_ORDER else INF_ORDER
+            phi2 = v2 + h1 if h1 < INF_ORDER else INF_ORDER
+            if phi2 < phi:
+                phi = phi2
+            if plo > phi:
+                raise InsufficientOrderError(
+                    "insufficient truncation order: empty product window")
+        if lo is None or plo < lo:
+            lo = plo
+        if hi is None or phi < hi:
+            hi = phi
+        if t1 and t2:
+            nonzero.append((t1, t2))
+    acc = {}
+    for t1, t2 in nonzero:
+        for e1, r1, i1 in t1:
+            cap = hi - e1
+            for e2, r2, i2 in t2:
+                if e2 > cap:
+                    break
+                if i1 or i2:
+                    re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                else:
+                    re, im = r1 * r2, 0
+                e = e1 + e2
+                s = acc.get(e)
+                acc[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
+    terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
+    return lo, hi, terms[0][0] if terms else hi, terms
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +376,19 @@ _COFACTOR_LIMIT = 10
 
 
 def mat_det(m: Mat):
-    """Exact determinant (Bareiss for exact scalars, cofactor DP for series)."""
+    """Exact determinant (Bareiss for exact scalars, cofactor DP otherwise).
+
+    A 1x1 matrix returns its entry object unchanged.  Series matrices run
+    the DP on the packed kernel (see the module docstring).
+    """
     if not m.is_square:
         raise ExactArithmeticError("determinant of non-square matrix")
-    if m.has_series_entries() or any(isinstance(x, complex) for x in m.data):
+    if m.rows == 1:
+        return m.data[0]
+    series = m.has_series_entries()
+    if series and all(_liftable(x) for x in m.data):
+        return _det_packed(m)
+    if series or any(isinstance(x, complex) for x in m.data):
         return _det_expansion(m)
     return _det_bareiss(m)
 
@@ -398,16 +427,19 @@ def _exact_div(a, b):
     return a / b
 
 
-def _det_expansion(m: Mat):
-    """Cofactor determinant via DP over column subsets (works over any ring)."""
-    n = m.rows
+def _cofactor_dp(n: int, data: list, combine):
+    """Determinant by DP over column subsets (works over any ring).
+
+    A state maps a column mask to the determinant of the submatrix built
+    from the first popcount(mask) rows and the columns in the mask.  Row 0's
+    states are its entries; each later state is combine(terms), with terms
+    the (state, entry index, negate) triples of one row in a fixed order.
+    """
     if n > _COFACTOR_LIMIT:
         raise ExactArithmeticError(f"cofactor determinant limited to n <= {_COFACTOR_LIMIT}")
-    # state: dict mapping column-bitmask -> determinant of the submatrix built
-    # from the first popcount(mask) rows and the columns in the mask.
-    states = {0: None}  # None marks the empty product (multiplicative identity)
-    for i in range(n):
-        nxt = {}
+    states = {1 << j: data[j] for j in range(n)}
+    for i in range(1, n):
+        terms = {}
         for mask, sub in states.items():
             seen = 0  # used columns with index < j; cofactor sign is (-1)^(i+seen)
             for j in range(n):
@@ -415,18 +447,49 @@ def _det_expansion(m: Mat):
                 if mask & bit:
                     seen += 1
                     continue
-                entry = m[i, j]
-                term = entry if sub is None else sub * entry
-                if (i + seen) & 1:
-                    term = -term
+                t = (sub, i * n + j, (i + seen) & 1)
                 key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
+                if key in terms:
+                    terms[key].append(t)
                 else:
-                    nxt[key] = term
-        states = nxt
-    full = (1 << n) - 1
-    return states[full]
+                    terms[key] = [t]
+        states = {key: combine(ts) for key, ts in terms.items()}
+    return states[(1 << n) - 1]
+
+
+def _det_expansion(m: Mat):
+    """Cofactor DP on boxed values: floats and complex numbers, and the
+    reference that the packed series determinant is tested against."""
+    data = m.data
+
+    def combine(terms):
+        acc = None
+        for sub, k, negate in terms:
+            term = sub * data[k]
+            if negate:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc
+
+    return _cofactor_dp(m.rows, data, combine)
+
+
+def _det_packed(m: Mat):
+    """Cofactor DP on the packed kernel: each state is one _dot over its row.
+
+    Every state of row i has the denominator den^(i+1), so the determinant
+    is unpacked once over den^n.
+    """
+    p = PackedSeriesMat.pack(m)
+    entries = p.entries
+    negated = [(lo, hi, v, tuple([(e, -re, -im) for e, re, im in t]))
+               for lo, hi, v, t in entries]
+
+    def combine(terms):
+        return _dot([(sub, negated[k] if negate else entries[k]) for sub, k, negate in terms])
+
+    det = _cofactor_dp(m.rows, entries, combine)
+    return PackedSeriesMat(1, 1, p.den ** m.rows, [det]).unpack().data[0]
 
 
 def mat_minor(m: Mat, keep_rows=None, keep_cols=None, drop_rows=None, drop_cols=None):

@@ -411,6 +411,8 @@ def running_border_p0(n: int, q: int, yfam_cap: int = 200, seed: int = 0,
     full arithmetic grid {k/2 : 0 <= k <= 2*T_max}; T_max is the lattice
     bound of (1/2) sum (i'-i) w^2 over difference entries w.
     """
+    if check_pairs < 0:
+        raise ValueError(f"check_pairs must be at least 0 (got {check_pairs}); 0 skips the check")
     bound = 2 * (q // 2)
     weight_total = sum(d * (n - d) for d in range(1, n))
     t_max = QQ(bound * bound * weight_total, 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .matrices import PackedSeriesMat, mat_inv_series
 from .scalars import GaussRational, approx_eq
 from .sepfun import EvalContext, Product, SepFunction
 from .series import EpsLaurent, InsufficientOrderError
@@ -249,9 +250,11 @@ def verify_separating_border(family, inst: TppInstance, order: int,
 def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
                             seed: int = 0, ctx: EvalContext | None = None,
                             invs=None) -> SepReport:
-    """Check fn = 1 + O(eps) at I and 0 + O(eps) on y^-1 y' for y != y'."""
-    from .matrices import mat_inv_series
+    """Check fn = 1 + O(eps) at I and 0 + O(eps) on y^-1 y' for y != y'.
 
+    Each y and each inverse (kept in invs, computed where missing) is packed
+    once per call; each argument y^-1 y' is a packed product, unpacked once.
+    """
     n = len(yfams)
     report = SepReport("pass")
     if pairs is None:
@@ -259,6 +262,11 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
         if all_pairs <= sample_budget:
             pairs = [(i, j) for i in range(n) for j in range(n)]
         else:
+            # with no sampled pairs only the equal pairs below would be
+            # checked, and a constant 1 would pass
+            if sample_budget < 1:
+                raise ValueError(
+                    f"a sampled run needs a budget of at least 1 (got {sample_budget})")
             rng = random.Random(seed)
             report.sampled = True
             report.seed = seed
@@ -266,12 +274,18 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
             pairs += [(i, i) for i in {rng.randrange(n) for _ in range(8)}]
     if invs is None:
         invs = {}
+    packed_invs = {}
+    packed_ys = {}
     equal_pairs = 0
     unequal_pairs = 0
     for i, j in pairs:
-        if i not in invs:
-            invs[i] = mat_inv_series(yfams[i])
-        m = invs[i].matmul(yfams[j])
+        if i not in packed_invs:
+            if i not in invs:
+                invs[i] = mat_inv_series(yfams[i])
+            packed_invs[i] = PackedSeriesMat.pack(invs[i])
+        if j not in packed_ys:
+            packed_ys[j] = PackedSeriesMat.pack(yfams[j])
+        m = packed_invs[i].matmul(packed_ys[j]).unpack()
         expected = 1 if i == j else 0
         if expected:
             equal_pairs += 1

@@ -356,6 +356,8 @@ def su_p0(constr: SuConstruction, q: int, check_pairs: int = 100, seed: int = 0,
     p0(M) = r((Tr((D*D)^2) - p_1(M)) / eps^2), r vanishing on every nonzero
     achievable c and equal to 1 at 0.
     """
+    if check_pairs < 0:
+        raise ValueError(f"check_pairs must be at least 0 (got {check_pairs}); 0 skips the check")
     nodes, exhaustive = su_achievable_c_nodes(constr, q, coords_for_sampling=coords)
     if len(nodes) > node_cap:
         raise SuConstructionError(

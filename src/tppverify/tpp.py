@@ -127,7 +127,7 @@ class TppInstance:
         cached = self._inv_cache.get(key)
         if cached is not None:
             return cached
-        elt = {"x": self.x, "y": self.y, "z": self.z}[which][idx]
+        elt = getattr(self, which)[idx]
         if self.mode == "table":
             out = self.group.inv(elt)
         elif self.mode == "exact":
@@ -138,7 +138,8 @@ class TppInstance:
         return out
 
     def element(self, which: str, idx: int):
-        return {"x": self.x, "y": self.y, "z": self.z}[which][idx]
+        """Element idx of X, Y or Z; which is "x", "y" or "z"."""
+        return getattr(self, which)[idx]
 
     def product(self, factors):
         """The product of (which, idx, inverse) factors, left to right.

@@ -176,6 +176,13 @@ def test_split_assemble_emit_instance_feeds_tpp_verify(tmp_path, capsys):
     assert rep["details"]["sizes"] == [4, 8, 4]
 
 
+BAD_INSTANCES = {
+    "no-group.json": {"schema": 1, "mode": "table", "x": [0], "y": [0], "z": [0]},
+    "ragged.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 2},
+                    "x": [[["1", "0"], ["0"]]], "y": [], "z": []},
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["split-assemble", "--n", "4", "--q", "0", "--sample-budget", "10"],
                  "--q must be at least 2", id="0"),
@@ -201,8 +208,16 @@ def test_split_assemble_emit_instance_feeds_tpp_verify(tmp_path, capsys):
     pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
                   "--sample-budget", "0"],
                  "--sample-budget must be at least 1", id="split-assemble-budget0"),
+    # instance files that cannot be loaded (written by the test, see BAD_INSTANCES)
+    pytest.param(["tpp-verify", "--instance", "no-group.json"],
+                 "unknown group descriptor None", id="instance-no-group"),
+    pytest.param(["tpp-verify", "--instance", "ragged.json"],
+                 "malformed matrix: ragged rows", id="instance-ragged"),
 ])
-def test_split_assemble_rejects_small_q(argv, message, capsys):
+def test_split_assemble_rejects_small_q(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in BAD_INSTANCES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     code = main(argv + ["--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 3

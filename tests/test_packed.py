@@ -4,19 +4,33 @@ The boxed loop below is the generic Mat.matmul inner loop as it runs on
 EpsLaurent entries (a sum of EpsLaurent products); it is kept here only as
 an oracle.  Every entry of a packed product must equal it bit for bit,
 windows included, and InsufficientOrderError must be raised in exactly the
-same cases.  LinearForm's series evaluation is held to the boxed sum of
-coefficient times real or imaginary part in the same way.
+same cases.  The packed series determinant is held to the cofactor DP run on
+boxed series (matrices._det_expansion), and LinearForm's series evaluation
+to the boxed sum of coefficient times real or imaginary part, in the same
+way.
 """
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tppverify.groups import MatrixGroupOps
-from tppverify.matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
+from tppverify.matrices import (
+    Mat,
+    PackedSeriesMat,
+    _det_expansion,
+    lpm,
+    mat_det,
+    mat_exp_trunc,
+    mat_inv_series,
+    mat_to_series,
+)
+from tppverify.running_example import running_border_p0
 from tppverify.scalars import GaussRational, QQ
-from tppverify.sepfun import LinearForm
+from tppverify.sepfun import Affine, DivEps, LeadingMinor, LinearForm, SumNode
+from tppverify.sepverify import verify_indicator_border
 from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 from tppverify.tpp import (
     TppInstance,
@@ -159,6 +173,153 @@ def test_exact_operands_keep_the_generic_path():
     assert a.matmul(a) == Mat.from_rows([[7, 10], [15, 22]])
     g = Mat.from_rows([[GaussRational(0, 1), 1], [0, 1]])
     assert all(type(x) is not EpsLaurent for x in g.matmul(g).data)
+
+
+# -- determinant ----------------------------------------------------------------
+
+@st.composite
+def det_matrices(draw):
+    """Square, n = 1..4, at least one series entry: series with negative
+    exponents, short and unlimited windows or zero on their window, mixed
+    with exact int, rational and Gaussian entries."""
+    n = draw(st.integers(1, 4))
+    m = draw(matrices(n, n, draw(st.sampled_from([
+        series_entries(), st.one_of(series_entries(), exact_entries)]))))
+    if not m.has_series_entries():
+        m.data[draw(st.integers(0, n * n - 1))] = draw(series_entries())
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_matrices())
+def test_packed_det_matches_boxed_dp(m):
+    want = outcome(_det_expansion, mat_to_series(m))
+    got = outcome(mat_det, m)
+    if want is InsufficientOrderError:
+        assert got is InsufficientOrderError
+        return
+    assert got is not InsufficientOrderError
+    if m.rows == 1:
+        assert got is m.data[0]
+        return
+    assert type(got) is EpsLaurent
+    assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
+    qq = type(QQ(0))
+    for c in got.coeffs.values():
+        assert type(c) is GaussRational
+        assert type(c.re) is qq and type(c.im) is qq
+
+
+def test_packed_det_raises_on_empty_term_window():
+    # as in the matmul case: zero up to INF_ORDER - 1 against eps^2 known exactly
+    m = Mat(2, 2, [EpsLaurent({}, lo=0, hi=INF_ORDER - 1), EpsLaurent.const(1),
+                   EpsLaurent.const(1), EpsLaurent.eps(2)])
+    with pytest.raises(InsufficientOrderError):
+        _det_expansion(m)
+    with pytest.raises(InsufficientOrderError):
+        mat_det(m)
+
+
+def test_one_by_one_det_returns_its_entry():
+    s = EpsLaurent({-1: 2, 1: GaussRational(1, 3)}, lo=-1, hi=2)
+    assert mat_det(Mat(1, 1, [s])) is s
+    assert lpm(Mat(2, 2, [s, 1, 0, s]), 1) is s
+
+
+# Full reports of verify_indicator_border on the GL_4 running example, pinned
+# from the boxed determinant: the contract at budget 60, the bare lpm argument
+# (its constant terms are the failures) and an order-1 p0 whose windows end
+# below eps^0; then lpm_2..4 of three arguments y_i^-1 y_j.
+GOLDEN_BORDER = {
+    "p0": {
+        "verdict": "pass",
+        "checked": 67,
+        "sampled": True,
+        "seed": 0,
+        "notes": ["pairs: 9 equal, 58 unequal"],
+    },
+    "argument": {
+        "verdict": "fail",
+        "checked": 16,
+        "sampled": True,
+        "failures": [
+            {"pair": [8, 11], "detail": "constant term 31/2 != 0", "expected": 0},
+            {"pair": [0, 14], "detail": "constant term 63/2 != 0", "expected": 0},
+            {"pair": [7, 1], "detail": "constant term 17/2 != 0", "expected": 0},
+            {"pair": [5, 3], "detail": "constant term 14 != 0", "expected": 0},
+            {"pair": [11, 15], "detail": "constant term 31 != 0", "expected": 0},
+            {"pair": [7, 12], "detail": "constant term 39/2 != 0", "expected": 0},
+            {"pair": [3, 7], "detail": "constant term 27/2 != 0", "expected": 0},
+            {"pair": [0, 6], "detail": "constant term 8 != 0", "expected": 0},
+            {"pair": [13, 8], "detail": "constant term 24 != 0", "expected": 0},
+            {"pair": [5, 12], "detail": "constant term 11 != 0", "expected": 0},
+        ],
+        "seed": 5,
+        "notes": ["pairs: 4 equal, 12 unequal"],
+    },
+    "order1": {
+        "verdict": "inconclusive",
+        "checked": 16,
+        "sampled": True,
+        "inconclusive": [
+            {"pair": [8, 11], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [0, 14], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [7, 1], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [5, 3], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [11, 15], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [7, 12], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [3, 7], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [0, 6], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [13, 8], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+            {"pair": [5, 12], "detail": "coefficient at eps^0 unknown (window [-2,-1])"},
+        ],
+        "seed": 5,
+        "notes": ["pairs: 4 equal, 12 unequal"],
+    },
+}
+
+GOLDEN_LPM = {
+    "0,1": [
+        {"coeffs": {"0": "1", "2": "-19/2", "3": "2"}, "lo": 0, "hi": 3},
+        {"coeffs": {"0": "1", "2": "-17", "3": "1"}, "lo": 0, "hi": 3},
+        {"coeffs": {"0": "1"}, "lo": 0, "hi": 3},
+    ],
+    "5,2": [
+        {"coeffs": {"0": "1", "2": "-3", "3": "-2"}, "lo": 0, "hi": 3},
+        {"coeffs": {"0": "1", "2": "-4", "3": "-1"}, "lo": 0, "hi": 3},
+        {"coeffs": {"0": "1"}, "lo": 0, "hi": 3},
+    ],
+    "3,3": [
+        {"coeffs": {"0": "1"}, "lo": 0, "hi": 3},
+        {"coeffs": {"0": "1"}, "lo": 0, "hi": 3},
+        {"coeffs": {"0": "1"}, "lo": 0, "hi": 3},
+    ],
+}
+
+
+def _jsonable(obj):
+    """Tuples as lists, as in a written report."""
+    return json.loads(json.dumps(obj))
+
+
+def test_indicator_border_golden_reports():
+    p0, yfams, _ = running_border_p0(4, 4, yfam_cap=16, seed=3, check_pairs=0)
+    argument = DivEps(2, Affine(-1, 4, SumNode([LeadingMinor(j) for j in range(1, 5)])))
+    p0_order1, yfams1, _ = running_border_p0(4, 4, yfam_cap=16, seed=3, check_pairs=0,
+                                             order=1)
+    got = {
+        "p0": verify_indicator_border(p0, yfams, sample_budget=60).to_json(),
+        "argument": verify_indicator_border(argument, yfams, sample_budget=12,
+                                            seed=5).to_json(),
+        "order1": verify_indicator_border(p0_order1, yfams1, sample_budget=12,
+                                          seed=5).to_json(),
+    }
+    assert _jsonable(got) == GOLDEN_BORDER
+    lpms = {}
+    for i, j in [(0, 1), (5, 2), (3, 3)]:
+        m = mat_inv_series(yfams[i]).matmul(yfams[j])
+        lpms[f"{i},{j}"] = [lpm(m, k).to_json() for k in (2, 3, 4)]
+    assert _jsonable(lpms) == GOLDEN_LPM
 
 
 # -- packed chains and _series_deviation -----------------------------------------

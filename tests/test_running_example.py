@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from tppverify.matrices import Mat, mat_det, mat_exp_trunc, mat_inv_series
 from tppverify.scalars import QQ
@@ -16,7 +17,8 @@ from tppverify.running_example import (
     verify_column_agreement,
     verify_tpp_numeric,
 )
-from tppverify.sepverify import check_border_value
+from tppverify.sepfun import Affine, Entry
+from tppverify.sepverify import check_border_value, verify_indicator_border
 
 
 def to_float(m: Mat) -> np.ndarray:
@@ -179,6 +181,45 @@ def test_border_p0_contract_and_deviation():
     assert rep.contract.verdict == "pass"
     assert SIGN_CORRECTION_NOTE in rep.deviations
     assert rep.grid_size == 1 + 16 * (4 // 2) ** 2
+
+
+def _shear_families(count, n=2, order=3):
+    """exp(eps * k * E_01) for k = 1..count: pairwise distinct families."""
+    fams = []
+    for k in range(1, count + 1):
+        a = Mat.zeros(n, n)
+        a[0, 1] = k
+        fams.append(mat_exp_trunc(a, order))
+    return fams
+
+
+# the constant 1: it must fail on every unequal pair
+CONST_ONE = Affine(0, 1, Entry(0, 0))
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_indicator_border_sampled_budget_below_one_rejected(budget):
+    yfams = _shear_families(5)
+    with pytest.raises(ValueError, match="budget of at least 1"):
+        verify_indicator_border(CONST_ONE, yfams, sample_budget=budget)
+
+
+def test_indicator_border_constant_one_fails():
+    yfams = _shear_families(5)
+    sampled = verify_indicator_border(CONST_ONE, yfams, sample_budget=3, seed=2)
+    assert sampled.sampled and sampled.verdict == "fail"
+    full = verify_indicator_border(CONST_ONE, yfams, sample_budget=25)
+    assert not full.sampled and full.verdict == "fail"
+    assert len(full.failures) == full.unequal_pairs == 20
+    # explicit pairs are checked as given; the budget plays no part
+    eq = verify_indicator_border(CONST_ONE, yfams, pairs=[(1, 1)], sample_budget=0)
+    assert eq.verdict == "pass" and eq.checked == 1
+
+
+@pytest.mark.parametrize("check_pairs", [-1, -4])
+def test_border_p0_negative_check_pairs_rejected(check_pairs):
+    with pytest.raises(ValueError, match="check_pairs must be at least 0"):
+        running_border_p0(2, 2, check_pairs=check_pairs)
 
 
 def test_border_p0_specific_values():

@@ -29,6 +29,13 @@ def constr4():
     return su_build(4)
 
 
+@pytest.mark.parametrize("check_pairs", [-1, -4])
+def test_su_p0_negative_check_pairs_rejected(constr4, check_pairs):
+    # 0 skips the contract check; a negative count must not skip it silently
+    with pytest.raises(ValueError, match="check_pairs must be at least 0"):
+        su_p0(constr4, 2, check_pairs=check_pairs)
+
+
 def test_build_exact_identities(constr4):
     c = constr4
     assert [str(v) for v in c.d0] == ["4", "3", "1/3", "1/4"]
