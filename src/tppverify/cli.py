@@ -1,10 +1,11 @@
 """Batch front door: build instances, run verifications, emit reports.
 
 Exit codes: 0 = all verdicts pass; 1 = a verification failed (witness in the
-report); 2 = inconclusive (window/order exhaustion); 3 = usage or config
-error.  JSON is the canonical output; csv and text are projections.  The
-same configuration and seed always produce a byte-identical report when
---no-timestamp is set.
+report); 2 = inconclusive (window/order exhaustion); 3 = usage, config or
+input-file error (one "error: ..." line on stderr); 4 = internal error (an
+unexpected exception; its traceback is on stderr).  JSON is the canonical
+output; csv and text are projections.  The same configuration and seed
+always produce a byte-identical report when --no-timestamp is set.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import datetime
 import json
 import random
 import sys
+import traceback
 
 from . import __version__
 from .embedding import cyclic_characters, embed_group_algebra, realize_algorithm
@@ -55,6 +57,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 # Errors that reject an instance file or a construction: nothing was verified,
 # so they exit as usage errors, never as a failed verification.
@@ -206,8 +209,11 @@ def _run_sep_verify(args):
     with open(args.sepfile, "r", encoding="utf-8") as fh:
         sep_obj = json.load(fh)
     family = {}
-    for key, tree in sep_obj["family"].items():
-        ix, iz = (int(v) for v in key.split(","))
+    for key, tree in _sep_family_json(sep_obj).items():
+        try:
+            ix, iz = (int(v) for v in key.split(","))
+        except ValueError:
+            raise SepFunctionError(f"family key {key!r} is not 'ix,iz'") from None
         family[(ix, iz)] = SepFunction.from_json(tree)
     if inst.mode == "family":
         order = args.order if args.order is not None else 3
@@ -217,6 +223,16 @@ def _run_sep_verify(args):
         rep = verify_separating(family, inst,
                                 tol=args.tol if inst.mode == "exact" else None)
     return rep.verdict, {"report": rep.to_json()}, [], None
+
+
+def _sep_family_json(sep_obj) -> dict:
+    """The sep file's non-empty "family" object; an empty one would pass vacuously."""
+    family = sep_obj.get("family") if isinstance(sep_obj, dict) else None
+    if not isinstance(family, dict):
+        raise SepFunctionError('a sep file holds {"family": {"ix,iz": node, ...}}')
+    if not family:
+        raise SepFunctionError("the sep file's family is empty: nothing to verify")
+    return family
 
 
 def _run_embed_demo(args):
@@ -410,24 +426,18 @@ def _project_text(report):
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("output", "format")}
-    try:
-        # a sampled run with no samples would pass without checking anything
-        if args.sample_budget < 1:
-            raise UsageError(f"--sample-budget must be at least 1 (got {args.sample_budget})")
-        verdict, details, deviations, rows = _DRIVERS[args.subcommand](args)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError, *_INPUT_ERRORS) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+def _run(args) -> int:
+    """Run one parsed command, write its report, return the verdict's exit code."""
+    # a sampled run with no samples would pass without checking anything
+    if args.sample_budget < 1:
+        raise UsageError(f"--sample-budget must be at least 1 (got {args.sample_budget})")
+    verdict, details, deviations, rows = _DRIVERS[args.subcommand](args)
     report = {
         "schema": 1,
         "tool": {"name": "tppverify", "version": __version__},
         "command": args.subcommand,
-        "config": config,
+        "config": {k: v for k, v in sorted(vars(args).items())
+                   if k not in ("output", "format")},
         "verdict": verdict,
         "deviations": deviations,
         "details": details,
@@ -446,6 +456,20 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return _VERDICT_EXIT.get(verdict, EXIT_PASS)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (UsageError, FileNotFoundError, json.JSONDecodeError, *_INPUT_ERRORS) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except Exception:
+        # a bug, not a verdict: exit 1 would claim a failed verification
+        traceback.print_exc()
+        sys.stderr.write("internal error: please report the traceback above\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from .matrices import Mat, mat_inv_exact, mat_inv_series
-from .series import EpsLaurent
 
 
 class GroupFormatError(ValueError):
@@ -75,10 +74,6 @@ class TableGroup:
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(table, identity=0, inverse=[(-i) % n for i in range(n)])
 
-    def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(self.order))
-
     def to_json(self):
         return {
             "type": "table",
@@ -89,6 +84,7 @@ class TableGroup:
 
     @classmethod
     def from_json(cls, obj) -> "TableGroup":
+        _require(obj, "table", "identity")
         return cls(obj["table"], obj["identity"], obj.get("inverse"))
 
 
@@ -108,15 +104,17 @@ class MatrixGroupOps:
             return mat_inv_series(a)
         return mat_inv_exact(a)
 
-    def identity_series(self) -> Mat:
-        return Mat.identity(self.dim, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
-
-    def identity_exact(self) -> Mat:
-        return Mat.identity(self.dim)
-
     def to_json(self):
         return {"type": "matrix", "dim": self.dim}
 
     @classmethod
     def from_json(cls, obj) -> "MatrixGroupOps":
+        _require(obj, "dim")
         return cls(int(obj["dim"]))
+
+
+def _require(obj, *keys):
+    """Reject a group descriptor that lacks one of keys."""
+    for key in keys:
+        if key not in obj:
+            raise GroupFormatError(f"{obj.get('type')} group descriptor is missing {key!r}")

@@ -65,6 +65,11 @@ def instance_to_json(inst: TppInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> TppInstance:
+    if not isinstance(obj, dict):
+        raise InstanceError("an instance file holds one JSON object")
+    for key in ("x", "y", "z"):
+        if key not in obj:
+            raise InstanceError(f"instance file is missing {key!r}")
     mode = obj.get("mode")
     gobj = obj.get("group", {})
     if gobj.get("type") == "table":

@@ -179,15 +179,6 @@ class Mat:
     def conj(self) -> "Mat":
         return Mat(self.rows, self.cols, [conj_scalar(a) for a in self.data])
 
-    def trace(self):
-        if not self.is_square:
-            raise ExactArithmeticError("trace of non-square matrix")
-        acc = self.data[0]
-        n = self.cols
-        for i in range(1, n):
-            acc = acc + self.data[i * n + i]
-        return acc
-
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Mat):

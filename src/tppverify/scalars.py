@@ -158,9 +158,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         other = _coerce_gauss(other)
         if other is NotImplemented:
@@ -464,14 +461,6 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_part(self):
-        if not self.is_rational():
-            raise ExactArithmeticError(f"{self!r} is not rational")
-        return self.coeffs[0]
 
     def zero_like(self):
         return self.field.zero

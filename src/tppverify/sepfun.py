@@ -1,21 +1,25 @@
 """Evaluable polynomial expressions on matrices with tracked total degree.
 
-A SepFunction is an expression tree over a small set of primitives: matrix
-entry access, leading principal minors, traces, the minor-based invariants
-p_k, matrix-argument transforms (sandwich by constants, shift by a multiple
-of the identity, multiply by a power of eps), real-linear coordinate forms,
+A SepFunction is an expression tree over eleven node kinds: matrix entry
+access, leading principal minors, the minor-based invariants p_k, the
+sandwich L M R by constant matrices, real-linear coordinate forms,
 univariate polynomial application, products, sums, scalar affine maps,
-division by eps^k, and reparametrization eps -> eps^t.
+division by eps^k, and reparametrization eps -> eps^t.  _NODE_KINDS maps
+each JSON "kind" to its class.
 
-Evaluation is generic over the argument's scalar kind: exact rationals,
-Gaussian rationals, truncated Laurent series, or float complex.  tracked
-degree is an upper bound on the true total degree in the matrix entries
-(eps excluded), exact for products and sums of the primitives used here.
+Each node has one evaluation rule, written in the ring operations of the
+values it combines, so the same tree evaluates on exact rationals, Gaussian
+rationals and truncated Laurent series.  Float complex arguments are
+accepted where a node's rule needs no exact arithmetic (entries, sandwiches,
+polynomials, products and sums).  Tracked degree is an upper bound on the
+true total degree in the matrix entries (eps excluded), exact for products
+and sums of the primitives used here.
 
-Univariate polynomials are applied to series via their exact Taylor
-expansion around the argument's constant term, so an indicator polynomial
-with hundreds of roots costs only a handful of series multiplications per
-evaluation (the Taylor coefficients are cached per expansion point).
+Univariate polynomials are kept in product form scale * prod (x - root) and
+applied to series via their exact Taylor expansion around the argument's
+constant term, so an indicator polynomial with hundreds of roots costs only
+a handful of series multiplications per evaluation (the Taylor coefficients
+are cached per expansion point).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det, mat_minor
-from .scalars import GaussRational, QQ, as_qq
+from .scalars import GaussRational, QQ, as_qq, qq_str
 from .series import INF_ORDER, EpsLaurent
 
 
@@ -32,93 +36,52 @@ class SepFunctionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials (product form around exact roots, or coefficients)
+# Univariate polynomials in product form around exact roots
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """A univariate polynomial, either scale * prod (x - root_i) or by coeffs."""
+    """The univariate polynomial scale * prod (x - root_i)."""
 
-    def __init__(self, roots=None, scale=None, coeffs=None):
-        if (roots is None) == (coeffs is None):
-            raise SepFunctionError("give either roots+scale or coeffs")
-        self.roots = [GaussRational.from_any(r) for r in roots] if roots is not None else None
-        self.scale = GaussRational.from_any(scale if scale is not None else 1) if roots is not None else None
-        self.coeff_list = [GaussRational.from_any(c) for c in coeffs] if coeffs is not None else None
+    def __init__(self, roots, scale=1):
+        self.roots = [GaussRational.from_any(r) for r in roots]
+        self.scale = GaussRational.from_any(scale)
         self._taylor_cache: dict = {}
 
     @property
     def degree(self) -> int:
-        if self.roots is not None:
-            return len(self.roots)
-        d = 0
-        for k, c in enumerate(self.coeff_list):
-            if not c.is_zero():
-                d = k
-        return d
-
-    def coeffs(self):
-        """Expanded low-first coefficient list (intended for small degrees)."""
-        if self.coeff_list is not None:
-            return list(self.coeff_list)
-        out = [self.scale]
-        for r in self.roots:
-            out = [GaussRational(0)] + out  # multiply by x
-            for k in range(len(out) - 1):
-                out[k] = out[k] - r * out[k + 1]
-        return out
+        return len(self.roots)
 
     # -- evaluation ---------------------------------------------------------
     def eval_exact(self, x):
         x = GaussRational.from_any(x)
-        if self.roots is not None:
-            acc = self.scale
-            for r in self.roots:
-                acc = acc * (x - r)
-            return acc
-        acc = GaussRational(0)
-        for c in reversed(self.coeff_list):
-            acc = acc * x + c
+        acc = self.scale
+        for r in self.roots:
+            acc = acc * (x - r)
         return acc
 
     def eval_float(self, x: complex) -> complex:
-        if self.roots is not None:
-            acc = complex(self.scale)
-            for r in self.roots:
-                acc *= x - complex(r)
-            return acc
-        acc = 0j
-        for c in reversed(self.coeff_list):
-            acc = acc * x + complex(c)
+        acc = complex(self.scale)
+        for r in self.roots:
+            acc *= x - complex(r)
         return acc
 
     def taylor(self, c: GaussRational, order: int):
         """Exact Taylor coefficients of p(c + h) in h, up to h^order."""
-        key = c
-        cached = self._taylor_cache.get(key)
+        cached = self._taylor_cache.get(c)
         if cached is not None and len(cached) > order:
             return cached[: order + 1]
         order_full = min(order, self.degree)
-        if self.roots is not None:
-            t = [GaussRational(1)] + [GaussRational(0)] * order_full
-            deg_so_far = 0
-            for r in self.roots:
-                base = c - r
-                deg_so_far = min(deg_so_far + 1, order_full)
-                for k in range(deg_so_far, 0, -1):
-                    t[k] = t[k] * base + t[k - 1]
-                t[0] = t[0] * base
-            t = [self.scale * x for x in t]
-        else:
-            # binomial shift of the coefficient list
-            t = [GaussRational(0)] * (order_full + 1)
-            for k, a in enumerate(self.coeff_list):
-                if a.is_zero():
-                    continue
-                for i in range(0, min(k, order_full) + 1):
-                    # contribution of a*(c+h)^k to h^i: a * C(k,i) * c^(k-i)
-                    t[i] = t[i] + a * GaussRational(QQ(_comb(k, i))) * _gauss_pow(c, k - i)
+        t = [GaussRational(1)] + [GaussRational(0)] * order_full
+        deg_so_far = 0
+        for r in self.roots:
+            base = c - r
+            deg_so_far = min(deg_so_far + 1, order_full)
+            for k in range(deg_so_far, 0, -1):
+                t[k] = t[k] * base + t[k - 1]
+            t[0] = t[0] * base
+        t = [self.scale * x for x in t]
         t = t + [GaussRational(0)] * (order + 1 - len(t))
-        self._taylor_cache[key] = t
+        self._taylor_cache[c] = t
         return t[: order + 1]
 
     def eval_series(self, x: EpsLaurent) -> EpsLaurent:
@@ -150,31 +113,16 @@ class UniPoly:
         return self.eval_exact(x)
 
     def to_json(self):
-        if self.roots is not None:
-            return {"form": "roots",
-                    "roots": [r.to_json() for r in self.roots],
-                    "scale": self.scale.to_json()}
-        return {"form": "coeffs", "coeffs": [c.to_json() for c in self.coeff_list]}
+        return {"form": "roots",
+                "roots": [r.to_json() for r in self.roots],
+                "scale": self.scale.to_json()}
 
     @classmethod
     def from_json(cls, obj):
-        if obj["form"] == "roots":
-            return cls(roots=[GaussRational.from_json(r) for r in obj["roots"]],
-                       scale=GaussRational.from_json(obj["scale"]))
-        return cls(coeffs=[GaussRational.from_json(c) for c in obj["coeffs"]])
-
-
-def _comb(n, k):
-    import math
-
-    return math.comb(n, k)
-
-
-def _gauss_pow(c: GaussRational, k: int) -> GaussRational:
-    out = GaussRational(1)
-    for _ in range(k):
-        out = out * c
-    return out
+        if obj.get("form") != "roots":
+            raise SepFunctionError(f"unknown polynomial form {obj.get('form')!r}")
+        return cls([GaussRational.from_json(r) for r in obj["roots"]],
+                   GaussRational.from_json(obj["scale"]))
 
 
 def lagrange_indicator(point, points) -> UniPoly:
@@ -193,14 +141,6 @@ def lagrange_indicator(point, points) -> UniPoly:
     for r in roots:
         denom = denom * (point - r)
     return UniPoly(roots=roots, scale=denom.inverse())
-
-
-# ---------------------------------------------------------------------------
-# Scalar-kind helpers for mixed evaluation
-# ---------------------------------------------------------------------------
-
-def _to_series_scalar(x):
-    return x if isinstance(x, EpsLaurent) else EpsLaurent.const(x)
 
 
 # ---------------------------------------------------------------------------
@@ -240,40 +180,14 @@ class SepFunction:
 
     @staticmethod
     def from_json(obj) -> "SepFunction":
-        return _NODE_KINDS[obj["kind"]]._from_json(obj)
-
-
-class Const(SepFunction):
-    kind = "const"
-
-    def __init__(self, value):
-        if isinstance(value, EpsLaurent):
-            self.value = value
-        else:
-            self.value = GaussRational.from_any(value)
-
-    @property
-    def degree(self):
-        return 0
-
-    def eval(self, m, ctx=None):
-        ctx = ctx or EvalContext()
-        if isinstance(self.value, EpsLaurent):
-            return self.value.reparametrize(ctx.eps_scale)
-        if _is_float_mat(m):
-            return complex(self.value)
-        return self.value
-
-    def to_json(self):
-        if isinstance(self.value, EpsLaurent):
-            return {"kind": self.kind, "series": self.value.to_json()}
-        return {"kind": self.kind, "value": self.value.to_json()}
-
-    @classmethod
-    def _from_json(cls, obj):
-        if "series" in obj:
-            return cls(EpsLaurent.from_json(obj["series"]))
-        return cls(GaussRational.from_json(obj["value"]))
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        cls = _NODE_KINDS.get(kind)
+        if cls is None:
+            raise SepFunctionError(f"unknown node kind {kind!r}")
+        try:
+            return cls._from_json(obj)
+        except KeyError as exc:
+            raise SepFunctionError(f"{kind} node is missing key {exc.args[0]!r}") from None
 
 
 class Entry(SepFunction):
@@ -317,24 +231,6 @@ class LeadingMinor(SepFunction):
     @classmethod
     def _from_json(cls, obj):
         return cls(obj["j"])
-
-
-class TraceNode(SepFunction):
-    kind = "trace"
-
-    @property
-    def degree(self):
-        return 1
-
-    def eval(self, m, ctx=None):
-        return m.trace()
-
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def _from_json(cls, obj):
-        return cls()
 
 
 class MinorInvariant(SepFunction):
@@ -433,13 +329,10 @@ def _sandwich(l_mat, m, r_mat):
     return lm.matmul(m).matmul(rm)
 
 
-def _is_float_mat(m: Mat) -> bool:
-    return any(isinstance(x, (float, complex)) for x in m.data)
-
-
 def _coerce_const_mat(c: Mat, like: Mat) -> Mat:
-    if _is_float_mat(like):
-        return c.map(lambda x: complex(x) if not isinstance(x, (float, complex)) else x)
+    """c with complex entries when like holds floats, else c itself."""
+    if any(isinstance(x, (float, complex)) for x in like.data):
+        return c.map(complex)
     return c
 
 
@@ -470,75 +363,15 @@ class Sandwich(SepFunction):
                    SepFunction.from_json(obj["child"]))
 
 
-class ShiftIdentity(SepFunction):
-    """Evaluate the child at M + c*I."""
-
-    kind = "shift_identity"
-
-    def __init__(self, c, child: SepFunction):
-        self.c = GaussRational.from_any(c)
-        self.child = child
-
-    @property
-    def degree(self):
-        return self.child.degree
-
-    def eval(self, m, ctx=None):
-        n = m.rows
-        shifted = m.copy()
-        for i in range(n):
-            x = shifted[i, i]
-            if isinstance(x, EpsLaurent):
-                shifted[i, i] = x + EpsLaurent.const(self.c)
-            elif isinstance(x, (float, complex)):
-                shifted[i, i] = x + complex(self.c)
-            else:
-                shifted[i, i] = x + self.c
-        return self.child.eval(shifted, ctx)
-
-    def to_json(self):
-        return {"kind": self.kind, "c": self.c.to_json(), "child": self.child.to_json()}
-
-    @classmethod
-    def _from_json(cls, obj):
-        return cls(GaussRational.from_json(obj["c"]), SepFunction.from_json(obj["child"]))
-
-
-class MatEpsShift(SepFunction):
-    """Evaluate the child at eps^k * M (series arguments only; k scales)."""
-
-    kind = "mat_eps_shift"
-
-    def __init__(self, k: int, child: SepFunction):
-        self.k = k
-        self.child = child
-
-    @property
-    def degree(self):
-        return self.child.degree
-
-    def eval(self, m, ctx=None):
-        ctx = ctx or EvalContext()
-        shift = self.k * ctx.eps_scale
-        shifted = m.map(lambda x: _to_series_scalar(x).shift(shift))
-        return self.child.eval(shifted, ctx)
-
-    def to_json(self):
-        return {"kind": self.kind, "k": self.k, "child": self.child.to_json()}
-
-    @classmethod
-    def _from_json(cls, obj):
-        return cls(obj["k"], SepFunction.from_json(obj["child"]))
-
-
 class LinearForm(SepFunction):
     """A real-linear scalar-valued form in the matrix entries.
 
     value(M) = sum_jk [ rr[j,k] Re M[j,k] + ri[j,k] Im M[j,k] ]
              + i * sum_jk [ ir[j,k] Re M[j,k] + ii[j,k] Im M[j,k] ]
-    with exact rational coefficient matrices.  Complex-linear forms have
-    ri = -ir' ... in practice they are built by the callers; this node just
-    evaluates coefficientwise (eps is real, so Re/Im act on coefficients).
+    with exact rational coefficient matrices.  eps is real, so Re and Im act
+    on series coefficientwise.  Evaluation always runs on the packed integer
+    path (exact entries are lifted to constant series); an exact argument
+    gets that path's constant term.
     """
 
     kind = "linear_form"
@@ -563,26 +396,10 @@ class LinearForm(SepFunction):
         return 1
 
     def eval(self, m, ctx=None):
-        if _is_float_mat(m):
-            re_acc = 0.0
-            im_acc = 0.0
-            for j in range(m.rows):
-                for k in range(m.cols):
-                    x = complex(m[j, k])
-                    re_acc += float(self.rr[j, k]) * x.real + float(self.ri[j, k]) * x.imag
-                    im_acc += float(self.ir[j, k]) * x.real + float(self.ii[j, k]) * x.imag
-            return complex(re_acc, im_acc)
-        if m.has_series_entries():
-            return self._eval_series(m)
-        acc = GaussRational(0)
-        for j in range(m.rows):
-            for k in range(m.cols):
-                x = GaussRational.from_any(m[j, k])
-                acc = acc + GaussRational(self.rr[j, k], self.ir[j, k]) * GaussRational(x.re)
-                acc = acc + GaussRational(self.ri[j, k], self.ii[j, k]) * GaussRational(x.im)
-        return acc
+        v = self._eval_packed(m)
+        return v if m.has_series_entries() else v.coeff(0)
 
-    def _eval_series(self, m):
+    def _eval_packed(self, m):
         """The boxed sum of coef_r * Re(x) + coef_i * Im(x), on integers.
 
         Each term's window is that of a product with an exact nonzero
@@ -626,7 +443,7 @@ class LinearForm(SepFunction):
 
     def to_json(self):
         def ser(mat):
-            return [[qq_str_cell(x) for x in mat.row(i)] for i in range(mat.rows)]
+            return [[qq_str(x) for x in mat.row(i)] for i in range(mat.rows)]
         return {"kind": self.kind, "rr": ser(self.rr), "ri": ser(self.ri),
                 "ir": ser(self.ir), "ii": ser(self.ii)}
 
@@ -635,12 +452,6 @@ class LinearForm(SepFunction):
         def de(rows):
             return Mat.from_rows([[as_qq(x) for x in r] for r in rows])
         return cls(de(obj["rr"]), de(obj["ri"]), de(obj["ir"]), de(obj["ii"]))
-
-
-def qq_str_cell(x):
-    from .scalars import qq_str
-
-    return qq_str(x)
 
 
 class PolyApply(SepFunction):
@@ -735,11 +546,9 @@ class Affine(SepFunction):
 
     def eval(self, m, ctx=None):
         v = self.child.eval(m, ctx)
-        if isinstance(v, (float, complex)):
-            return complex(self.a) * v + complex(self.b)
-        if isinstance(v, EpsLaurent):
-            return self.a * v + EpsLaurent.const(self.b)
-        return self.a * GaussRational.from_any(v) + self.b
+        # a series product, even by 1, narrows lo to the valuation; a = 1
+        # keeps the child's window as it is
+        return (v if self.a == 1 else self.a * v) + self.b
 
     def to_json(self):
         return {"kind": self.kind, "a": self.a.to_json(), "b": self.b.to_json(),
@@ -784,7 +593,7 @@ class Reparam(SepFunction):
 
     The matrix argument is expected to be supplied already in the new
     parameter; this node only rescales the expression's internal eps usage
-    (divisions by eps and series-valued constants).
+    (its divisions by eps).
     """
 
     kind = "reparam"
@@ -827,7 +636,6 @@ def _mat_unjson(obj) -> Mat:
 
 _NODE_KINDS = {
     cls.kind: cls
-    for cls in (Const, Entry, LeadingMinor, TraceNode, MinorInvariant, Sandwich,
-                ShiftIdentity, MatEpsShift, LinearForm, PolyApply, Product,
-                SumNode, Affine, DivEps, Reparam)
+    for cls in (Entry, LeadingMinor, MinorInvariant, Sandwich, LinearForm,
+                PolyApply, Product, SumNode, Affine, DivEps, Reparam)
 }

@@ -128,6 +128,12 @@ class _NodeMemo:
         return node.eval(m, self.ctx)
 
 
+def _require_family(family):
+    """An empty family checks nothing, and would pass vacuously."""
+    if not family:
+        raise ValueError("the separating family is empty: nothing to verify")
+
+
 def verify_separating(family, inst: TppInstance, tol: float | None = None) -> SepReport:
     """Exact-mode check: f_{x,z} is 1 at x z^-1 and 0 on the rest of the quotient.
 
@@ -135,6 +141,7 @@ def verify_separating(family, inst: TppInstance, tol: float | None = None) -> Se
     set, values are compared numerically (for float-valued constructions);
     otherwise comparison is exact.
     """
+    _require_family(family)
     quotient = quotient_product_set(inst)
     g = inst.group
     report = SepReport("pass")
@@ -190,6 +197,7 @@ def verify_separating_border(family, inst: TppInstance, order: int,
     a seeded sample is drawn, stratified so that expected-1 tuples (which
     form a vanishing fraction of the grid) are exercised too.
     """
+    _require_family(family)
     if sample_budget < 1:
         raise ValueError(f"a sampled run needs a budget of at least 1 (got {sample_budget})")
     nx, ny, nz = inst.sizes()
@@ -272,6 +280,8 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
             report.seed = seed
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample_budget)]
             pairs += [(i, i) for i in {rng.randrange(n) for _ in range(8)}]
+    if not pairs:
+        raise ValueError("no pair to check: the Y family list or the pair list is empty")
     if invs is None:
         invs = {}
     packed_invs = {}

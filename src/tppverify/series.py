@@ -94,9 +94,6 @@ class EpsLaurent:
     def is_zero_on_window(self) -> bool:
         return not self.coeffs
 
-    def negative_part(self) -> dict:
-        return {e: c for e, c in self.coeffs.items() if e < 0}
-
     def eq_on_window(self, other: "EpsLaurent") -> bool:
         """Exact equality of all coefficients on the intersected window."""
         other = _coerce_series(other)

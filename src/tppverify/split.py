@@ -11,7 +11,10 @@ and the per-pair border-separating polynomials
     p_{x,z}(M) = p0'(M) * r_{a,b}((M - I)/eps),
 
 where r_{a,b} is a product of Lagrange coordinate indicators composed with
-the left-inverse forms, and p0' is p0 with eps replaced by eps^t.
+the left-inverse forms, and p0' is p0 with eps replaced by eps^t.  The
+forms are real-linear, so each coordinate is read as (form(M) - form(I))/eps
+from M itself; (M - I)/eps is never built.  One indicator node per (form,
+value) is shared by every pair that reads it.
 
 The reparametrization exponent t is chosen minimally: t = deg(r) + 1 when
 some middle family fails to be I + O(eps) (that is the case the exponent
@@ -31,13 +34,13 @@ from .groups import MatrixGroupOps
 from .matrices import Mat, mat_rank, mat_inv_exact, mat_exp_trunc
 from .scalars import GaussRational, QQ, GR_ZERO
 from .sepfun import (
+    Affine,
+    DivEps,
     LinearForm,
-    MatEpsShift,
     PolyApply,
     Product,
     Reparam,
     SepFunction,
-    ShiftIdentity,
     lagrange_indicator,
 )
 from .series import EpsLaurent
@@ -265,6 +268,25 @@ def _family_has_identity_constant(fam: Mat) -> bool:
     return True
 
 
+def coordinate_indicators(values, forms):
+    """Lagrange indicators of each form's coordinate of (M - I)/eps.
+
+    Returns one {value: node} dict per form.  A LinearForm is real-linear,
+    so form((M - I)/eps) = (form(M) - form(I))/eps: each node applies its
+    indicator polynomial to DivEps(1, Affine(1, -form(I), form)), with form(I)
+    an exact constant, and M itself is never shifted.  A node is shared by
+    every pair that reads it, so the border verifier evaluates it once per
+    argument.
+    """
+    polys = {v: lagrange_indicator(v, values) for v in values}
+    out = []
+    for form in forms:
+        at_identity = form.eval(Mat.identity(form.rr.rows))
+        argument = DivEps(1, Affine(1, -at_identity, form))
+        out.append({v: PolyApply(polys[v], argument) for v in values})
+    return out
+
+
 def assemble_split(inputs: SplitInputs, order: int | None = None,
                    t: int | None = None, coord_cap: int = 4096,
                    seed: int = 0, run_dpp_check: bool = True) -> SplitOutput:
@@ -301,17 +323,8 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
     yfams_reparam = [f.map(lambda s: (s if isinstance(s, EpsLaurent) else EpsLaurent.const(s)).reparametrize(t))
                      for f in inputs.yfams]
 
-    # per-coordinate Lagrange indicators of (M - I)/eps, one node per (side,
-    # coordinate, value) shared by every pair that reads it, so that the
-    # border verifier can evaluate each of them once per argument
-    def indicator_nodes(values, forms):
-        polys = {v: lagrange_indicator(v, values) for v in values}
-        return [{v: ShiftIdentity(-1, MatEpsShift(-1, PolyApply(polys[v], form)))
-                 for v in values}
-                for form in forms]
-
-    alphas = indicator_nodes(inputs.coord_set_a, inputs.px_forms)
-    betas = indicator_nodes(inputs.coord_set_b, inputs.pz_forms)
+    alphas = coordinate_indicators(inputs.coord_set_a, inputs.px_forms)
+    betas = coordinate_indicators(inputs.coord_set_b, inputs.pz_forms)
 
     p0_part = Reparam(t, inputs.p0) if t > 1 else inputs.p0
     sep_family = {}

@@ -171,11 +171,6 @@ def _half_sandwich(w: Mat, diag_vals) -> Mat:
     return out
 
 
-def su_S_basis(n: int):
-    """Real basis of S: per above-diagonal block slot, the skew pair."""
-    return su_build(n).s_basis
-
-
 # ---------------------------------------------------------------------------
 # Invariants and the trace deficit
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tppverify import cli
 from tppverify.cli import main
 from tppverify.groups import MatrixGroupOps, TableGroup
 from tppverify.instances import (
@@ -107,7 +108,7 @@ def test_instance_json_roundtrip_exact_mode():
 
 
 def test_sep_verify_cli(tmp_path, capsys):
-    from tppverify.sepfun import Const
+    from tppverify.sepfun import Product
 
     ops = MatrixGroupOps(2)
     ident = Mat.identity(2, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
@@ -115,7 +116,7 @@ def test_sep_verify_cli(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     save_instance(inst, str(inst_path))
     sep_path = tmp_path / "sep.json"
-    sep_path.write_text(json.dumps({"family": {"0,0": Const(1).to_json()}}))
+    sep_path.write_text(json.dumps({"family": {"0,0": Product([]).to_json()}}))
     code, out = run_cli(["sep-verify", "--instance", str(inst_path),
                          "--sepfile", str(sep_path), "--no-timestamp"], capsys)
     assert code == 0
@@ -180,7 +181,33 @@ BAD_INSTANCES = {
     "no-group.json": {"schema": 1, "mode": "table", "x": [0], "y": [0], "z": [0]},
     "ragged.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 2},
                     "x": [[["1", "0"], ["0"]]], "y": [], "z": []},
+    "no-dim.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix"},
+                    "x": [], "y": [], "z": []},
+    "no-x.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 2},
+                  "y": [], "z": []},
 }
+
+ENTRY = {"kind": "entry", "i": 0, "j": 0}
+
+# A valid instance, and sep files for it with node kinds and a polynomial form
+# that sep-verify does not accept, or with nothing to verify.
+SEP_FILES = {
+    "z2.json": {"schema": 1, "mode": "table", "x": [0], "y": [0], "z": [0],
+                "group": {"type": "table", "table": [[0, 1], [1, 0]], "identity": 0}},
+    "const.json": {"family": {"0,0": {"kind": "const", "value": "1"}}},
+    "trace.json": {"family": {"0,0": {"kind": "trace"}}},
+    "shift.json": {"family": {"0,0": {"kind": "shift_identity", "c": "-1", "child": ENTRY}}},
+    "eps-shift.json": {"family": {"0,0": {"kind": "mat_eps_shift", "k": -1, "child": ENTRY}}},
+    "coeffs.json": {"family": {"0,0": {"kind": "poly", "child": ENTRY,
+                                       "poly": {"form": "coeffs", "coeffs": ["0", "1"]}}}},
+    "empty.json": {"family": {}},
+    "no-j.json": {"family": {"0,0": {"kind": "product",
+                                     "children": [{"kind": "entry", "i": 0}]}}},
+}
+
+
+def sep_verify(sepfile):
+    return ["sep-verify", "--instance", "z2.json", "--sepfile", sepfile]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -213,10 +240,24 @@ BAD_INSTANCES = {
                  "unknown group descriptor None", id="instance-no-group"),
     pytest.param(["tpp-verify", "--instance", "ragged.json"],
                  "malformed matrix: ragged rows", id="instance-ragged"),
+    pytest.param(["tpp-verify", "--instance", "no-dim.json"],
+                 "matrix group descriptor is missing 'dim'", id="instance-no-dim"),
+    pytest.param(["tpp-verify", "--instance", "no-x.json"],
+                 "instance file is missing 'x'", id="instance-no-x"),
+    pytest.param(sep_verify("const.json"), "unknown node kind 'const'", id="sep-const"),
+    pytest.param(sep_verify("trace.json"), "unknown node kind 'trace'", id="sep-trace"),
+    pytest.param(sep_verify("shift.json"), "unknown node kind 'shift_identity'",
+                 id="sep-shift-identity"),
+    pytest.param(sep_verify("eps-shift.json"), "unknown node kind 'mat_eps_shift'",
+                 id="sep-mat-eps-shift"),
+    pytest.param(sep_verify("coeffs.json"), "unknown polynomial form 'coeffs'",
+                 id="sep-poly-coeffs"),
+    pytest.param(sep_verify("empty.json"), "family is empty", id="sep-empty-family"),
+    pytest.param(sep_verify("no-j.json"), "entry node is missing key 'j'", id="sep-no-key"),
 ])
 def test_split_assemble_rejects_small_q(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, obj in BAD_INSTANCES.items():
+    for name, obj in {**BAD_INSTANCES, **SEP_FILES}.items():
         (tmp_path / name).write_text(json.dumps(obj))
     code = main(argv + ["--no-timestamp"])
     captured = capsys.readouterr()
@@ -224,6 +265,20 @@ def test_split_assemble_rejects_small_q(argv, message, capsys, tmp_path, monkeyp
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setitem(cli._DRIVERS, "repdim", broken)
+    code = main(["repdim", "--n", "3", "--s", "6", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 4  # never 1, which would claim a failed verification
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: planted bug" in captured.err
+    assert "internal error" in captured.err
 
 
 def test_report_schema_fields(capsys):
@@ -251,3 +306,91 @@ def test_output_file_and_text_format(tmp_path, capsys):
     code, out = run_cli(["repdim", "--n", "2", "--s", "3", "--format", "text",
                          "--no-timestamp"], capsys)
     assert out.startswith("tppverify 0.1.0")
+
+
+# The full split-assemble report at the su-exhaustive shape (Y capped at 2,
+# every TPP and separation tuple), pinned byte for byte.
+GOLDEN_SPLIT_ARGV = ["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
+                     "--sample-budget", "1024", "--seed", "0", "--no-timestamp"]
+GOLDEN_SPLIT = {"command": "split-assemble",
+ "config": {"emit_instance": None,
+            "mode": "auto",
+            "n": 4,
+            "no_timestamp": True,
+            "order": None,
+            "q": 2,
+            "sample_budget": 1024,
+            "seed": 0,
+            "subcommand": "split-assemble",
+            "t": None,
+            "tol": 1e-09,
+            "y_cap": 2},
+ "details": {"cardinalities": {"X": 4,
+                               "X_target": 4,
+                               "Y": 2,
+                               "Y_sampled": True,
+                               "Y_target": 4,
+                               "Z": 4,
+                               "Z_target": 4,
+                               "theta_rank": 8},
+             "degrees": {"deg_p0": "172",
+                         "deg_r": "4",
+                         "deg_r_bound": "4",
+                         "deg_total": "176"},
+             "deviations": ["trace-deficit integrality: the constant 2*(n!)^2 does not "
+                            "clear the denominators of c (counterexample at n=4: c has "
+                            "denominator 41472 = 2*(n!/(n/2)!)^4 > 2*(n!)^2 = 1152); the "
+                            "verified clearing constant is 2*(n!/(n/2)!)^4",
+                            "indicator nodes are the exact achievable trace-deficit "
+                            "values, not the full arithmetic grid (grid would have "
+                            "2*(n!/(n/2)!)^4 * c_max ~ 10^8 nodes at n=4, q=2); the grid "
+                            "bound is reported as degree_bound_grid",
+                            "reparametrization skipped (t = 1): every middle family is I "
+                            "+ O(eps), so no negative eps powers arise and the exponent "
+                            "guard t > deg r is unnecessary; forcing t = deg r + 1 would "
+                            "push the invariant deficit to eps^(2t), beyond any window "
+                            "of order t + 2"],
+             "n": 4,
+             "notes": ["middle families are I + O(eps); reparametrization skipped (t = "
+                       "1)",
+                       "DPP series check: pass (256 tuples)",
+                       "p0 invariance audit: 50 random sandwiches exact"],
+             "order": 3,
+             "p0": {"c_max": "6891313/2592",
+                    "deg_r": 43,
+                    "deg_tracked": 172,
+                    "degree_bound_grid": 110261008,
+                    "nodes": 44,
+                    "nodes_exhaustive": True},
+             "q": 2,
+             "separating": {"checked": 1024,
+                            "order_used": 3,
+                            "sampled": False,
+                            "verdict": "pass"},
+             "t": 1,
+             "tpp": {"order_used": 3,
+                     "sampled": False,
+                     "tuples_checked": 1024,
+                     "verdict": "pass"},
+             "verdict": "pass"},
+ "deviations": ["trace-deficit integrality: the constant 2*(n!)^2 does not clear the "
+                "denominators of c (counterexample at n=4: c has denominator 41472 = "
+                "2*(n!/(n/2)!)^4 > 2*(n!)^2 = 1152); the verified clearing constant is "
+                "2*(n!/(n/2)!)^4",
+                "indicator nodes are the exact achievable trace-deficit values, not the "
+                "full arithmetic grid (grid would have 2*(n!/(n/2)!)^4 * c_max ~ 10^8 "
+                "nodes at n=4, q=2); the grid bound is reported as degree_bound_grid",
+                "reparametrization skipped (t = 1): every middle family is I + O(eps), "
+                "so no negative eps powers arise and the exponent guard t > deg r is "
+                "unnecessary; forcing t = deg r + 1 would push the invariant deficit to "
+                "eps^(2t), beyond any window of order t + 2"],
+ "schema": 1,
+ "tool": {"name": "tppverify", "version": "0.1.0"},
+ "verdict": "pass"}
+
+
+
+def test_split_assemble_golden_report(capsys):
+    code, out = run_cli(GOLDEN_SPLIT_ARGV, capsys)
+    assert code == 0
+    assert out == canonical_json(GOLDEN_SPLIT)

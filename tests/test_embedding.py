@@ -146,12 +146,12 @@ def test_verify_separating_table_mode_with_fourier_indicators():
 
 
 def test_verify_separating_trivial_singleton():
-    from tppverify.sepfun import Const
+    from tppverify.sepfun import Product
     from tppverify.sepverify import verify_separating
     from tppverify.groups import MatrixGroupOps
 
     ops = MatrixGroupOps(2)
     ident = Mat.identity(2).map(lambda v: GaussRational(v))
     inst = TppInstance(ops, [ident], [ident.copy()], [ident.copy()], "exact")
-    rep = verify_separating({(0, 0): Const(1)}, inst)
+    rep = verify_separating({(0, 0): Product([])}, inst)
     assert rep.verdict == "pass"

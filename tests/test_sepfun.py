@@ -6,29 +6,31 @@ from tppverify.matrices import Mat, mat_exp_trunc
 from tppverify.scalars import GaussRational, QQ
 from tppverify.sepfun import (
     Affine,
-    Const,
     DivEps,
     Entry,
     LeadingMinor,
+    LinearForm,
     PolyApply,
     Product,
     Reparam,
     SepFunction,
     SepFunctionError,
-    ShiftIdentity,
     SumNode,
-    TraceNode,
     UniPoly,
     lagrange_indicator,
 )
 from tppverify.series import EpsLaurent, InsufficientOrderError, series
 
 
+def trace_node(n):
+    return SumNode([Entry(i, i) for i in range(n)])
+
+
 def test_lagrange_three_points():
     p = lagrange_indicator(0, [0, 1, 2])
-    # (z-1)(z-2)/2: check exact coefficients 1, -3/2, 1/2
-    coeffs = p.coeffs()
-    assert coeffs == [GaussRational(1), GaussRational(QQ(-3, 2)), GaussRational(QQ(1, 2))]
+    # (z-1)(z-2)/2: check the exact roots and scale
+    assert p.roots == [GaussRational(1), GaussRational(2)]
+    assert p.scale == GaussRational(QQ(1, 2))
     assert p.eval_exact(0) == GaussRational(1)
     assert p.eval_exact(1).is_zero()
     assert p.eval_exact(2).is_zero()
@@ -71,7 +73,7 @@ def test_taylor_vs_product_form_oracle():
 
 
 def test_unipoly_series_window_capped():
-    p = UniPoly(coeffs=[1, 1])  # 1 + x
+    p = UniPoly(roots=[-1])  # 1 + x
     x = series({0: 2}, hi=1)
     out = p.eval_series(x)
     assert out.coeff(0) == GaussRational(3)
@@ -79,7 +81,7 @@ def test_unipoly_series_window_capped():
 
 
 def test_unipoly_unknown_constant_fails_loudly():
-    p = UniPoly(coeffs=[0, 1])
+    p = UniPoly(roots=[0])
     x = series({-1: 1}, lo=-1, hi=-1)
     with pytest.raises(InsufficientOrderError):
         p.eval_series(x)
@@ -101,27 +103,30 @@ def test_entry_trace_affine_eval():
     m = Mat.from_rows([[GaussRational(1), GaussRational(2)],
                        [GaussRational(3), GaussRational(4)]])
     assert Entry(0, 1).eval(m) == GaussRational(2)
-    assert TraceNode().eval(m) == GaussRational(5)
-    assert Affine(2, -1, TraceNode()).eval(m) == GaussRational(9)
+    assert trace_node(2).eval(m) == GaussRational(5)
+    assert Affine(2, -1, trace_node(2)).eval(m) == GaussRational(9)
 
 
-def test_shift_identity_and_div_eps_series():
+def test_affine_div_eps_reads_shifted_entries():
     a = Mat.from_rows([[0, 1], [-1, 0]])
     e = mat_exp_trunc(a, 3)
     # ((M - I)/eps)[0, 1] = 1 - eps^2/6 + ...
-    node = ShiftIdentity(-1, DivEps(0, Entry(0, 1)))
-    val = node.eval(e)
-    shifted = val.shift(-1)
-    assert shifted.coeff(0) == GaussRational(1)
-    assert shifted.coeff(1).is_zero()
-    assert shifted.coeff(2) == GaussRational(QQ(-1, 6))
+    off = DivEps(1, Entry(0, 1)).eval(e)
+    assert off.coeff(0) == GaussRational(1)
+    assert off.coeff(1).is_zero()
+    assert off.coeff(2) == GaussRational(QQ(-1, 6))
+    # ((M - I)/eps)[0, 0] = (cos eps - 1)/eps = -eps/2 + ...
+    diag = DivEps(1, Affine(1, -1, Entry(0, 0))).eval(e)
+    assert diag.coeff(0).is_zero()
+    assert diag.coeff(1) == GaussRational(QQ(-1, 2))
+    assert diag.hi == 2
 
 
 def test_reparam_scales_div_eps():
     # (trace(M) - 2)/eps^2 with M = exp(eps^t A) at t = 2: deviation at eps^{2t}
     a = Mat.from_rows([[0, 1], [-1, 0]])
     e2 = mat_exp_trunc(a, 4).map(lambda s: s.reparametrize(2))
-    expr = Reparam(2, DivEps(2, Affine(1, -2, TraceNode())))
+    expr = Reparam(2, DivEps(2, Affine(1, -2, trace_node(2))))
     val = expr.eval(e2)
     # trace = 2 - eps^{2t} + ...; divided by eps^{2t}: constant -1
     assert val.coeff(0) == GaussRational(-1)
@@ -146,11 +151,12 @@ def test_serialization_roundtrip():
     tree = Product([
         PolyApply(lagrange_indicator(0, [0, 1]), DivEps(2, Affine(-1, 3, SumNode(
             [LeadingMinor(1), LeadingMinor(2)])))),
-        ShiftIdentity(-1, Entry(0, 1)),
-        Const(EpsLaurent({1: GaussRational(1, 2)}, lo=0, hi=4)),
-        Reparam(2, Const(5)),
+        LinearForm(Mat.from_rows([[1, QQ(1, 2)], [0, 0]]), Mat.zeros(2, 2),
+                   Mat.zeros(2, 2), Mat.from_rows([[0, 0], [-3, 0]])),
+        Reparam(2, Product([])),
     ])
     blob = tree.to_json()
     back = SepFunction.from_json(blob)
     assert back.to_json() == blob
     assert back.degree == tree.degree
+

@@ -7,14 +7,21 @@ from hypothesis import given, settings, strategies as st
 from tppverify import sepverify
 from tppverify.groups import MatrixGroupOps
 from tppverify.matrices import Mat
-from tppverify.scalars import GaussRational
-from tppverify.sepfun import Const, PolyApply, SepFunction, lagrange_indicator
-from tppverify.sepverify import SepReport, check_border_value, verify_separating_border
-from tppverify.series import EpsLaurent, InsufficientOrderError
+from tppverify.scalars import GaussRational, QQ
+from tppverify.sepfun import LinearForm, PolyApply, Product, SepFunction, lagrange_indicator
+from tppverify.sepverify import (
+    SepReport,
+    check_border_value,
+    verify_indicator_border,
+    verify_separating,
+    verify_separating_border,
+)
+from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 from tppverify.split import (
     SplitError,
     SplitInputs,
     assemble_split,
+    coordinate_indicators,
     disjoint_lie_split,
 )
 from tppverify.tpp import TppInstance, verify_dpp, verify_tpp_series
@@ -60,7 +67,7 @@ def test_disjoint_split_rejects_intersection():
 
 def base_inputs(q=2, p0=None, yfams=None):
     fx, fz, px, pz = disjoint_lie_split([emat(2, 1, 0)], [emat(2, 0, 1)])
-    return SplitInputs(fx, fz, px, pz, p0 or Const(1),
+    return SplitInputs(fx, fz, px, pz, p0 or Product([]),
                        yfams or [ident_family(2)], q=q)
 
 
@@ -127,7 +134,7 @@ def test_assemble_output_passes_dpp():
 
 def test_spot_check_catches_broken_inverse():
     fx, fz, px, pz = disjoint_lie_split([emat(2, 1, 0)], [emat(2, 0, 1)])
-    bad = SplitInputs(fx, fz, pz, px, Const(1), [ident_family(2)], q=2)  # swapped
+    bad = SplitInputs(fx, fz, pz, px, Product([]), [ident_family(2)], q=2)  # swapped
     with pytest.raises(SplitError):
         assemble_split(bad)
 
@@ -239,7 +246,7 @@ def assembled_family(q, middle, t, order):
                                for row in ([1, 1], [0, 1])])
         inputs = base_inputs(q=q, p0=offset_aware_p0(), yfams=[ident_family(2), short])
     else:
-        p0 = offset_aware_p0() if middle == "offset" else Const(1)
+        p0 = offset_aware_p0() if middle == "offset" else Product([])
         inputs = base_inputs(q=q, p0=p0, yfams=middle_with_constant_offset())
     out = assemble_split(inputs, t=t, order=order, run_dpp_check=False)
     inst = TppInstance(MatrixGroupOps(2), out.xfams, out.yfams_reparam, out.zfams,
@@ -302,3 +309,92 @@ def test_border_sampled_budget_below_one_rejected(budget):
     out, inst = assembled_family(2, "identity", None, 4)
     with pytest.raises(ValueError, match="budget of at least 1"):
         verify_separating_border(out.sep_family, inst, 4, sample_budget=budget)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda inst: verify_separating({}, inst), id="separating"),
+    pytest.param(lambda inst: verify_separating_border({}, inst, 3), id="border"),
+    pytest.param(lambda inst: verify_indicator_border(Product([]), [], sample_budget=5),
+                 id="indicator-no-y"),
+    pytest.param(lambda inst: verify_indicator_border(Product([]), [ident_family(2)], pairs=[]),
+                 id="indicator-no-pairs"),
+])
+def test_empty_inputs_rejected(call):
+    # with nothing to check, each verifier would report pass with checked 0
+    ident = ident_family(2)
+    inst = TppInstance(MatrixGroupOps(2), [ident], [ident.copy()], [ident.copy()], "family")
+    with pytest.raises(ValueError, match="empty"):
+        call(inst)
+
+
+# -- coordinate indicators built by linearity ----------------------------------
+
+def shifted_reference(poly, form, m):
+    """poly(form((M - I)/eps)), with (M - I)/eps built entry by entry."""
+    n = m.rows
+    data = []
+    for idx, x in enumerate(m.data):
+        if idx // n == idx % n:
+            x = x + EpsLaurent.const(-1)
+        data.append(x.shift(-1))
+    return PolyApply(poly, form).eval(Mat(n, n, data))
+
+
+def outcome(thunk):
+    """The value's (coeffs, lo, hi), or the type and text of what it raised."""
+    try:
+        v = thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return v.coeffs, v.lo, v.hi
+
+
+RATIONALS = [QQ(0), QQ(0), QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4)]
+
+
+@st.composite
+def series_entry(draw, diagonal):
+    """A series entry; Laurent and short windows included, or I + O(eps)."""
+    if draw(st.booleans()):
+        lo = 0
+        hi = draw(st.sampled_from([1, 2, 3, INF_ORDER]))
+        coeffs = {0: 1 if diagonal else 0}
+        coeffs.update({e: GaussRational(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+                       for e in range(1, min(hi, 3) + 1)})
+        return EpsLaurent(coeffs, lo=lo, hi=hi)
+    lo = draw(st.integers(-2, 1))
+    hi = draw(st.one_of(st.integers(lo, lo + 3), st.just(INF_ORDER)))
+    coeffs = {e: GaussRational(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+              for e in range(lo, min(hi, lo + 3) + 1)}
+    return EpsLaurent(coeffs, lo=lo, hi=hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_coordinate_indicators_match_shifted_reference(data, n):
+    def coef_mat():
+        return Mat(n, n, [data.draw(st.sampled_from(RATIONALS)) for _ in range(n * n)])
+
+    form = LinearForm(coef_mat(), coef_mat(), coef_mat(), coef_mat())
+    values = data.draw(st.lists(
+        st.builds(GaussRational, st.integers(-2, 2), st.integers(-1, 1)),
+        min_size=1, max_size=3, unique_by=lambda g: (g.re, g.im)))
+    m = Mat(n, n, [data.draw(series_entry(idx // n == idx % n)) for idx in range(n * n)])
+    [nodes] = coordinate_indicators(values, [form])
+    for v in values:
+        got = outcome(lambda: nodes[v].eval(m))
+        want = outcome(lambda: shifted_reference(lagrange_indicator(v, values), form, m))
+        assert got == want
+
+
+def test_coordinate_indicator_keeps_window_of_cancelling_form():
+    # Re and Im of the entry cancel in the form, so form(M) is zero on its
+    # window; its window must still be the one the shifted matrix gives, which
+    # the error text of an unknown constant term reports
+    zero = Mat.zeros(1, 1)
+    form = LinearForm(zero, zero, Mat.from_rows([[1]]), Mat.from_rows([[1]]))
+    m = Mat.from_rows([[EpsLaurent({-1: GaussRational(1, -1)}, lo=-1, hi=0)]])
+    [nodes] = coordinate_indicators([GaussRational(0)], [form])
+    got = outcome(lambda: nodes[GaussRational(0)].eval(m))
+    assert got == outcome(lambda: shifted_reference(lagrange_indicator(0, [0]), form, m))
+    assert got == ("InsufficientOrderError", "coefficient at eps^0 unknown (window [-2,-1])")

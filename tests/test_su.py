@@ -252,12 +252,12 @@ def test_su_p0_contract(constr4):
 
 
 def test_su_p0_planted_violation_detected(constr4):
-    from tppverify.sepfun import Const
+    from tppverify.sepfun import Product
     from tppverify.sepverify import verify_indicator_border
 
     coords, _ = su_y_lattice(constr4, 2, cap=12, seed=8)
     yfams = [mat_exp_trunc(su_s_matrix(constr4, c), 3) for c in coords]
-    rep = verify_indicator_border(Const(1), yfams, sample_budget=80, seed=8)
+    rep = verify_indicator_border(Product([]), yfams, sample_budget=80, seed=8)
     assert rep.verdict == "fail"  # constant 1 cannot vanish on unequal pairs
 
 
@@ -313,13 +313,13 @@ def test_su_assemble_n6_generality():
 def test_su_assemble_detects_planted_constant_p0():
     # planted violation: replacing p0 by the constant 1 must fail separation
     import tppverify.su as su_mod
-    from tppverify.sepfun import Const
+    from tppverify.sepfun import Product
 
     orig = su_mod.su_p0
 
     def fake_p0(constr, q, check_pairs=0, seed=0, yfams=None, coords=None):
         p0, rep = orig(constr, q, check_pairs=0, seed=seed, yfams=None, coords=coords)
-        return Const(1), rep
+        return Product([]), rep
 
     su_mod.su_p0 = fake_p0
     try:
