@@ -269,6 +269,11 @@ def _run_running_example(args):
     # [-q/2, q/2] is the single point 0, which would pass vacuously
     if args.q < 2:
         raise UsageError(f"--q must be at least 2 (got {args.q})")
+    # an empty set leaves nothing to verify
+    if args.set_cap < 1:
+        raise UsageError(f"--set-cap must be at least 1 (got {args.set_cap})")
+    if args.y_count < 1 and not args.border:
+        raise UsageError(f"--y-count must be at least 1 (got {args.y_count})")
     deviations = []
     if args.border:
         p0, yfams, rep = running_border_p0(args.n, args.q, yfam_cap=args.set_cap,

@@ -110,7 +110,11 @@ class MatrixGroupOps:
     @classmethod
     def from_json(cls, obj) -> "MatrixGroupOps":
         _require(obj, "dim")
-        return cls(int(obj["dim"]))
+        try:
+            return cls(int(obj["dim"]))
+        except (TypeError, ValueError):
+            raise GroupFormatError(
+                f"matrix group descriptor has a malformed 'dim': {obj['dim']!r}") from None
 
 
 def _require(obj, *keys):

@@ -47,6 +47,17 @@ def _mat_from_json(rows, mode) -> Mat:
     return Mat.from_rows([[_scalar_from_json(x, mode) for x in row] for row in rows])
 
 
+def _mats_from_json(obj, key, mode) -> list:
+    """The matrices under key; a malformed value there names the key."""
+    try:
+        return [_mat_from_json(m, mode) for m in obj[key]]
+    except InstanceError:
+        raise
+    except (ArithmeticError, LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InstanceError(
+            f"malformed value under {key!r}: {type(exc).__name__}: {exc}") from None
+
+
 def instance_to_json(inst: TppInstance) -> dict:
     if inst.mode == "table":
         elems = {"x": list(inst.x), "y": list(inst.y), "z": list(inst.z)}
@@ -72,6 +83,8 @@ def instance_from_json(obj: dict) -> TppInstance:
             raise InstanceError(f"instance file is missing {key!r}")
     mode = obj.get("mode")
     gobj = obj.get("group", {})
+    if not isinstance(gobj, dict):
+        raise InstanceError(f"the instance's 'group' must be a JSON object (got {gobj!r})")
     if gobj.get("type") == "table":
         if mode != "table":
             raise InstanceError("table group requires table mode")
@@ -81,9 +94,7 @@ def instance_from_json(obj: dict) -> TppInstance:
         if mode not in ("exact", "family"):
             raise InstanceError("matrix group requires exact or family mode")
         group = MatrixGroupOps.from_json(gobj)
-        x = [_mat_from_json(m, mode) for m in obj["x"]]
-        y = [_mat_from_json(m, mode) for m in obj["y"]]
-        z = [_mat_from_json(m, mode) for m in obj["z"]]
+        x, y, z = (_mats_from_json(obj, key, mode) for key in ("x", "y", "z"))
     else:
         raise InstanceError(f"unknown group descriptor {gobj.get('type')!r}")
     return TppInstance(group, x, y, z, mode)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det, mat_minor
+from .matrices import Mat, PackedSeriesMat, _dot, _liftable, lpm as mat_lpm, mat_det, mat_minor
 from .scalars import GaussRational, QQ, as_qq, qq_str
 from .series import INF_ORDER, EpsLaurent
 
@@ -240,6 +240,15 @@ class MinorInvariant(SepFunction):
     conjugation or from the determinant-minor route through Q (valid exactly
     on the group the invariant belongs to); "both" evaluates the two and
     raises on disagreement, flagging arguments outside the group.
+
+    The direct route of p_1 on an exact or series argument is the Hermitian
+    form sum_ij (DMD)_ij conj((DMD)_ij), run on the packed kernel: D is
+    packed once, D M D is two packed products, the conjugate is the same
+    entries with negated imaginary numerators, and the sum is one matmul
+    entry (matrices._dot), unpacked once.  Its window rules are those of
+    the boxed sum of 1x1-minor products, so the value is bit-identical to
+    it; an exact argument gets the constant term.  k >= 2, float arguments
+    and the minor route run the boxed loop over minors.
     """
 
     kind = "pk"
@@ -250,6 +259,8 @@ class MinorInvariant(SepFunction):
         self.q_mat = q_mat
         self._d_conj = d_mat.conj()
         self._d_real = self._d_conj == d_mat
+        packable = k == 1 and all(map(_liftable, d_mat.data))
+        self._d_packed = PackedSeriesMat.pack(d_mat) if packable else None
 
     @property
     def degree(self):
@@ -284,17 +295,32 @@ class MinorInvariant(SepFunction):
                 acc = term if acc is None else acc + term
         return acc
 
+    def _p1_packed(self, m):
+        """p_1 on the packed kernel (see the class docstring)."""
+        dp = self._d_packed
+        dmd = dp.matmul(PackedSeriesMat.pack(m)).matmul(dp)
+        conj = [(lo, hi, v, tuple([(e, re, -im) for e, re, im in t]))
+                for lo, hi, v, t in dmd.entries]
+        val = PackedSeriesMat(1, 1, dmd.den ** 2, [_dot(zip(dmd.entries, conj))])
+        val = val.unpack().data[0]
+        return val if m.has_series_entries() else val.coeff(0)
+
     def eval(self, m, ctx=None):
         ctx = ctx or EvalContext()
         mode = ctx.conj_mode
         d = self.d_mat
-        dmd = _sandwich(d, m, d)
+        packed = self._d_packed is not None and all(map(_liftable, m.data))
+        if mode in ("minor", "both") or not packed:
+            dmd = _sandwich(d, m, d)
         if mode in ("direct", "both"):
-            if self._d_real:
-                dmbard = dmd.conj()  # real D: conj(D M D) = D conj(M) D
+            if packed:
+                direct = self._p1_packed(m)
             else:
-                dmbard = _sandwich(self._d_conj, m.conj(), self._d_conj)
-            direct = self._value(dmd, dmbard)
+                if self._d_real:
+                    dmbard = dmd.conj()  # real D: conj(D M D) = D conj(M) D
+                else:
+                    dmbard = _sandwich(self._d_conj, m.conj(), self._d_conj)
+                direct = self._value(dmd, dmbard)
         if mode in ("minor", "both"):
             viaminor = self._value(dmd, _sandwich(d, self._conj_matrix_minor(m), d))
         if mode == "direct":

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .matrices import PackedSeriesMat, mat_inv_series
 from .scalars import GaussRational, approx_eq
-from .sepfun import EvalContext, Product, SepFunction
+from .sepfun import EvalContext, PolyApply, Product, SepFunction
 from .series import EpsLaurent, InsufficientOrderError
 from .tpp import TppInstance, quotient_product_set
 
@@ -68,24 +68,36 @@ MEMO_CAP = 1 << 14
 
 
 def _shared_nodes(family) -> set:
-    """ids of the nodes that more than one family member reaches.
+    """ids of the nodes that more than one distinct parent reads.
 
-    A member is walked through its Product nodes, the only nodes whose
-    children all see the member's own argument and context.
+    A member is walked through its Product nodes and its PolyApply nodes, the
+    only nodes whose children all see the member's own argument and context.
+    A member's root counts its family key as a parent.  A child read by one
+    parent alone is evaluated once per value of that parent anyway, so only
+    nodes with two or more parents (p0 and the coordinate indicators across
+    members; a coordinate's form argument across the indicator values) are
+    worth a memo entry.
     """
-    reached = {}
-    for fn in family.values():
+    parents = {}
+    for key, fn in family.items():
+        parents.setdefault(id(fn), set()).add(("member", key))
         seen = set()
         stack = [fn]
         while stack:
             node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                if type(node) is Product:
-                    stack.extend(node.children)
-        for key in seen:
-            reached[key] = reached.get(key, 0) + 1
-    return {key for key, count in reached.items() if count > 1}
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if type(node) is Product:
+                children = node.children
+            elif type(node) is PolyApply:
+                children = [node.child]
+            else:
+                continue
+            for child in children:
+                parents.setdefault(id(child), set()).add(id(node))
+                stack.append(child)
+    return {node for node, ps in parents.items() if len(ps) > 1}
 
 
 class _NodeMemo:
@@ -113,18 +125,27 @@ class _NodeMemo:
 
     def eval(self, node, m, mid):
         """node.eval(m, ctx), with shared nodes taken from the memo."""
-        if id(node) in self.shared:
-            if mid is None:
-                return node.eval(m, self.ctx)
+        if id(node) in self.shared and mid is not None:
             key = (id(node), mid)
             v = self.values.get(key)
             if v is None:
-                v = node.eval(m, self.ctx)
+                v = self._compute(node, m, mid)
                 if len(self.values) < self.cap:
                     self.values[key] = v
             return v
+        return self._compute(node, m, mid)
+
+    def _compute(self, node, m, mid):
+        """One node's value, its shared descendants taken from the memo.
+
+        A Product folds its children's values; a PolyApply with a shared
+        argument applies its polynomial to the argument's value.  These are
+        the nodes' own evaluation rules.  Every other node evaluates itself.
+        """
         if type(node) is Product:
             return Product.combine(self.eval(c, m, mid) for c in node.children)
+        if type(node) is PolyApply and id(node.child) in self.shared:
+            return node.poly(self.eval(node.child, m, mid))
         return node.eval(m, self.ctx)
 
 

@@ -12,7 +12,16 @@ S, the eps^2 coefficient of Tr((D*D)^2) - p_1(M) equals
 
     c = sum_{i<j} (d_i^2 - d_j^2)^2 |C[i,j]|^2,   C = U*(A-B)U,
 
-which is zero iff A = B.  On the Gaussian-integer lattice the values of c
+which is zero iff A = B.  2C = W (A-B) W is real-linear in the 2 * complex_dim
+real coordinates x of delta = A - B in S (real and imaginary part of each
+above-diagonal slot, in s_basis order), so c is a quadratic form in them:
+
+    c(delta) = x^T G x,   G[k][l] = sum_{i<j} w_ij Re(b_k[i,j] conj(b_l[i,j])) / 4,
+
+with b_k = W s_k W and w_ij = (d_i^2 - d_j^2)^2.  su_build computes G once,
+as integers over one denominator (41472 at n = 4), and every value of c --
+su_c_from_diff and the achievable-value enumeration alike -- is this form
+evaluated on integers.  On the Gaussian-integer lattice the values of c
 are integer multiples of 1/(2 P^4) with P = n!/(n/2)! -- note this corrects
 the constant 2 (n!)^2 sometimes quoted for this construction, which exact
 arithmetic refutes already at n = 4 (see su_c_value).  The indicator
@@ -91,6 +100,8 @@ class SuConstruction:
     clear_constant: int        # 2 * (n!/(n/2)!)^4
     nominal_constant: int        # 2 * (n!)^2
     coord_slots: list          # (block offset, i, j) per complex coordinate
+    gram: tuple                # c(delta) = x^T gram x / gram_den, integer rows
+    gram_den: int
 
     @property
     def complex_dim(self) -> int:
@@ -147,6 +158,7 @@ def su_build(n: int) -> SuConstruction:
         im_mat[off + i, off + j] = GaussRational(0, 1)
         im_mat[off + j, off + i] = GaussRational(0, 1)
         s_basis.extend([re_mat, im_mat])
+    gram, gram_den = _trace_deficit_gram(w, s_basis, weights)
     return SuConstruction(
         n=n, w_mat=w, d0=d0, d_mat=d_mat, d_inv=d_inv, q_form=q_form,
         s_basis=s_basis,
@@ -155,7 +167,24 @@ def su_build(n: int) -> SuConstruction:
         clear_constant=2 * p_const ** 4,
         nominal_constant=2 * math.factorial(n) ** 2,
         coord_slots=coord_slots,
+        gram=gram,
+        gram_den=gram_den,
     )
+
+
+def _trace_deficit_gram(w: Mat, s_basis, weights):
+    """(G, den): the Gram form of c over s_basis coordinates, G integral.
+
+    b_k = W s_k W is 2C for the k-th basis element, so |2C[i,j]|^2 is
+    sum_kl x_k x_l Re(b_k[i,j] conj(b_l[i,j])); den is the least common
+    denominator of the rational Gram entries.
+    """
+    images = [w.matmul(s).matmul(w) for s in s_basis]
+    rat = [[sum((wt * (bk[i, j] * bl[i, j].conjugate()).re
+                 for (i, j), wt in weights.items()), QQ(0)) / 4
+            for bl in images] for bk in images]
+    den = math.lcm(*(g.denominator for row in rat for g in row))
+    return tuple(tuple(int(g * den) for g in row) for row in rat), den
 
 
 def _half_sandwich(w: Mat, diag_vals) -> Mat:
@@ -222,20 +251,51 @@ def su_y_lattice(constr: SuConstruction, q: int, cap: int | None = None, seed: i
     return coord_tuples, sampled
 
 
+def _scaled_coords(coord_lists):
+    """(vectors, scale): each list's real coordinates times one common scale.
+
+    The real coordinates of a complex coordinate list are the real and
+    imaginary part of each entry, in s_basis order; scale is the least
+    common denominator, so every vector is integral.
+    """
+    reals = []
+    for coords in coord_lists:
+        row = []
+        for c in coords:
+            c = GaussRational.from_any(c)
+            row += (c.re, c.im)
+        reals.append(row)
+    scale = math.lcm(*(v.denominator for row in reals for v in row))
+    return [[int(v * scale) for v in row] for row in reals], scale
+
+
+def _gram_apply(gram, x):
+    """G x for an integer vector x."""
+    return [sum(g * v for g, v in zip(row, x) if v) for row in gram]
+
+
+def _gram_value(gram, x) -> int:
+    """x^T G x for an integer vector x."""
+    return sum(v * gx for v, gx in zip(x, _gram_apply(gram, x)) if v)
+
+
 def su_c_from_diff(constr: SuConstruction, diff: Mat) -> QQ:
-    """c = sum_{i<j} (d_i^2 - d_j^2)^2 |C[i,j]|^2 for C = U* diff U, exact."""
-    n = constr.n
-    cm = constr.w_mat.matmul(diff).matmul(constr.w_mat)  # 2C
-    acc = QQ(0)
-    for (i, j), wt in constr.weights.items():
-        entry = cm[i, j]
-        if isinstance(entry, GaussRational):
-            nrm = entry.norm2()
-        else:
-            nrm = QQ(entry) * QQ(entry)
-        if nrm != 0:
-            acc += wt * nrm / 4
-    return acc
+    """c(delta) for diff = S(delta) in S, exact, from the Gram form.
+
+    delta is read from the coord_slots of diff; a diff outside S (a wrong
+    lower triangle, a nonzero diagonal or off-block entry, or a non-exact
+    entry) raises SuConstructionError.
+    """
+    try:
+        coords = [GaussRational.from_any(diff[off + i, off + j])
+                  for (off, i, j) in constr.coord_slots]
+        in_s = diff == su_s_matrix(constr, coords)
+    except TypeError:
+        in_s = False
+    if not in_s:
+        raise SuConstructionError("the difference is not an element of S")
+    (x,), scale = _scaled_coords([coords])
+    return QQ(_gram_value(constr.gram, x), constr.gram_den * scale * scale)
 
 
 @dataclass
@@ -320,28 +380,33 @@ def su_achievable_c_nodes(constr: SuConstruction, q: int,
 
     Exhaustive when the difference lattice is small enough; otherwise the
     values realized by pairwise differences of the supplied coordinate sample.
+    Either way each value is the Gram form x^T G x on an integer vector: every
+    point of the lattice box, or a - b for sampled a, b as a^T G a + b^T G b
+    - 2 a^T G b.
     """
     _, m = su_lattice_entries(q)
-    d = constr.complex_dim
-    diff_vals = [GaussRational(a, b) for a in range(-2 * m, 2 * m + 1)
-                 for b in range(-2 * m, 2 * m + 1)]
-    total = len(diff_vals) ** d
-    values = set()
-    if total <= diff_cap:
-        for combo in itertools.product(diff_vals, repeat=d):
-            values.add(su_c_from_diff(constr, su_s_matrix(constr, combo)))
+    gram = constr.gram
+    real_dim = 2 * constr.complex_dim
+    if (4 * m + 1) ** real_dim <= diff_cap:
+        span = range(-2 * m, 2 * m + 1)
+        nums = {_gram_value(gram, x) for x in itertools.product(span, repeat=real_dim)}
+        scale = 1
         exhaustive = True
     else:
         if coords_for_sampling is None:
             raise SuConstructionError(
                 "difference lattice too large; supply the coordinate sample"
             )
-        for ca in coords_for_sampling:
-            for cb in coords_for_sampling:
-                diff = tuple(x - y for x, y in zip(ca, cb))
-                values.add(su_c_from_diff(constr, su_s_matrix(constr, diff)))
+        vecs, scale = _scaled_coords(coords_for_sampling)
+        images = [_gram_apply(gram, x) for x in vecs]
+        quads = [sum(v * g for v, g in zip(x, gx)) for x, gx in zip(vecs, images)]
+        nums = set()
+        for a, qa in zip(vecs, quads):
+            for gb, qb in zip(images, quads):
+                nums.add(qa + qb - 2 * sum(v * g for v, g in zip(a, gb) if v))
         exhaustive = False
-    return sorted(values), exhaustive
+    den = constr.gram_den * scale * scale
+    return [QQ(v, den) for v in sorted(nums)], exhaustive
 
 
 def su_p0(constr: SuConstruction, q: int, check_pairs: int = 100, seed: int = 0,

@@ -101,6 +101,11 @@ class TppInstance:
     def _check_distinct(self):
         for name, lst in (("X", self.x), ("Y", self.y), ("Z", self.z)):
             if self.mode == "table":
+                order = self.group.order
+                if any(type(g) is not int or not 0 <= g < order for g in lst):
+                    raise InstanceError(
+                        f"{name} holds an element that is not an index below the "
+                        f"group order {order}")
                 if len(set(lst)) != len(lst):
                     raise InstanceError(f"duplicate element in {name}")
             elif self.mode == "exact":

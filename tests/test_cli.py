@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tppverify import cli
 from tppverify.cli import main
@@ -185,6 +190,15 @@ BAD_INSTANCES = {
                     "x": [], "y": [], "z": []},
     "no-x.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 2},
                   "y": [], "z": []},
+    "dim-two.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": "two"},
+                     "x": [], "y": [], "z": []},
+    "zero-den.json": {"schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 1},
+                      "x": [[["1/0"]]], "y": [], "z": []},
+    "group-list.json": {"schema": 1, "mode": "exact", "group": ["matrix", 2],
+                        "x": [], "y": [], "z": []},
+    "outside-z2.json": {"schema": 1, "mode": "table", "x": [0], "y": [2], "z": [0],
+                        "group": {"type": "table", "table": [[0, 1], [1, 0]],
+                                  "identity": 0}},
 }
 
 ENTRY = {"kind": "entry", "i": 0, "j": 0}
@@ -244,6 +258,20 @@ def sep_verify(sepfile):
                  "matrix group descriptor is missing 'dim'", id="instance-no-dim"),
     pytest.param(["tpp-verify", "--instance", "no-x.json"],
                  "instance file is missing 'x'", id="instance-no-x"),
+    # malformed values, not missing keys: each names the key it was under
+    pytest.param(["tpp-verify", "--instance", "dim-two.json"],
+                 "malformed 'dim': 'two'", id="instance-dim-not-int"),
+    pytest.param(["tpp-verify", "--instance", "zero-den.json"],
+                 "malformed value under 'x': ZeroDivisionError", id="instance-zero-den"),
+    pytest.param(["tpp-verify", "--instance", "group-list.json"],
+                 "'group' must be a JSON object", id="instance-group-not-object"),
+    pytest.param(["tpp-verify", "--instance", "outside-z2.json"],
+                 "Y holds an element that is not an index below the group order 2",
+                 id="instance-element-outside-table"),
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--set-cap", "0"],
+                 "--set-cap must be at least 1", id="running-example-set-cap0"),
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--y-count", "0"],
+                 "--y-count must be at least 1", id="running-example-y-count0"),
     pytest.param(sep_verify("const.json"), "unknown node kind 'const'", id="sep-const"),
     pytest.param(sep_verify("trace.json"), "unknown node kind 'trace'", id="sep-trace"),
     pytest.param(sep_verify("shift.json"), "unknown node kind 'shift_identity'",
@@ -394,3 +422,74 @@ def test_split_assemble_golden_report(capsys):
     code, out = run_cli(GOLDEN_SPLIT_ARGV, capsys)
     assert code == 0
     assert out == canonical_json(GOLDEN_SPLIT)
+
+
+# -- exit-code contract over small argument ranges -------------------------------
+
+def _has_witness(obj) -> bool:
+    """A report names what failed: a witness, or a non-empty failure list."""
+    if isinstance(obj, dict):
+        if obj.get("witness") or obj.get("failures"):
+            return True
+        return any(_has_witness(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_has_witness(v) for v in obj)
+    return False
+
+
+def _table_instance(k, x, y, z):
+    table = [[(i + j) % k for j in range(k)] for i in range(k)]
+    return {"schema": 1, "mode": "table", "x": x, "y": y, "z": z,
+            "group": {"type": "table", "table": table, "identity": 0}}
+
+
+small = st.integers(-1, 4)
+elements = st.lists(st.integers(0, 5), max_size=3, unique=True)
+cli_argv = st.one_of(
+    st.builds(lambda n, q, border, y_count, cap, budget, seed:
+              ["running-example", "--n", str(n), "--q", str(q), "--y-count", str(y_count),
+               "--set-cap", str(cap), "--sample-budget", str(budget), "--seed", str(seed)]
+              + (["--border"] if border else []),
+              st.integers(0, 4), st.integers(-1, 3), st.booleans(), small,
+              st.integers(-1, 8), st.integers(-1, 20), st.integers(0, 3)),
+    st.builds(lambda n, q, trials, pairs, seed:
+              ["su-verify", "--n", str(n), "--q", str(q), "--trials", str(trials),
+               "--pairs", str(pairs), "--seed", str(seed)],
+              st.integers(2, 6), st.integers(-1, 3), small, small, st.integers(0, 3)),
+    st.builds(lambda k, x, y, z, mode, budget, seed:
+              ({"inst.json": _table_instance(k, x, y, z)},
+               ["tpp-verify", "--instance", "inst.json", "--mode", mode,
+                "--sample-budget", str(budget), "--seed", str(seed)]),
+              st.integers(2, 6), elements, elements, elements,
+              st.sampled_from(["auto", "exhaustive", "sampled"]), st.integers(-1, 30),
+              st.integers(0, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv)
+def test_cli_exit_codes_keep_their_contract(case):
+    # 0 pass, 1 fail with a witness, 2 inconclusive, 3 rejected input: never a
+    # crash (4), and never a failure without a witness
+    files, argv = case if isinstance(case, tuple) else ({}, case)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+        report_path = os.path.join(tmp, "report.json")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--no-timestamp", "--output", report_path])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if code == 3:
+            assert not os.path.exists(report_path)
+            return
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert code == {"pass": 0, "fail": 1, "inconclusive": 2}[report["verdict"]]
+        if code == 1:
+            assert _has_witness(report["details"]), (argv, report)

@@ -7,7 +7,8 @@ windows included, and InsufficientOrderError must be raised in exactly the
 same cases.  The packed series determinant is held to the cofactor DP run on
 boxed series (matrices._det_expansion), and LinearForm's series evaluation
 to the boxed sum of coefficient times real or imaginary part, in the same
-way.
+way, and the packed p_1 of MinorInvariant to the boxed k = 1 loop over
+1x1 minors.
 """
 
 import json
@@ -29,7 +30,15 @@ from tppverify.matrices import (
 )
 from tppverify.running_example import running_border_p0
 from tppverify.scalars import GaussRational, QQ
-from tppverify.sepfun import Affine, DivEps, LeadingMinor, LinearForm, SumNode
+from tppverify.sepfun import (
+    Affine,
+    DivEps,
+    EvalContext,
+    LeadingMinor,
+    LinearForm,
+    MinorInvariant,
+    SumNode,
+)
 from tppverify.sepverify import verify_indicator_border
 from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 from tppverify.tpp import (
@@ -475,3 +484,69 @@ def test_linear_form_windows_of_zero_parts():
         want = boxed_linear_form(form, Mat(1, 1, [x]))
         assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
         assert got.lo == lo
+
+
+# -- p_1 (MinorInvariant, k = 1) on series arguments ------------------------------
+
+def boxed_p1(d: Mat, m: Mat):
+    """Oracle: the boxed k = 1 loop, sum over (i, j) of (DMD)_ij conj((DMD)_ij).
+
+    The conjugated factor is D-bar M-bar D-bar, as the boxed loop builds it
+    for a non-real D.
+    """
+    dmd = boxed_matmul(boxed_matmul(d, m), d)
+    dbar = d.conj()
+    dmbard = boxed_matmul(boxed_matmul(dbar, m.conj()), dbar)
+    acc = None
+    for a, b in zip(dmd.data, dmbard.data):
+        term = a * b
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@st.composite
+def p1_and_argument(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(matrices(n, n, st.one_of(st.just(0), rationals, rationals, gauss)))
+    # Laurent entries with short, saturating and unlimited windows, mixed with
+    # exact entries, or an all-exact argument
+    entries = draw(st.sampled_from([series_entries(),
+                                    st.one_of(series_entries(), exact_entries),
+                                    exact_entries]))
+    return d, draw(matrices(n, n, entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p1_and_argument())
+def test_packed_p1_matches_boxed_loop(dm):
+    d, m = dm
+    want = outcome(boxed_p1, d, m)
+    got = outcome(MinorInvariant(1, d).eval, m, EvalContext())
+    if want is InsufficientOrderError or not m.has_series_entries():
+        assert got == want
+        return
+    assert type(got) is EpsLaurent
+    assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
+    qq = type(QQ(0))
+    for c in got.coeffs.values():
+        assert type(c) is GaussRational
+        assert type(c.re) is qq and type(c.im) is qq
+
+
+def test_packed_p1_on_su_arguments():
+    # the y_i^-1 y_j arguments of the su-exhaustive p0 contract, both conj modes
+    from tppverify.su import su_build, su_p1_node, su_s_matrix, su_y_lattice
+
+    constr = su_build(4)
+    coords, _ = su_y_lattice(constr, 2, cap=6, seed=0)
+    ys = [mat_exp_trunc(su_s_matrix(constr, c), 3) for c in coords]
+    node = su_p1_node(constr)
+    for yi in ys:
+        inv = mat_inv_series(yi)
+        for yj in ys:
+            m = inv.matmul(yj)
+            got = node.eval(m, EvalContext())
+            want = boxed_p1(constr.d_mat, m)
+            assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
+            both = node.eval(m, EvalContext(conj_mode="both"))
+            assert (both.coeffs, both.lo, both.hi) == (got.coeffs, got.lo, got.hi)

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tppverify.matrices import Mat, mat_det, mat_exp_trunc
 from tppverify.scalars import GaussRational, QQ
@@ -11,6 +13,7 @@ from tppverify.su import (
     SuConstructionError,
     kvn_inequality_check,
     su_assemble,
+    su_achievable_c_nodes,
     su_build,
     su_c_from_diff,
     su_c_value,
@@ -24,9 +27,43 @@ from tppverify.su import (
 )
 
 
+CONSTR = {n: su_build(n) for n in (4, 6)}
+
+
 @pytest.fixture(scope="module")
 def constr4():
-    return su_build(4)
+    return CONSTR[4]
+
+
+def boxed_c_from_diff(constr, diff):
+    """Oracle: c = sum_{i<j} (d_i^2 - d_j^2)^2 |C[i,j]|^2 with 2C = W diff W.
+
+    Each needed entry of W diff W is its defining double sum, in boxed
+    Gaussian-rational arithmetic (terms with a zero factor of W skipped).
+    """
+    w, n = constr.w_mat, constr.n
+    acc = QQ(0)
+    for (i, j), wt in constr.weights.items():
+        entry = GaussRational(0)
+        for k in range(n):
+            if w[i, k]:
+                for l in range(n):
+                    if w[l, j]:
+                        entry = entry + w[i, k] * GaussRational.from_any(diff[k, l]) * w[l, j]
+        acc += wt * entry.norm2() / 4
+    return acc
+
+
+def boxed_achievable(constr, q, coords=None):
+    """Oracle: the achievable set as the boxed c of each lattice difference."""
+    if coords is None:
+        _, m = su_lattice_entries(q)
+        vals = [GaussRational(a, b) for a in range(-2 * m, 2 * m + 1)
+                for b in range(-2 * m, 2 * m + 1)]
+        diffs = itertools.product(vals, repeat=constr.complex_dim)
+    else:
+        diffs = [[x - y for x, y in zip(ca, cb)] for ca in coords for cb in coords]
+    return sorted({boxed_c_from_diff(constr, su_s_matrix(constr, d)) for d in diffs})
 
 
 @pytest.mark.parametrize("check_pairs", [-1, -4])
@@ -211,8 +248,6 @@ def test_c_zero_iff_equal_sample(constr4):
 
 def test_c_max_scales_linearly_in_q(constr4):
     # the lattice box scales with ceil(sqrt(q)/2)^2 ~ q/4: c_max(8)/c_max(2) = 4
-    from tppverify.su import su_achievable_c_nodes
-
     nodes2, _ = su_achievable_c_nodes(constr4, 2)
     nodes8, _ = su_achievable_c_nodes(constr4, 8)
     assert nodes8[-1] == 4 * nodes2[-1]
@@ -328,3 +363,107 @@ def test_su_assemble_detects_planted_constant_p0():
     finally:
         su_mod.su_p0 = orig
     assert rep.verdict == "fail"
+
+
+# -- the Gram form of the trace deficit against the boxed W diff W oracle -------
+
+small_rationals = st.builds(QQ, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5]))
+
+
+@st.composite
+def coordinate_vectors(draw, integral):
+    n = draw(st.sampled_from([4, 6]))
+    part = st.integers(-4, 4) if integral else small_rationals
+    d = CONSTR[n].complex_dim
+    return n, [GaussRational(draw(part), draw(part)) for _ in range(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coordinate_vectors(True), coordinate_vectors(False)))
+def test_gram_c_matches_boxed_oracle(nd):
+    n, delta = nd
+    constr = CONSTR[n]
+    diff = su_s_matrix(constr, delta)
+    got = su_c_from_diff(constr, diff)
+    assert type(got) is type(QQ(0))
+    assert got == boxed_c_from_diff(constr, diff)
+
+
+def test_gram_clears_with_the_clearing_constant():
+    # 41472 G integral means 41472 c(delta) = x^T (41472 G) x is an integer for
+    # every integer delta, not only on sampled pairs
+    for n in (4, 6):
+        c = CONSTR[n]
+        dim = 2 * c.complex_dim
+        gram = [[QQ(g, c.gram_den) for g in row] for row in c.gram]
+        assert all(gram[k][l] == gram[l][k] for k in range(dim) for l in range(dim))
+        assert all((c.clear_constant * g).denominator == 1 for row in gram for g in row)
+        # the unit vectors give the diagonal of G
+        for k in range(dim):
+            coords = [GaussRational(0)] * c.complex_dim
+            coords[k // 2] = GaussRational(0, 1) if k % 2 else GaussRational(1)
+            assert gram[k][k] == boxed_c_from_diff(c, su_s_matrix(c, coords))
+    assert CONSTR[4].gram_den == CONSTR[4].clear_constant == 41472
+
+
+@pytest.mark.parametrize("q", [2, 8])
+def test_achievable_set_matches_boxed_oracle(q):
+    nodes, exhaustive = su_achievable_c_nodes(CONSTR[4], q)
+    assert exhaustive
+    assert nodes == boxed_achievable(CONSTR[4], q)
+    assert len(nodes) == {2: 44, 8: 287}[q]
+
+
+def test_achievable_sampled_branch_matches_boxed_oracle():
+    constr = CONSTR[6]
+    coords, sampled = su_y_lattice(constr, 2, cap=12, seed=3)
+    assert sampled
+    nodes, exhaustive = su_achievable_c_nodes(constr, 2, coords_for_sampling=coords)
+    assert not exhaustive
+    assert nodes == boxed_achievable(constr, 2, coords)
+
+
+def test_c_from_diff_rejects_matrices_outside_s(constr4):
+    good = su_s_matrix(constr4, [GaussRational(1, 2), GaussRational(-1)])
+    bad = []
+    for (i, j), val in [((0, 0), GaussRational(0, 1)),      # diagonal
+                        ((1, 0), GaussRational(5)),         # lower != -conj(upper)
+                        ((0, 2), GaussRational(1))]:        # off the blocks
+        m = good.copy()
+        m[i, j] = val
+        bad.append(m)
+    bad.append(good.map(EpsLaurent.const))                  # not exact
+    for m in bad:
+        with pytest.raises(SuConstructionError, match="not an element of S"):
+            su_c_from_diff(constr4, m)
+    assert su_c_from_diff(constr4, good) == boxed_c_from_diff(constr4, good)
+
+
+def test_border_evaluates_each_form_once_per_distinct_argument(monkeypatch):
+    # su-exhaustive shape: 4 coordinate forms and 48 distinct M give 192
+    # (form, M) pairs; the indicator values of one form share its argument
+    import tppverify.su as su_mod
+    from tppverify.sepfun import LinearForm
+
+    calls = []
+    inside = []
+    orig_eval = LinearForm.eval
+    orig_verify = su_mod.verify_separating_border
+
+    def counting_eval(self, m, ctx=None):
+        if inside:
+            calls.append((id(self), m.key()))
+        return orig_eval(self, m, ctx)
+
+    def verify(*args, **kwargs):
+        inside.append(True)
+        try:
+            return orig_verify(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LinearForm, "eval", counting_eval)
+    monkeypatch.setattr(su_mod, "verify_separating_border", verify)
+    rep = su_mod.su_assemble(4, 2, sample_budget=1024, seed=0, y_cap=2)
+    assert rep.verdict == "pass" and rep.separating["checked"] == 1024
+    assert len(calls) == len(set(calls)) == 192
