@@ -236,6 +236,9 @@ def _sep_family_json(sep_obj) -> dict:
 
 
 def _run_embed_demo(args):
+    # with no trial no entry of the realized algorithm is checked
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1 (got {args.trials})")
     n = args.group_order
     group = TableGroup.cyclic(n)
     inst = TppInstance(group, list(range(n)), [0], [0], "table")
@@ -343,6 +346,11 @@ def _run_su_construct(args):
 def _run_su_verify(args):
     if args.q < 1:
         raise UsageError(f"--q must be at least 1 (got {args.q})")
+    # no pair or no trial would check nothing and pass
+    if args.pairs < 1:
+        raise UsageError(f"--pairs must be at least 1 (got {args.pairs})")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1 (got {args.trials})")
     constr = su_build(args.n)
     rng = random.Random(args.seed)
     coords, _ = su_y_lattice(constr, args.q, cap=64, seed=args.seed)

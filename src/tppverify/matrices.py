@@ -25,17 +25,38 @@ are bit-identical, windows included, to the boxed sum of series products:
 - coefficients beyond the entry's hi are dropped, never fabricated, and
   coefficients that cancel to zero are not stored.
 
+Entrywise operations follow the other EpsLaurent rules on numerators:
+
+- add brings both operands over the lcm of their denominators; an entry's
+  window is [min lo, min hi], coefficients beyond that hi are dropped and
+  sums that cancel to zero are not stored (EpsLaurent.__add__);
+- negate flips the sign of every numerator and keeps the window;
+- shift by eps^k moves exponents and both edges by k, an unlimited hi
+  staying unlimited (EpsLaurent.shift);
+- truncate to h keeps the coefficients up to min(h, hi), which becomes the
+  new hi, and lowers lo to it when lo was above (EpsLaurent.truncate);
+- reduced divides the denominator and every numerator by their common gcd,
+  which gives the lcm of the reduced coefficient denominators, as pack does;
+  key() is that reduced form, so equal matrices, windows included, share one
+  key whatever denominator they were computed over.
+
 The determinant of a series matrix whose other entries are exact runs the
 same DP on the packed kernel.  The matrix is packed once, exact entries
 lifted as above; each new DP state is one _dot over a row, the signed sum of
 state * entry terms (a sign is a negated entry), so the window rules are
-those of a matmul entry.  Every state of row i is over den^(i+1), and the
-determinant is unpacked once over den^n.  Its entries are bit-identical,
-windows included, to the DP run on boxed series.  A 1x1 matrix returns its
-entry object unchanged.
+those of a matmul entry.  Every state of row i is over den^(i+1), so the
+determinant is a 1x1 packed matrix over den^n.  Its entries are
+bit-identical, windows included, to the DP run on boxed series.  A 1x1
+matrix returns its entry object unchanged.
 
-Chains of products (the TPP/DPP products and the separation arguments) stay
-packed between factors and are unpacked only where boxed series are needed.
+The inverse of a series matrix is the Neumann series run on the packed
+kernel: with C the exact inverse of the constant term and N = C M - I,
+M^-1 = (sum_k (-N)^k) C, summed until a term is zero on its window or for
+hi terms, and truncated to the smallest hi of M; the result is reduced.
+
+Chains of products (the TPP/DPP products, the Y inverses and the separation
+arguments) stay packed from factor to verdict; mat_det, lpm and
+mat_inv_series take and return boxed matrices, packing and unpacking once.
 """
 
 from __future__ import annotations
@@ -256,6 +277,16 @@ class PackedSeriesMat:
         self.entries = entries
 
     @classmethod
+    def scalar(cls, x) -> "PackedSeriesMat":
+        """A series or exact scalar as a 1x1 packed matrix."""
+        return cls.pack(Mat(1, 1, [x]))
+
+    @classmethod
+    def identity(cls, n: int) -> "PackedSeriesMat":
+        return cls(n, n, 1, [_ONE_ENTRY if i == j else _ZERO_ENTRY
+                             for i in range(n) for j in range(n)])
+
+    @classmethod
     def pack(cls, m: Mat) -> "PackedSeriesMat":
         """Pack series entries; exact entries become constant series."""
         lifted = [x if isinstance(x, EpsLaurent) else EpsLaurent.const(x) for x in m.data]
@@ -311,6 +342,149 @@ class PackedSeriesMat:
             for col in cols:
                 out.append(_dot(zip(arow, col)))
         return PackedSeriesMat(n, m, self.den * other.den, out)
+
+    # -- entrywise operations (rules in the module docstring) -----------------
+    def add(self, other: "PackedSeriesMat") -> "PackedSeriesMat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ExactArithmeticError("matrix shape mismatch")
+        da, db = self.den, other.den
+        den = da if da == db else math.lcm(da, db)
+        sa, sb = den // da, den // db
+        return PackedSeriesMat(self.rows, self.cols, den,
+                               [_add_entry(a, b, sa, sb)
+                                for a, b in zip(self.entries, other.entries)])
+
+    def neg(self) -> "PackedSeriesMat":
+        return PackedSeriesMat(self.rows, self.cols, self.den,
+                               [(lo, hi, v, tuple([(e, -re, -im) for e, re, im in t]))
+                                for lo, hi, v, t in self.entries])
+
+    def shift(self, k: int) -> "PackedSeriesMat":
+        """Multiply by eps^k (k may be negative)."""
+        out = []
+        for lo, hi, _, t in self.entries:
+            hi = hi + k if hi < INF_ORDER else INF_ORDER
+            t = tuple([(e + k, re, im) for e, re, im in t])
+            out.append((lo + k, hi, t[0][0] if t else hi, t))
+        return PackedSeriesMat(self.rows, self.cols, self.den, out)
+
+    def truncate(self, h: int) -> "PackedSeriesMat":
+        """Restrict every entry's window to hi <= h."""
+        out = []
+        for lo, hi, _, t in self.entries:
+            if h < hi:
+                hi = h
+                t = tuple([x for x in t if x[0] <= h])
+            out.append((lo if lo < hi else hi, hi, t[0][0] if t else hi, t))
+        return PackedSeriesMat(self.rows, self.cols, self.den, out)
+
+    def reduced(self) -> "PackedSeriesMat":
+        """The same matrix over the smallest common denominator."""
+        g = math.gcd(self.den, *[x for _, _, _, t in self.entries
+                                 for _, re, im in t for x in (re, im)])
+        if g == 1:
+            return self
+        return PackedSeriesMat(self.rows, self.cols, self.den // g,
+                               [(lo, hi, v, tuple([(e, re // g, im // g) for e, re, im in t]))
+                                for lo, hi, v, t in self.entries])
+
+    def key(self):
+        """Hashable exact-identity key: equal matrices share it."""
+        return self.reduced().lowest_terms_key()
+
+    def lowest_terms_key(self):
+        """key() of a matrix already in lowest terms, without the gcd scan."""
+        return (self.rows, self.cols, self.den, tuple(self.entries))
+
+    # -- blocks, determinant, inverse -----------------------------------------
+    def entry(self, i: int, j: int) -> "PackedSeriesMat":
+        return PackedSeriesMat(1, 1, self.den, [self.entries[i * self.cols + j]])
+
+    def submatrix(self, keep_rows, keep_cols) -> "PackedSeriesMat":
+        keep_rows, keep_cols = list(keep_rows), list(keep_cols)
+        cols, entries = self.cols, self.entries
+        return PackedSeriesMat(len(keep_rows), len(keep_cols), self.den,
+                               [entries[i * cols + j] for i in keep_rows for j in keep_cols])
+
+    def det(self) -> "PackedSeriesMat":
+        """Cofactor DP on the packed kernel: each state is one _dot over its row.
+
+        Every state of row i has the denominator den^(i+1), so the
+        determinant is a 1x1 matrix over den^n.  A 1x1 matrix is its own
+        determinant.
+        """
+        n = self.rows
+        if n != self.cols:
+            raise ExactArithmeticError("determinant of non-square matrix")
+        if n == 1:
+            return self
+        entries = self.entries
+        negated = self.neg().entries
+
+        def combine(terms):
+            return _dot([(sub, negated[k] if negate else entries[k]) for sub, k, negate in terms])
+
+        return PackedSeriesMat(1, 1, self.den ** n, [_cofactor_dp(n, entries, combine)])
+
+    def inverse(self) -> "PackedSeriesMat":
+        """Inverse of a matrix with invertible constant term (Neumann series)."""
+        n = self.rows
+        if n != self.cols:
+            raise ExactArithmeticError("inverse of non-square matrix")
+        if max(lo for lo, _, _, _ in self.entries) > 0:
+            raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
+        hi = min(h for _, h, _, _ in self.entries)
+        c0 = []
+        for lo, h, _, t in self.entries:
+            if h < 0:
+                raise InsufficientOrderError(
+                    f"coefficient at eps^0 unknown (window [{lo},{h}])")
+            re, im = next(((re, im) for e, re, im in t if e == 0), (0, 0))
+            c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
+        c0_inv = PackedSeriesMat.pack(mat_inv_exact(Mat(n, n, c0)))
+        ident = PackedSeriesMat.identity(n)
+        nmat = c0_inv.matmul(self).add(ident.neg())  # valuation >= 1 on the window
+        if hi >= INF_ORDER and any(t for _, _, _, t in nmat.entries):
+            raise ExactArithmeticError("series matrix inverse needs a finite window")
+        acc = term = ident
+        for _ in range(hi):
+            term = term.matmul(nmat).neg()
+            if not any(t for _, _, _, t in term.entries):
+                break
+            acc = acc.add(term)
+        # the Neumann bound guarantees validity to the window edge
+        return acc.matmul(c0_inv).truncate(hi).reduced()
+
+    def unpack_scalar(self):
+        """The boxed entry of a 1x1 packed matrix."""
+        return self.unpack().data[0]
+
+
+def _const_entry(re, im):
+    """The exact constant (re + i im)/den as a packed entry (unlimited window)."""
+    return (0, INF_ORDER, 0, ((0, re, im),)) if re or im else (0, INF_ORDER, INF_ORDER, ())
+
+
+_ONE_ENTRY = _const_entry(1, 0)
+_ZERO_ENTRY = _const_entry(0, 0)
+
+
+def _add_entry(a, b, sa, sb):
+    """One entry of a + b, the numerators of a scaled by sa and those of b by sb."""
+    lo1, hi1, _, t1 = a
+    lo2, hi2, _, t2 = b
+    lo = lo1 if lo1 < lo2 else lo2
+    hi = hi1 if hi1 < hi2 else hi2
+    acc = {}
+    for e, re, im in t1:
+        if e <= hi:
+            acc[e] = (re * sa, im * sa)
+    for e, re, im in t2:
+        if e <= hi:
+            s = acc.get(e)
+            acc[e] = (re * sb, im * sb) if s is None else (s[0] + re * sb, s[1] + im * sb)
+    terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
+    return lo, hi, terms[0][0] if terms else hi, terms
 
 
 def _dot(pairs):
@@ -378,7 +552,7 @@ def mat_det(m: Mat):
         return m.data[0]
     series = m.has_series_entries()
     if series and all(_liftable(x) for x in m.data):
-        return _det_packed(m)
+        return PackedSeriesMat.pack(m).det().unpack_scalar()
     if series or any(isinstance(x, complex) for x in m.data):
         return _det_expansion(m)
     return _det_bareiss(m)
@@ -465,24 +639,6 @@ def _det_expansion(m: Mat):
     return _cofactor_dp(m.rows, data, combine)
 
 
-def _det_packed(m: Mat):
-    """Cofactor DP on the packed kernel: each state is one _dot over its row.
-
-    Every state of row i has the denominator den^(i+1), so the determinant
-    is unpacked once over den^n.
-    """
-    p = PackedSeriesMat.pack(m)
-    entries = p.entries
-    negated = [(lo, hi, v, tuple([(e, -re, -im) for e, re, im in t]))
-               for lo, hi, v, t in entries]
-
-    def combine(terms):
-        return _dot([(sub, negated[k] if negate else entries[k]) for sub, k, negate in terms])
-
-    det = _cofactor_dp(m.rows, entries, combine)
-    return PackedSeriesMat(1, 1, p.den ** m.rows, [det]).unpack().data[0]
-
-
 def mat_minor(m: Mat, keep_rows=None, keep_cols=None, drop_rows=None, drop_cols=None):
     """Determinant of the submatrix selected by kept or dropped index sets."""
     if keep_rows is None:
@@ -498,13 +654,17 @@ def mat_minor(m: Mat, keep_rows=None, keep_cols=None, drop_rows=None, drop_cols=
     return mat_det(m.submatrix(keep_rows, keep_cols))
 
 
-def lpm(m: Mat, j: int):
-    """j-th leading principal minor: det of the upper-left j x j block."""
+def lpm(m, j: int):
+    """j-th leading principal minor: det of the upper-left j x j block.
+
+    A packed matrix gives the packed determinant of its block.
+    """
     if j < 0 or j > min(m.rows, m.cols):
         raise ExactArithmeticError(f"lpm index {j} out of range")
     if j == 0:
         return 1
-    return mat_det(m.submatrix(range(j), range(j)))
+    block = m.submatrix(range(j), range(j))
+    return block.det() if isinstance(block, PackedSeriesMat) else mat_det(block)
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +710,6 @@ def mat_to_series(m: Mat) -> "Mat":
     return m.map(lift)
 
 
-def series_window(m: Mat) -> tuple:
-    """Common guaranteed window of a series matrix."""
-    lo = max(x.lo for x in m.data if isinstance(x, EpsLaurent))
-    hi = min(x.hi for x in m.data if isinstance(x, EpsLaurent))
-    return lo, hi
-
-
 def mat_exp_trunc(a: Mat, order: int) -> "Mat":
     """Truncated exponential sum_{k<=order} eps^k a^k / k!, window [0, order].
 
@@ -589,32 +742,11 @@ def mat_exp_trunc(a: Mat, order: int) -> "Mat":
 
 
 def mat_inv_series(m: Mat) -> "Mat":
-    """Inverse of a series matrix with invertible constant term (Neumann)."""
-    n = m.rows
-    if not m.is_square:
-        raise ExactArithmeticError("inverse of non-square matrix")
-    m = mat_to_series(m)
-    lo, hi = series_window(m)
-    if lo > 0:
-        raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
-    c0 = m.map(lambda x: x.coeff(0))
-    c0_inv = mat_inv_exact(c0)
-    c0_inv_s = mat_to_series(c0_inv)
-    ident = Mat.identity(n, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
-    nmat = c0_inv_s.matmul(m) - ident  # valuation >= 1 on the window
-    width = min(hi, INF_ORDER)
-    if width >= INF_ORDER and any(x.is_certified_nonzero() for x in nmat.data):
-        raise ExactArithmeticError("series matrix inverse needs a finite window")
-    acc = ident
-    term = ident
-    for _ in range(width):
-        term = term.matmul(nmat).map(lambda x: -x)
-        if all(x.is_zero_on_window() for x in term.data):
-            break
-        acc = acc + term
-    out = acc.matmul(c0_inv_s)
-    # the Neumann bound guarantees validity to the window edge
-    return out.map(lambda x: x.truncate(hi))
+    """Inverse of a series matrix with invertible constant term (Neumann).
+
+    Runs PackedSeriesMat.inverse on m packed once; exact entries are lifted.
+    """
+    return PackedSeriesMat.pack(m).inverse().unpack()
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,39 @@ polynomials, products and sums).  Tracked degree is an upper bound on the
 true total degree in the matrix entries (eps excluded), exact for products
 and sums of the primitives used here.
 
+Series arguments are evaluated on the packed kernel (matrices.PackedSeriesMat):
+a packed argument gives a packed value, a 1x1 PackedSeriesMat, which stays
+packed through every node; a Mat with series entries is packed once and its
+value unpacked once (SepFunction.eval).  Exact and float arguments keep
+their boxed rules.
+
 Univariate polynomials are kept in product form scale * prod (x - root) and
 applied to series via their exact Taylor expansion around the argument's
-constant term, so an indicator polynomial with hundreds of roots costs only
-a handful of series multiplications per evaluation (the Taylor coefficients
-are cached per expansion point).
+constant term c, so an indicator polynomial with hundreds of roots costs only
+a handful of series multiplications per evaluation.  The Taylor coefficients
+are computed on Gaussian integers over one denominator: with c and the roots
+over L = lcm(den c, den roots), each factor c + h - r_i is (B_i + L h)/L for
+a Gaussian integer B_i, and the recurrence P_k <- P_k B_i + P_(k-1) builds
+the coefficients P_k of prod (B_i + u), so the h^k coefficient is
+scale * P_k * L^k / L^deg.  They are cached per expansion point.
 """
 
 from __future__ import annotations
 
 import math
 
-from .matrices import Mat, PackedSeriesMat, _dot, _liftable, lpm as mat_lpm, mat_det, mat_minor
-from .scalars import GaussRational, QQ, as_qq, qq_str
-from .series import INF_ORDER, EpsLaurent
+from .matrices import (
+    Mat,
+    PackedSeriesMat,
+    _const_entry,
+    _dot,
+    _liftable,
+    lpm as mat_lpm,
+    mat_det,
+    mat_minor,
+)
+from .scalars import GaussRational, as_qq, qq_str
+from .series import INF_ORDER, EpsLaurent, InsufficientOrderError
 
 
 class SepFunctionError(ValueError):
@@ -39,12 +58,21 @@ class SepFunctionError(ValueError):
 # Univariate polynomials in product form around exact roots
 # ---------------------------------------------------------------------------
 
+def _over_common_den(values):
+    """(numerator pairs, den): Gaussian rationals over their lcm denominator."""
+    den = math.lcm(1, *(d for v in values for d in (v.re.denominator, v.im.denominator)))
+    return [(v.re.numerator * (den // v.re.denominator),
+             v.im.numerator * (den // v.im.denominator)) for v in values], den
+
+
 class UniPoly:
     """The univariate polynomial scale * prod (x - root_i)."""
 
     def __init__(self, roots, scale=1):
         self.roots = [GaussRational.from_any(r) for r in roots]
         self.scale = GaussRational.from_any(scale)
+        self._roots_num, self._roots_den = _over_common_den(self.roots)
+        (self._scale_num,), self._scale_den = _over_common_den([self.scale])
         self._taylor_cache: dict = {}
 
     @property
@@ -65,48 +93,95 @@ class UniPoly:
             acc *= x - complex(r)
         return acc
 
-    def taylor(self, c: GaussRational, order: int):
-        """Exact Taylor coefficients of p(c + h) in h, up to h^order."""
+    def taylor(self, c, order: int):
+        """Taylor coefficients of p(c + h) in h up to h^order, on integers.
+
+        c is (re, im, den) in lowest terms.  Returns (numerators, den): the
+        coefficient of h^k is (re_k + i im_k) / den, the numerator pairs
+        and den divided by their common gcd (see the module docstring).
+        """
         cached = self._taylor_cache.get(c)
-        if cached is not None and len(cached) > order:
-            return cached[: order + 1]
+        if cached is not None and len(cached[0]) > order:
+            return cached
+        c_re, c_im, c_den = c
+        den_l = math.lcm(c_den, self._roots_den)
+        sc, sr = den_l // c_den, den_l // self._roots_den
+        c_re, c_im = c_re * sc, c_im * sc
         order_full = min(order, self.degree)
-        t = [GaussRational(1)] + [GaussRational(0)] * order_full
+        p_re = [1] + [0] * order_full
+        p_im = [0] * (order_full + 1)
         deg_so_far = 0
-        for r in self.roots:
-            base = c - r
+        for r_re, r_im in self._roots_num:
+            b_re, b_im = c_re - r_re * sr, c_im - r_im * sr
             deg_so_far = min(deg_so_far + 1, order_full)
             for k in range(deg_so_far, 0, -1):
-                t[k] = t[k] * base + t[k - 1]
-            t[0] = t[0] * base
-        t = [self.scale * x for x in t]
-        t = t + [GaussRational(0)] * (order + 1 - len(t))
-        self._taylor_cache[c] = t
-        return t[: order + 1]
+                x_re, x_im = p_re[k], p_im[k]
+                p_re[k] = x_re * b_re - x_im * b_im + p_re[k - 1]
+                p_im[k] = x_re * b_im + x_im * b_re + p_im[k - 1]
+            x_re, x_im = p_re[0], p_im[0]
+            p_re[0] = x_re * b_re - x_im * b_im
+            p_im[0] = x_re * b_im + x_im * b_re
+        s_re, s_im = self._scale_num
+        den = self._scale_den * den_l ** self.degree
+        nums = []
+        for k in range(order_full + 1):
+            re, im = p_re[k] * den_l ** k, p_im[k] * den_l ** k
+            nums.append((s_re * re - s_im * im, s_re * im + s_im * re))
+        nums += [(0, 0)] * (order + 1 - len(nums))
+        g = math.gcd(den, *[x for pair in nums for x in pair])
+        out = [(re // g, im // g) for re, im in nums], den // g
+        self._taylor_cache[c] = out
+        return out
 
-    def eval_series(self, x: EpsLaurent) -> EpsLaurent:
-        c = x.coeff(0)  # raises loudly if the constant term is unknown
-        h = x - EpsLaurent.const(c)
-        neg = any(e < 0 for e in h.coeffs)
-        if neg:
+    def eval_series(self, x):
+        """p(x) for a series x: a packed 1x1 value, or a boxed EpsLaurent.
+
+        The rules are those of the boxed expansion: h = x - c with c the
+        constant term (an unknown one raises), all degree powers of h when h
+        has a negative power, else as many as x's window reaches; the sum
+        const(t_0) + sum t_k h^k of series products, and a nonconstant p
+        truncated to x's own window.
+        """
+        if isinstance(x, EpsLaurent):
+            return self._eval_packed(PackedSeriesMat.scalar(x)).unpack_scalar()
+        return self._eval_packed(x)
+
+    def _eval_packed(self, x: PackedSeriesMat) -> PackedSeriesMat:
+        lo, hi, _, terms = x.entries[0]
+        if hi < 0:
+            raise InsufficientOrderError(f"coefficient at eps^0 unknown (window [{lo},{hi}])")
+        den = x.den
+        c_re, c_im = next(((re, im) for e, re, im in terms if e == 0), (0, 0))
+        g = math.gcd(c_re, c_im, den)
+        # h = x - c: x's terms without eps^0, on the window [min(lo, 0), hi]
+        h_terms = tuple([t for t in terms if t[0] != 0])
+        h = (min(lo, 0), hi, h_terms[0][0] if h_terms else hi, h_terms)
+        if h_terms and h_terms[0][0] < 0:
             needed = self.degree
         else:
-            needed = min(self.degree, max(x.hi, 0) if x.hi < 10 ** 8 else self.degree)
-        t = self.taylor(c, needed)
-        acc = EpsLaurent.const(t[0])
-        if needed >= 1:
-            hpow = h
-            acc = acc + t[1] * hpow
-            for i in range(2, needed + 1):
-                hpow = hpow * h
-                acc = acc + t[i] * hpow
+            needed = min(self.degree, hi if hi < 10 ** 8 else self.degree)
+        nums, t_den = self.taylor((c_re // g, c_im // g, den // g), needed)
+        # every t_k h^k over t_den * den^needed: t_k carries den^(needed - k)
+        pairs = []
+        hpow = h
+        for k in range(1, needed + 1):
+            if k > 1:
+                hpow = _dot([(hpow, h)])
+            f = den ** (needed - k)
+            re, im = nums[k]
+            pairs.append((_const_entry(re * f, im * f), hpow))
+        sum_den = t_den * den ** needed
+        f = den ** needed
+        val = PackedSeriesMat(1, 1, sum_den, [_const_entry(nums[0][0] * f, nums[0][1] * f)])
+        if pairs:
+            val = val.add(PackedSeriesMat(1, 1, sum_den, [_dot(pairs)]))
         # a nonconstant polynomial of x is never known beyond x's own window
         if self.degree >= 1:
-            acc = acc.truncate(min(acc.hi, x.hi))
-        return acc
+            val = val.truncate(hi)
+        return val.reduced()
 
     def __call__(self, x):
-        if isinstance(x, EpsLaurent):
+        if isinstance(x, (EpsLaurent, PackedSeriesMat)):
             return self.eval_series(x)
         if isinstance(x, complex):
             return self.eval_float(x)
@@ -161,7 +236,11 @@ class EvalContext:
 
 
 class SepFunction:
-    """Base class; subclasses implement eval(M, ctx) and degree."""
+    """Base class; subclasses implement _eval(M, ctx) and degree.
+
+    _eval receives a PackedSeriesMat or an exact or float Mat; children are
+    evaluated through eval, so an instance's eval can be wrapped.
+    """
 
     kind = "abstract"
 
@@ -169,7 +248,16 @@ class SepFunction:
     def degree(self) -> int:
         raise NotImplementedError
 
-    def eval(self, m: Mat, ctx: EvalContext | None = None):
+    def eval(self, m, ctx: EvalContext | None = None):
+        """The value at m: packed for a packed m, boxed for a series Mat
+        (packed once, its value unpacked once), a scalar otherwise."""
+        ctx = ctx or EvalContext()
+        if type(m) is Mat and m.has_series_entries() and all(map(_liftable, m.data)):
+            value = self._eval(PackedSeriesMat.pack(m), ctx)
+            return value.unpack_scalar() if isinstance(value, PackedSeriesMat) else value
+        return self._eval(m, ctx)
+
+    def _eval(self, m, ctx: EvalContext):
         raise NotImplementedError
 
     def __call__(self, m: Mat, ctx: EvalContext | None = None):
@@ -201,8 +289,8 @@ class Entry(SepFunction):
     def degree(self):
         return 1
 
-    def eval(self, m, ctx=None):
-        return m[self.i, self.j]
+    def _eval(self, m, ctx):
+        return m.entry(self.i, self.j) if isinstance(m, PackedSeriesMat) else m[self.i, self.j]
 
     def to_json(self):
         return {"kind": self.kind, "i": self.i, "j": self.j}
@@ -222,7 +310,7 @@ class LeadingMinor(SepFunction):
     def degree(self):
         return self.j
 
-    def eval(self, m, ctx=None):
+    def _eval(self, m, ctx):
         return mat_lpm(m, self.j)
 
     def to_json(self):
@@ -245,10 +333,11 @@ class MinorInvariant(SepFunction):
     form sum_ij (DMD)_ij conj((DMD)_ij), run on the packed kernel: D is
     packed once, D M D is two packed products, the conjugate is the same
     entries with negated imaginary numerators, and the sum is one matmul
-    entry (matrices._dot), unpacked once.  Its window rules are those of
+    entry (matrices._dot), a packed value.  Its window rules are those of
     the boxed sum of 1x1-minor products, so the value is bit-identical to
     it; an exact argument gets the constant term.  k >= 2, float arguments
-    and the minor route run the boxed loop over minors.
+    and the minor route run the boxed loop over minors (a packed argument
+    is unpacked for them, and their value packed).
     """
 
     kind = "pk"
@@ -295,26 +384,29 @@ class MinorInvariant(SepFunction):
                 acc = term if acc is None else acc + term
         return acc
 
-    def _p1_packed(self, m):
+    def _p1_packed(self, m: PackedSeriesMat) -> PackedSeriesMat:
         """p_1 on the packed kernel (see the class docstring)."""
         dp = self._d_packed
-        dmd = dp.matmul(PackedSeriesMat.pack(m)).matmul(dp)
+        dmd = dp.matmul(m).matmul(dp)
         conj = [(lo, hi, v, tuple([(e, re, -im) for e, re, im in t]))
                 for lo, hi, v, t in dmd.entries]
-        val = PackedSeriesMat(1, 1, dmd.den ** 2, [_dot(zip(dmd.entries, conj))])
-        val = val.unpack().data[0]
-        return val if m.has_series_entries() else val.coeff(0)
+        return PackedSeriesMat(1, 1, dmd.den ** 2, [_dot(zip(dmd.entries, conj))])
 
-    def eval(self, m, ctx=None):
-        ctx = ctx or EvalContext()
+    def _eval(self, m, ctx):
         mode = ctx.conj_mode
+        if isinstance(m, PackedSeriesMat):
+            if mode == "direct" and self._d_packed is not None:
+                return self._p1_packed(m)
+            return PackedSeriesMat.scalar(self._eval(m.unpack(), ctx))
         d = self.d_mat
         packed = self._d_packed is not None and all(map(_liftable, m.data))
         if mode in ("minor", "both") or not packed:
             dmd = _sandwich(d, m, d)
         if mode in ("direct", "both"):
             if packed:
-                direct = self._p1_packed(m)
+                direct = self._p1_packed(PackedSeriesMat.pack(m)).unpack_scalar()
+                if not m.has_series_entries():
+                    direct = direct.coeff(0)
             else:
                 if self._d_real:
                     dmbard = dmd.conj()  # real D: conj(D M D) = D conj(M) D
@@ -371,12 +463,18 @@ class Sandwich(SepFunction):
         self.l_mat = l_mat
         self.r_mat = r_mat
         self.child = child
+        self._packed = None
 
     @property
     def degree(self):
         return self.child.degree
 
-    def eval(self, m, ctx=None):
+    def _eval(self, m, ctx):
+        if isinstance(m, PackedSeriesMat):
+            if self._packed is None:
+                self._packed = (PackedSeriesMat.pack(self.l_mat), PackedSeriesMat.pack(self.r_mat))
+            l_p, r_p = self._packed
+            return self.child.eval(l_p.matmul(m).matmul(r_p), ctx)
         return self.child.eval(_sandwich(self.l_mat, m, self.r_mat), ctx)
 
     def to_json(self):
@@ -396,8 +494,8 @@ class LinearForm(SepFunction):
              + i * sum_jk [ ir[j,k] Re M[j,k] + ii[j,k] Im M[j,k] ]
     with exact rational coefficient matrices.  eps is real, so Re and Im act
     on series coefficientwise.  Evaluation always runs on the packed integer
-    path (exact entries are lifted to constant series); an exact argument
-    gets that path's constant term.
+    path and gives a packed value; an exact argument is packed (its entries
+    lifted to constant series) and gets that value's constant term.
     """
 
     kind = "linear_form"
@@ -421,11 +519,12 @@ class LinearForm(SepFunction):
     def degree(self):
         return 1
 
-    def eval(self, m, ctx=None):
-        v = self._eval_packed(m)
-        return v if m.has_series_entries() else v.coeff(0)
+    def _eval(self, m, ctx):
+        if isinstance(m, PackedSeriesMat):
+            return self._eval_packed(m)
+        return self._eval_packed(PackedSeriesMat.pack(m)).unpack_scalar().coeff(0)
 
-    def _eval_packed(self, m):
+    def _eval_packed(self, entries: PackedSeriesMat) -> PackedSeriesMat:
         """The boxed sum of coef_r * Re(x) + coef_i * Im(x), on integers.
 
         Each term's window is that of a product with an exact nonzero
@@ -435,7 +534,6 @@ class LinearForm(SepFunction):
         with a nonzero coefficient, starting from the constant 0, and keeps no
         coefficient beyond its hi.
         """
-        entries = PackedSeriesMat.pack(m)
         lo, hi = 0, INF_ORDER
         re_acc = {}
         im_acc = {}
@@ -457,15 +555,10 @@ class LinearForm(SepFunction):
                         im_acc[e] = im_acc.get(e, 0) + coef_im * x
                 if v < lo:
                     lo = v
-        den = self._den * entries.den
-        cc = {}
-        for e in sorted(re_acc):
-            re, im = re_acc[e], im_acc[e]
-            if e <= hi and (re or im):
-                cc[e] = GaussRational.from_qq(QQ(re, den), QQ(im, den))
-        out = EpsLaurent.zero()
-        out.coeffs, out.lo, out.hi = cc, lo, hi
-        return out
+        terms = tuple([(e, re_acc[e], im_acc[e]) for e in sorted(re_acc)
+                       if e <= hi and (re_acc[e] or im_acc[e])])
+        return PackedSeriesMat(1, 1, self._den * entries.den,
+                               [(lo, hi, terms[0][0] if terms else hi, terms)])
 
     def to_json(self):
         def ser(mat):
@@ -491,7 +584,7 @@ class PolyApply(SepFunction):
     def degree(self):
         return self.poly.degree * self.child.degree
 
-    def eval(self, m, ctx=None):
+    def _eval(self, m, ctx):
         return self.poly(self.child.eval(m, ctx))
 
     def to_json(self):
@@ -517,10 +610,10 @@ class Product(SepFunction):
         """The left-to-right product of values, and 1 when there are none."""
         acc = None
         for v in values:
-            acc = v if acc is None else acc * v
+            acc = v if acc is None else _mul(acc, v)
         return acc if acc is not None else GaussRational(1)
 
-    def eval(self, m, ctx=None):
+    def _eval(self, m, ctx):
         return self.combine(c.eval(m, ctx) for c in self.children)
 
     def to_json(self):
@@ -541,11 +634,11 @@ class SumNode(SepFunction):
     def degree(self):
         return max((c.degree for c in self.children), default=0)
 
-    def eval(self, m, ctx=None):
+    def _eval(self, m, ctx):
         acc = None
         for c in self.children:
             v = c.eval(m, ctx)
-            acc = v if acc is None else acc + v
+            acc = v if acc is None else _add(acc, v)
         return acc if acc is not None else GaussRational(0)
 
     def to_json(self):
@@ -565,16 +658,18 @@ class Affine(SepFunction):
         self.a = GaussRational.from_any(a)
         self.b = GaussRational.from_any(b)
         self.child = child
+        self._packed = PackedSeriesMat.scalar(self.a), PackedSeriesMat.scalar(self.b)
 
     @property
     def degree(self):
         return self.child.degree
 
-    def eval(self, m, ctx=None):
+    def _eval(self, m, ctx):
         v = self.child.eval(m, ctx)
+        a, b = self._packed if isinstance(v, PackedSeriesMat) else (self.a, self.b)
         # a series product, even by 1, narrows lo to the valuation; a = 1
         # keeps the child's window as it is
-        return (v if self.a == 1 else self.a * v) + self.b
+        return _add(v if self.a == 1 else _mul(a, v), b)
 
     def to_json(self):
         return {"kind": self.kind, "a": self.a.to_json(), "b": self.b.to_json(),
@@ -599,10 +694,9 @@ class DivEps(SepFunction):
     def degree(self):
         return self.child.degree
 
-    def eval(self, m, ctx=None):
-        ctx = ctx or EvalContext()
+    def _eval(self, m, ctx):
         v = self.child.eval(m, ctx)
-        if not isinstance(v, EpsLaurent):
+        if not isinstance(v, PackedSeriesMat):
             raise SepFunctionError("division by eps needs a series argument")
         return v.shift(-self.k * ctx.eps_scale)
 
@@ -634,8 +728,7 @@ class Reparam(SepFunction):
     def degree(self):
         return self.child.degree
 
-    def eval(self, m, ctx=None):
-        ctx = ctx or EvalContext()
+    def _eval(self, m, ctx):
         return self.child.eval(m, ctx.scaled(self.t))
 
     def to_json(self):
@@ -644,6 +737,24 @@ class Reparam(SepFunction):
     @classmethod
     def _from_json(cls, obj):
         return cls(obj["t"], SepFunction.from_json(obj["child"]))
+
+
+def _mul(a, b):
+    """a * b, as a packed product when either value is packed."""
+    if isinstance(a, PackedSeriesMat) or isinstance(b, PackedSeriesMat):
+        return _as_packed(a).matmul(_as_packed(b))
+    return a * b
+
+
+def _add(a, b):
+    """a + b, as a packed sum when either value is packed."""
+    if isinstance(a, PackedSeriesMat) or isinstance(b, PackedSeriesMat):
+        return _as_packed(a).add(_as_packed(b))
+    return a + b
+
+
+def _as_packed(x) -> PackedSeriesMat:
+    return x if isinstance(x, PackedSeriesMat) else PackedSeriesMat.scalar(x)
 
 
 def _mat_json(m: Mat):

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .matrices import PackedSeriesMat, mat_inv_series
-from .scalars import GaussRational, approx_eq
+from .matrices import PackedSeriesMat
+from .scalars import QQ, GaussRational, approx_eq
 from .sepfun import EvalContext, PolyApply, Product, SepFunction
-from .series import EpsLaurent, InsufficientOrderError
+from .series import InsufficientOrderError
 from .tpp import TppInstance, quotient_product_set
 
 
@@ -57,9 +57,10 @@ class SepReport:
 
 
 def _eval_family_fn(fn, g, ctx=None):
+    """A SepFunction reads a packed g as it is; a callable gets it boxed."""
     if isinstance(fn, SepFunction):
         return fn.eval(g, ctx or EvalContext())
-    return fn(g)
+    return fn(g.unpack() if isinstance(g, PackedSeriesMat) else g)
 
 
 # Entries of the per-call memo of verify_separating_border (node values and
@@ -103,8 +104,9 @@ def _shared_nodes(family) -> set:
 class _NodeMemo:
     """Values of shared nodes per (node, argument), for one verifier call.
 
-    Arguments are interned by their exact key: equal keys are equal entries,
-    windows included, so a node's value at one is its value at the other.
+    Arguments are interned by their exact key (PackedSeriesMat.key for the
+    packed products): equal keys are equal entries, windows included, so a
+    node's value at one is its value at the other.
     Values are handed out as they are and never mutated.
     """
 
@@ -115,9 +117,8 @@ class _NodeMemo:
         self.mids = {}
         self.values = {}
 
-    def intern(self, m):
-        """A small int naming m's value, or None once the table is full."""
-        key = m.key()
+    def intern(self, key):
+        """A small int naming the argument with this key, or None once full."""
         mid = self.mids.get(key)
         if mid is None and len(self.mids) < self.cap:
             mid = self.mids[key] = len(self.mids)
@@ -193,17 +194,23 @@ def check_border_value(val, expected: int):
     """Classify one border evaluation: 'ok' | 'fail' | 'inconclusive'.
 
     The value must have no nonzero coefficient at negative exponents within
-    its window and constant term exactly `expected`.
+    its window (the lowest one is named) and constant term exactly
+    `expected`.  A packed value is read by its numerators and unpacked only
+    for the detail of a failing constant term; a boxed or exact value is
+    packed first.
     """
-    if not isinstance(val, EpsLaurent):
-        val = EpsLaurent.const(val)
-    for e, c in val.coeffs.items():
-        if e < 0 and not c.is_zero():
-            return "fail", f"surviving negative power eps^{e}"
-    if not val.known(0):
+    if not isinstance(val, PackedSeriesMat):
+        val = PackedSeriesMat.scalar(val)
+    _, hi, _, terms = val.entries[0]
+    if terms and terms[0][0] < 0:
+        return "fail", f"surviving negative power eps^{terms[0][0]}"
+    if hi < 0:
         return "inconclusive", "constant term beyond valid window"
-    if val.coeff(0) != GaussRational(expected):
-        return "fail", f"constant term {val.coeff(0)!r} != {expected}"
+    den = val.den
+    c0 = next(((re, im) for e, re, im in terms if e == 0), (0, 0))
+    if c0 != (expected * den, 0):
+        c = GaussRational.from_qq(QQ(c0[0], den), QQ(c0[1], den))
+        return "fail", f"constant term {c!r} != {expected}"
     return "ok", None
 
 
@@ -257,16 +264,19 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         key = (ix2, iy, iy2, iz2)
         cached = prod_cache.get(key)
         if cached is None:
+            # M stays packed, in lowest terms: the tree reads its entries, and
+            # the memo its key
             m = inst.product((("x", ix2, False), ("y", iy, True),
-                              ("y", iy2, False), ("z", iz2, True))).unpack()
-            cached = m, memo.intern(m)
+                              ("y", iy2, False), ("z", iz2, True))).reduced()
+            cached = m, memo.intern(m.lowest_terms_key())
             if len(prod_cache) < 4096:
                 prod_cache[key] = cached
         m, mid = cached
         expected = 1 if (ix2 == ix and iz2 == iz and iy == iy2) else 0
         fn = family[(ix, iz)]
         try:
-            val = memo.eval(fn, m, mid) if isinstance(fn, SepFunction) else fn(m)
+            val = (memo.eval(fn, m, mid) if isinstance(fn, SepFunction)
+                   else _eval_family_fn(fn, m))
             status, detail = check_border_value(val, expected)
         except InsufficientOrderError as exc:
             status, detail = "inconclusive", str(exc)
@@ -277,12 +287,12 @@ def verify_separating_border(family, inst: TppInstance, order: int,
 
 
 def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
-                            seed: int = 0, ctx: EvalContext | None = None,
-                            invs=None) -> SepReport:
+                            seed: int = 0, ctx: EvalContext | None = None) -> SepReport:
     """Check fn = 1 + O(eps) at I and 0 + O(eps) on y^-1 y' for y != y'.
 
-    Each y and each inverse (kept in invs, computed where missing) is packed
-    once per call; each argument y^-1 y' is a packed product, unpacked once.
+    Each y is packed once per call, and each inverse computed once on the
+    packed kernel; each argument y^-1 y' is a packed product that is never
+    unpacked.
     """
     n = len(yfams)
     report = SepReport("pass")
@@ -303,20 +313,16 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
             pairs += [(i, i) for i in {rng.randrange(n) for _ in range(8)}]
     if not pairs:
         raise ValueError("no pair to check: the Y family list or the pair list is empty")
-    if invs is None:
-        invs = {}
-    packed_invs = {}
+    invs = {}
     packed_ys = {}
     equal_pairs = 0
     unequal_pairs = 0
     for i, j in pairs:
-        if i not in packed_invs:
-            if i not in invs:
-                invs[i] = mat_inv_series(yfams[i])
-            packed_invs[i] = PackedSeriesMat.pack(invs[i])
+        if i not in invs:
+            invs[i] = PackedSeriesMat.pack(yfams[i]).inverse()
         if j not in packed_ys:
             packed_ys[j] = PackedSeriesMat.pack(yfams[j])
-        m = packed_invs[i].matmul(packed_ys[j]).unpack()
+        m = invs[i].matmul(packed_ys[j])
         expected = 1 if i == j else 0
         if expected:
             equal_pairs += 1

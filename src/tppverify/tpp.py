@@ -15,8 +15,8 @@ the valid window (an analytic function with a nonzero truncated coefficient
 is nonzero on a punctured neighborhood of 0).  If every known coefficient
 vanishes the tuple is reported inconclusive, never silently passed.  Family
 products are chains of packed series matrices (PackedSeriesMat): every
-element and inverse is packed once per instance, and the product is
-classified without unpacking it.
+element is packed and every inverse computed on the packed kernel once per
+instance, and the product is classified without unpacking it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .matrices import Mat, PackedSeriesMat, mat_inv_exact, mat_inv_series, mat_to_series
+from .matrices import Mat, PackedSeriesMat, mat_inv_exact
 from .series import EpsLaurent
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 7
@@ -138,7 +138,7 @@ class TppInstance:
         elif self.mode == "exact":
             out = mat_inv_exact(elt)
         else:
-            out = mat_inv_series(mat_to_series(elt))
+            out = self._packed_factor((which, idx, True)).unpack()
         self._inv_cache[key] = out
         return out
 
@@ -150,8 +150,8 @@ class TppInstance:
         """The product of (which, idx, inverse) factors, left to right.
 
         Family mode returns the packed chain: each element and inverse is
-        packed once and memoized per instance, and an inverse computed here
-        is not kept in boxed form as well.  Exact and table mode fold mul
+        packed once and memoized per instance, an inverse computed on the
+        packed kernel and never unpacked.  Exact and table mode fold mul
         over element/inv_element.
         """
         out = None
@@ -161,15 +161,20 @@ class TppInstance:
                 out = m if out is None else self.mul(out, m)
             return out
         for key in factors:
-            p = self._packed.get(key)
-            if p is None:
-                which, idx, inverse = key
-                m = self.element(which, idx)
-                if inverse:
-                    m = self._inv_cache.get((which, idx)) or mat_inv_series(mat_to_series(m))
-                p = self._packed[key] = PackedSeriesMat.pack(m)
+            p = self._packed_factor(key)
             out = p if out is None else out.matmul(p)
         return out
+
+    def _packed_factor(self, key):
+        """The packed element or inverse named by (which, idx, inverse), memoized."""
+        p = self._packed.get(key)
+        if p is None:
+            which, idx, inverse = key
+            p = PackedSeriesMat.pack(self.element(which, idx))
+            if inverse:
+                p = p.inverse()
+            self._packed[key] = p
+        return p
 
     def is_identity(self, g) -> bool:
         if self.mode == "table":

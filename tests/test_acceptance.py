@@ -348,9 +348,7 @@ def test_a9_end_to_end_split(split_reports):
 def test_a10_running_border_p0():
     t0 = time.time()
     p0, yfams, rep = running_border_p0(3, 4, yfam_cap=40, seed=10, check_pairs=0)
-    invs = {}
-    contract = verify_indicator_border(p0, yfams, sample_budget=1100, seed=10,
-                                       invs=invs)
+    contract = verify_indicator_border(p0, yfams, sample_budget=1100, seed=10)
     ok = contract.verdict == "pass" and contract.unequal_pairs >= 1000
     ok = ok and contract.equal_pairs >= 1  # the 1 + O(eps) side exercised too
     ok = ok and SIGN_CORRECTION_NOTE in rep.deviations

@@ -239,6 +239,15 @@ def sep_verify(sepfile):
                  "--n must be at least 2", id="running-example-n1"),
     pytest.param(["su-verify", "--n", "4", "--q", "0", "--trials", "5", "--pairs", "2"],
                  "--q must be at least 1", id="su-verify-q0"),
+    # no pair or no trial checks nothing, and would pass
+    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "0", "--trials", "0"],
+                 "--pairs must be at least 1", id="su-verify-pairs0"),
+    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "-3", "--trials", "5"],
+                 "--pairs must be at least 1", id="su-verify-pairs-3"),
+    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "2", "--trials", "0"],
+                 "--trials must be at least 1", id="su-verify-trials0"),
+    pytest.param(["embed-demo", "--trials", "0"],
+                 "--trials must be at least 1", id="embed-demo-trials0"),
     # the instance is never read: the budget is rejected before any driver runs
     pytest.param(["tpp-verify", "--instance", "z2.json", "--mode", "sampled",
                   "--sample-budget", "0"],
@@ -493,3 +502,6 @@ def test_cli_exit_codes_keep_their_contract(case):
         assert code == {"pass": 0, "fail": 1, "inconclusive": 2}[report["verdict"]]
         if code == 1:
             assert _has_witness(report["details"]), (argv, report)
+        if code == 0 and argv[0] == "su-verify":
+            # a pass that checked no pair would be vacuous
+            assert report["details"]["c_pairs_checked"] >= 1, (argv, report)

@@ -9,6 +9,11 @@ boxed series (matrices._det_expansion), and LinearForm's series evaluation
 to the boxed sum of coefficient times real or imaginary part, in the same
 way, and the packed p_1 of MinorInvariant to the boxed k = 1 loop over
 1x1 minors.
+
+The boxed paths that the packed kernel replaced live on here as oracles only:
+the Neumann inverse on boxed series, UniPoly's boxed Taylor expansion and
+evaluation, and check_border_value on a boxed value.  The packed entrywise
+operations (add, negate, shift, truncate) are held to EpsLaurent's own.
 """
 
 import json
@@ -25,11 +30,12 @@ from tppverify.matrices import (
     lpm,
     mat_det,
     mat_exp_trunc,
+    mat_inv_exact,
     mat_inv_series,
     mat_to_series,
 )
 from tppverify.running_example import running_border_p0
-from tppverify.scalars import GaussRational, QQ
+from tppverify.scalars import ExactArithmeticError, GaussRational, QQ
 from tppverify.sepfun import (
     Affine,
     DivEps,
@@ -37,9 +43,12 @@ from tppverify.sepfun import (
     LeadingMinor,
     LinearForm,
     MinorInvariant,
+    PolyApply,
     SumNode,
+    UniPoly,
+    lagrange_indicator,
 )
-from tppverify.sepverify import verify_indicator_border
+from tppverify.sepverify import check_border_value, verify_indicator_border
 from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 from tppverify.tpp import (
     TppInstance,
@@ -550,3 +559,297 @@ def test_packed_p1_on_su_arguments():
             assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
             both = node.eval(m, EvalContext(conj_mode="both"))
             assert (both.coeffs, both.lo, both.hi) == (got.coeffs, got.lo, got.hi)
+
+
+# -- entrywise packed operations against EpsLaurent --------------------------------
+
+def packed_scaled(p: PackedSeriesMat, f: int) -> PackedSeriesMat:
+    """The same matrix over f times its denominator."""
+    return PackedSeriesMat(p.rows, p.cols, p.den * f,
+                           [(lo, hi, v, tuple((e, re * f, im * f) for e, re, im in t))
+                            for lo, hi, v, t in p.entries])
+
+
+def same_series(s, t) -> bool:
+    return type(s) is type(t) is EpsLaurent and (s.coeffs, s.lo, s.hi) == (t.coeffs, t.lo, t.hi)
+
+
+any_entries = st.one_of(series_entries(), series_entries(), exact_entries)
+
+
+@st.composite
+def entry_pairs(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, b = (draw(matrices(rows, cols, any_entries)) for _ in range(2))
+    return a, b, draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_pairs(), st.integers(-4, 4), st.one_of(st.integers(-3, 6), st.just(INF_ORDER)))
+def test_packed_entrywise_ops_match_eps_laurent(ab, k, h):
+    a, b, fa, fb = ab
+    pa = packed_scaled(PackedSeriesMat.pack(a), fa)
+    pb = packed_scaled(PackedSeriesMat.pack(b), fb)
+    sa, sb = mat_to_series(a), mat_to_series(b)
+    assert same_entries(pa.add(pb).unpack(), sa + sb)
+    assert same_entries(pa.neg().unpack(), sa.map(lambda x: -x))
+    assert same_entries(pa.shift(k).unpack(), sa.map(lambda x: x.shift(k)))
+    assert same_entries(pa.truncate(h).unpack(), sa.map(lambda x: x.truncate(h)))
+    # every operation keeps each entry's effective valuation consistent
+    for p in (pa.add(pb), pa.neg(), pa.shift(k), pa.truncate(h), pa.reduced()):
+        for _, hi, v, t in p.entries:
+            assert v == (t[0][0] if t else hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_pairs())
+def test_packed_key_names_the_value_not_its_denominator(ab):
+    a, b, fa, fb = ab
+    pa = PackedSeriesMat.pack(a)
+    # the reduced form is the packed form of the unpacked matrix
+    scaled = packed_scaled(pa, fa * fb)
+    red = scaled.reduced()
+    assert (red.den, red.entries) == (pa.den, pa.entries)
+    assert scaled.key() == pa.key()
+    equal = same_entries(mat_to_series(a), mat_to_series(b))
+    assert (PackedSeriesMat.pack(b).key() == pa.key()) == equal
+
+
+# -- the Neumann inverse ------------------------------------------------------------
+
+def boxed_inv_series(m: Mat) -> Mat:
+    """Oracle: the Neumann loop on boxed series, products by boxed_matmul."""
+    n = m.rows
+    m = mat_to_series(m)
+    lo = max(x.lo for x in m.data)
+    hi = min(x.hi for x in m.data)
+    if lo > 0:
+        raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
+    c0 = m.map(lambda x: x.coeff(0))
+    c0_inv_s = mat_to_series(mat_inv_exact(c0))
+    ident = Mat.identity(n, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
+    nmat = boxed_matmul(c0_inv_s, m) - ident
+    width = min(hi, INF_ORDER)
+    if width >= INF_ORDER and any(x.is_certified_nonzero() for x in nmat.data):
+        raise ExactArithmeticError("series matrix inverse needs a finite window")
+    acc = term = ident
+    for _ in range(width):
+        term = boxed_matmul(term, nmat).map(lambda x: -x)
+        if all(x.is_zero_on_window() for x in term.data):
+            break
+        acc = acc + term
+    return boxed_matmul(acc, c0_inv_s).map(lambda x: x.truncate(hi))
+
+
+def outcome_text(fn, *args):
+    """fn(*args), or the type and text of the exception it raises."""
+    try:
+        return fn(*args)
+    except (InsufficientOrderError, ExactArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def near_identity_entries(draw):
+    """Mostly valuation-0 windows with a constant term; sometimes lo = 1 or
+    a window ending below eps^0, and unlimited windows."""
+    lo = draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    hi = draw(st.one_of(st.integers(max(lo, -1), 4), st.just(INF_ORDER)))
+    exps = draw(st.lists(st.integers(lo, min(hi, lo + 4)), max_size=3, unique=True))
+    return EpsLaurent({e: draw(gauss) for e in exps if e >= lo}, lo=lo, hi=hi)
+
+
+@st.composite
+def inverse_operands(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(matrices(n, n, st.one_of(near_identity_entries(), near_identity_entries(),
+                                      exact_entries)))
+    if draw(st.booleans()):
+        # I + m: an invertible constant term most of the time
+        for i in range(n):
+            m[i, i] = m[i, i] + 1
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(inverse_operands())
+def test_packed_inverse_matches_boxed_neumann(m):
+    want = outcome_text(boxed_inv_series, m)
+    got = outcome_text(mat_inv_series, m)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert same_entries(got, want)
+    # the packed inverse is reduced: its own pack, over the smallest denominator
+    packed = PackedSeriesMat.pack(m).inverse()
+    assert (packed.den, packed.entries) == (PackedSeriesMat.pack(want).den,
+                                            PackedSeriesMat.pack(want).entries)
+
+
+def test_packed_inverse_on_running_example_families():
+    p0, yfams, _ = running_border_p0(4, 4, yfam_cap=6, seed=2, check_pairs=0)
+    for y in yfams:
+        assert same_entries(mat_inv_series(y), boxed_inv_series(y))
+
+
+# -- UniPoly on series: integer Taylor against the boxed expansion ------------------
+
+def boxed_taylor(poly: UniPoly, c: GaussRational, order: int):
+    """Oracle: the Taylor coefficients of p(c + h) by the boxed recurrence."""
+    order_full = min(order, poly.degree)
+    t = [GaussRational(1)] + [GaussRational(0)] * order_full
+    deg_so_far = 0
+    for r in poly.roots:
+        base = c - r
+        deg_so_far = min(deg_so_far + 1, order_full)
+        for k in range(deg_so_far, 0, -1):
+            t[k] = t[k] * base + t[k - 1]
+        t[0] = t[0] * base
+    t = [poly.scale * x for x in t]
+    return t + [GaussRational(0)] * (order + 1 - len(t))
+
+
+def boxed_eval_series(poly: UniPoly, x: EpsLaurent) -> EpsLaurent:
+    """Oracle: the boxed Taylor evaluation, sums and products of EpsLaurent."""
+    c = x.coeff(0)
+    h = x - EpsLaurent.const(c)
+    if any(e < 0 for e in h.coeffs):
+        needed = poly.degree
+    else:
+        needed = min(poly.degree, max(x.hi, 0) if x.hi < 10 ** 8 else poly.degree)
+    t = boxed_taylor(poly, c, needed)
+    acc = EpsLaurent.const(t[0])
+    if needed >= 1:
+        hpow = h
+        acc = acc + t[1] * hpow
+        for i in range(2, needed + 1):
+            hpow = hpow * h
+            acc = acc + t[i] * hpow
+    if poly.degree >= 1:
+        acc = acc.truncate(min(acc.hi, x.hi))
+    return acc
+
+
+polys = st.builds(UniPoly, st.lists(st.one_of(rationals, gauss), max_size=5),
+                  st.one_of(gauss, st.just(1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys, series_entries(), st.integers(1, 5))
+def test_packed_unipoly_matches_boxed_taylor(poly, x, f):
+    want = outcome_text(boxed_eval_series, poly, x)
+    got = outcome_text(poly.eval_series, x)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert same_series(got, want)
+    # on a packed argument over a larger denominator: the same value, reduced
+    packed = poly.eval_series(packed_scaled(PackedSeriesMat.scalar(x), f))
+    assert same_series(packed.unpack_scalar(), want)
+    assert packed.reduced() is packed
+
+
+def test_unipoly_taylor_edge_cases():
+    p = UniPoly([1, -1])                    # x^2 - 1: t_1 = 0 at c = 0
+    assert [c for c in boxed_taylor(p, GaussRational(0), 2)] == [-1, 0, 1]
+    cases = [
+        (p, EpsLaurent({1: 1, 2: 3}, lo=0, hi=3)),
+        # an unlimited-window constant, divided by eps^2 as in the p0 audit
+        (p, EpsLaurent.const(GaussRational(2, -1)).shift(-2)),
+        (lagrange_indicator(0, [0, QQ(1, 2), 1, QQ(3, 2)]),
+         EpsLaurent({-2: QQ(-5, 3)}, lo=-2, hi=INF_ORDER)),
+        # negative powers: every power of h, windows from their products
+        (lagrange_indicator(1, [0, 1, 2]), EpsLaurent({-1: 2, 0: 1, 1: 1}, lo=-1, hi=2)),
+        # short windows: hi = 0, and a zero x known to eps^1 only
+        (lagrange_indicator(1, [0, 1, 2]), EpsLaurent({0: 1}, lo=0, hi=0)),
+        (lagrange_indicator(1, [0, 1, 2]), EpsLaurent({}, lo=-3, hi=1)),
+        # degree 0: the scale, with an unlimited window
+        (UniPoly([], GaussRational(QQ(2, 3), 1)), EpsLaurent({0: 5, 1: 1}, lo=0, hi=2)),
+        # complex roots and expansion point
+        (UniPoly([GaussRational(0, 1), GaussRational(1, -2)], QQ(1, 3)),
+         EpsLaurent({0: GaussRational(1, 1), 2: GaussRational(0, 2)}, lo=0, hi=3)),
+    ]
+    for poly, x in cases:
+        assert same_series(poly.eval_series(x), boxed_eval_series(poly, x)), (poly.roots, x)
+
+
+def test_unipoly_unknown_constant_term_same_error():
+    p = lagrange_indicator(0, [0, 1, 2])
+    x = EpsLaurent({-2: 1}, lo=-2, hi=-1)
+    want = outcome_text(boxed_eval_series, p, x)
+    assert want == (InsufficientOrderError, "coefficient at eps^0 unknown (window [-2,-1])")
+    assert outcome_text(p.eval_series, x) == want
+    assert outcome_text(PolyApply(p, DivEps(2, LeadingMinor(1))).eval,
+                        Mat(1, 1, [EpsLaurent({0: 1}, lo=0, hi=1)])) == want
+
+
+# -- check_border_value on packed values ------------------------------------------
+
+def boxed_check_border_value(val, expected):
+    """Oracle: the classification of a boxed value."""
+    if not isinstance(val, EpsLaurent):
+        val = EpsLaurent.const(val)
+    for e, c in val.coeffs.items():
+        if e < 0 and not c.is_zero():
+            return "fail", f"surviving negative power eps^{e}"
+    if not val.known(0):
+        return "inconclusive", "constant term beyond valid window"
+    if val.coeff(0) != GaussRational(expected):
+        return "fail", f"constant term {val.coeff(0)!r} != {expected}"
+    return "ok", None
+
+
+def sorted_series(x: EpsLaurent) -> EpsLaurent:
+    """x with its coefficients in exponent order, as every packed value
+    unpacks: the packed check names the lowest surviving negative power."""
+    return EpsLaurent(dict(sorted(x.coeffs.items())), lo=x.lo, hi=x.hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(series_entries(), exact_entries), st.sampled_from([0, 1]),
+       st.integers(1, 7))
+def test_packed_check_border_value_matches_boxed(x, expected, f):
+    boxed = sorted_series(x) if isinstance(x, EpsLaurent) else x
+    want = boxed_check_border_value(boxed, expected)
+    assert check_border_value(x, expected) == want
+    packed = packed_scaled(PackedSeriesMat.scalar(x), f)
+    assert check_border_value(packed, expected) == want
+
+
+def test_check_border_value_planted_values():
+    planted = [
+        (EpsLaurent.const(1), 0, ("fail", "constant term 1 != 0")),
+        (EpsLaurent({0: GaussRational(QQ(1, 2), -1)}, lo=0, hi=2), 1,
+         ("fail", "constant term (1/2-1i) != 1")),
+        (EpsLaurent({-1: 3, -2: 1, 0: 1}, lo=-2, hi=1), 1,
+         ("fail", "surviving negative power eps^-2")),
+        (EpsLaurent({}, lo=-2, hi=-1), 0,
+         ("inconclusive", "constant term beyond valid window")),
+        (EpsLaurent({1: 4}, lo=0, hi=3), 0, ("ok", None)),
+    ]
+    for x, expected, want in planted:
+        assert boxed_check_border_value(sorted_series(x), expected)[0] == want[0]
+        assert check_border_value(x, expected) == boxed_check_border_value(
+            sorted_series(x), expected)
+        assert check_border_value(packed_scaled(PackedSeriesMat.scalar(x), 6), expected) == want
+
+
+def test_tree_keeps_packed_values_and_boxed_public_api():
+    p0, yfams, _ = running_border_p0(4, 4, yfam_cap=4, seed=1, check_pairs=0)
+    m = mat_inv_series(yfams[0]).matmul(yfams[1])
+    packed = PackedSeriesMat.pack(mat_inv_series(yfams[0])).matmul(PackedSeriesMat.pack(yfams[1]))
+    ctx = EvalContext()
+    for node in (p0, p0.child, p0.child.child, LeadingMinor(3), LeadingMinor(0)):
+        boxed = node.eval(m, ctx)
+        value = node.eval(packed, ctx)
+        if isinstance(boxed, EpsLaurent):
+            assert type(value) is PackedSeriesMat
+            assert same_series(value.unpack_scalar(), boxed)
+        else:
+            assert boxed == 1
+    # the boxed sum of boxed lpm values is the packed SumNode, windows included
+    acc = EpsLaurent.const(0)
+    for j in range(1, 5):
+        acc = acc + lpm(m, j)
+    assert same_series(SumNode([LeadingMinor(j) for j in range(1, 5)]).eval(m), acc)
