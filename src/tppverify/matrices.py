@@ -6,57 +6,32 @@ exact division-friendly scalars, and otherwise a cofactor expansion by DP
 over column subsets (n <= 10): packed for series matrices, boxed for float
 and complex ones.
 
-Series products run on a packed kernel (PackedSeriesMat).  Mat.matmul uses it
-whenever one operand is all EpsLaurent and the other holds only EpsLaurent or
-exact rational/Gaussian entries; exact entries are lifted to constant series
-with an unlimited window, as EpsLaurent arithmetic lifts them.  A packed
-matrix stores one common denominator and, per entry, its window (lo, hi), its
-effective valuation (the valuation, or hi for an entry that is zero on its
-window) and its nonzero coefficients as (exponent, re_num, im_num) integer
-triples (Python ints, or gmpy2 mpz under the mpq backend).  Each product
-entry is one sum of products (_dot): an integer convolution that applies the
-window rules of EpsLaurent.__mul__ and __add__ term by term, so its entries
-are bit-identical, windows included, to the boxed sum of series products:
+A matrix with a series entry is multiplied, and its determinant taken, on
+the packed kernel: PackedSeriesMat keeps one common denominator and maps the
+entry kernel of series.py over its entries, exact entries lifted to constant
+series with an unlimited window.  The window rules are stated once, in
+series.py.  A product entry is one _dot over a row and a column; reduced
+divides the denominator and every numerator by their common gcd, which
+gives the lcm of the reduced coefficient denominators, as pack does, and
+key() is that reduced form, so equal matrices, windows included, share one
+key whatever denominator they were computed over.
 
-- each term a_it * b_tj has window [v1 + v2, min(v1 + hi_b, v2 + hi_a)],
-  with v the effective valuations and every edge sum saturating at
-  INF_ORDER; an empty term window raises InsufficientOrderError;
-- the entry's window takes the minimum lo and the minimum hi over its terms;
-- coefficients beyond the entry's hi are dropped, never fabricated, and
-  coefficients that cancel to zero are not stored.
-
-Entrywise operations follow the other EpsLaurent rules on numerators:
-
-- add brings both operands over the lcm of their denominators; an entry's
-  window is [min lo, min hi], coefficients beyond that hi are dropped and
-  sums that cancel to zero are not stored (EpsLaurent.__add__);
-- negate flips the sign of every numerator and keeps the window;
-- shift by eps^k moves exponents and both edges by k, an unlimited hi
-  staying unlimited (EpsLaurent.shift);
-- truncate to h keeps the coefficients up to min(h, hi), which becomes the
-  new hi, and lowers lo to it when lo was above (EpsLaurent.truncate);
-- reduced divides the denominator and every numerator by their common gcd,
-  which gives the lcm of the reduced coefficient denominators, as pack does;
-  key() is that reduced form, so equal matrices, windows included, share one
-  key whatever denominator they were computed over.
-
-The determinant of a series matrix whose other entries are exact runs the
-same DP on the packed kernel.  The matrix is packed once, exact entries
-lifted as above; each new DP state is one _dot over a row, the signed sum of
-state * entry terms (a sign is a negated entry), so the window rules are
-those of a matmul entry.  Every state of row i is over den^(i+1), so the
-determinant is a 1x1 packed matrix over den^n.  Its entries are
-bit-identical, windows included, to the DP run on boxed series.  A 1x1
+The determinant of a series matrix runs the cofactor DP on the packed
+kernel: each new DP state is one _dot over a row, the signed sum of
+state * entry terms (a sign is a negated entry).  Every state of row i is
+over den^(i+1), so the determinant is a 1x1 packed matrix over den^n.  A 1x1
 matrix returns its entry object unchanged.
 
 The inverse of a series matrix is the Neumann series run on the packed
 kernel: with C the exact inverse of the constant term and N = C M - I,
 M^-1 = (sum_k (-N)^k) C, summed until a term is zero on its window or for
-hi terms, and truncated to the smallest hi of M; the result is reduced.
+hi terms, and truncated to the smallest hi of M; the result is reduced.  The
+bound needs N to have valuation >= 1: a matrix that stores a negative power
+of eps is refused, unless a power of N is exactly zero.
 
 Chains of products (the TPP/DPP products, the Y inverses and the separation
-arguments) stay packed from factor to verdict; mat_det, lpm and
-mat_inv_series take and return boxed matrices, packing and unpacking once.
+arguments) stay packed from factor to verdict; mat_det, lpm, mat_exp_trunc
+and mat_inv_series take and return boxed matrices, packing and unpacking once.
 """
 
 from __future__ import annotations
@@ -73,7 +48,21 @@ from .scalars import (
     one_like,
     zero_like,
 )
-from .series import EpsLaurent, INF_ORDER, InsufficientOrderError
+from .series import (
+    INF_ORDER,
+    EpsLaurent,
+    InsufficientOrderError,
+    _add_entry,
+    _const_entry,
+    _dot,
+    _entry,
+    _eq_entry,
+    _neg_entry,
+    _packed,
+    _shift_entry,
+    _truncate_entry,
+    _unpack_entry,
+)
 
 
 class Mat:
@@ -172,7 +161,7 @@ class Mat:
             raise ExactArithmeticError(
                 f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        if _packable(self, other):
+        if self.has_series_entries() or other.has_series_entries():
             return PackedSeriesMat.pack(self).matmul(PackedSeriesMat.pack(other)).unpack()
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.data, other.data
@@ -240,33 +229,12 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# Packed series kernel
+# Packed series matrices
 # ---------------------------------------------------------------------------
 
-def _liftable(x) -> bool:
-    """True for the entries EpsLaurent arithmetic lifts to constant series."""
-    return isinstance(x, (EpsLaurent, int, GaussRational)) or hasattr(x, "denominator")
-
-
-def _packable(a: Mat, b: Mat) -> bool:
-    """One operand all series, the other series or exact: the packed kernel applies."""
-    def all_series(m):
-        return all(isinstance(x, EpsLaurent) for x in m.data)
-
-    def all_liftable(m):
-        return all(_liftable(x) for x in m.data)
-
-    sa, sb = all_series(a), all_series(b)
-    return (sa and (sb or all_liftable(b))) or (sb and all_liftable(a))
-
-
 class PackedSeriesMat:
-    """A series matrix over one common denominator (see the module docstring).
-
-    entries[i * cols + j] is (lo, hi, val, terms): the window, the effective
-    valuation, and the nonzero coefficients as (e, re_num, im_num) triples
-    sorted by exponent; the coefficient at eps^e is (re_num + i im_num) / den.
-    """
+    """A series matrix over one common denominator: entries[i * cols + j] is
+    the packed entry (lo, hi, val, terms) of series.py over den."""
 
     __slots__ = ("rows", "cols", "den", "entries")
 
@@ -283,49 +251,19 @@ class PackedSeriesMat:
 
     @classmethod
     def identity(cls, n: int) -> "PackedSeriesMat":
-        return cls(n, n, 1, [_ONE_ENTRY if i == j else _ZERO_ENTRY
-                             for i in range(n) for j in range(n)])
+        return cls(n, n, 1, [_const_entry(int(i == j), 0) for i in range(n) for j in range(n)])
 
     @classmethod
     def pack(cls, m: Mat) -> "PackedSeriesMat":
         """Pack series entries; exact entries become constant series."""
-        lifted = [x if isinstance(x, EpsLaurent) else EpsLaurent.const(x) for x in m.data]
-        dens = {1}
-        for s in lifted:
-            for c in s.coeffs.values():
-                dens.add(c.re.denominator)
-                dens.add(c.im.denominator)
-        den = math.lcm(*dens)
-        scale = {d: den // d for d in dens}
-        entries = []
-        for s in lifted:
-            cs = s.coeffs
-            terms = []
-            for e in sorted(cs):
-                re, im = cs[e].re, cs[e].im
-                terms.append((e, re.numerator * scale[re.denominator],
-                              im.numerator * scale[im.denominator]))
-            entries.append((s.lo, s.hi, terms[0][0] if terms else s.hi, tuple(terms)))
+        den, entries = _packed(*[x if isinstance(x, EpsLaurent) else EpsLaurent.const(x)
+                                 for x in m.data])
         return cls(m.rows, m.cols, den, entries)
 
     def unpack(self) -> Mat:
-        den = self.den
         parts = {0: QQ_ZERO}         # numerator -> QQ, shared across entries
-        data = []
-        for lo, hi, _, terms in self.entries:
-            cc = {}
-            for e, re, im in terms:
-                a = parts.get(re)
-                if a is None:
-                    a = parts[re] = QQ(re, den)
-                b = parts.get(im)
-                if b is None:
-                    b = parts[im] = QQ(im, den)
-                cc[e] = GaussRational.from_qq(a, b)
-            s = EpsLaurent.zero()
-            s.coeffs, s.lo, s.hi = cc, lo, hi
-            data.append(s)
-        return Mat(self.rows, self.cols, data)
+        return Mat(self.rows, self.cols,
+                   [_unpack_entry(x, self.den, parts) for x in self.entries])
 
     def matmul(self, other: "PackedSeriesMat") -> "PackedSeriesMat":
         """Truncated product over the product of the two denominators."""
@@ -343,7 +281,7 @@ class PackedSeriesMat:
                 out.append(_dot(zip(arow, col)))
         return PackedSeriesMat(n, m, self.den * other.den, out)
 
-    # -- entrywise operations (rules in the module docstring) -----------------
+    # -- entrywise operations (rules in series.py) ----------------------------
     def add(self, other: "PackedSeriesMat") -> "PackedSeriesMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ExactArithmeticError("matrix shape mismatch")
@@ -354,29 +292,26 @@ class PackedSeriesMat:
                                [_add_entry(a, b, sa, sb)
                                 for a, b in zip(self.entries, other.entries)])
 
+    def eq_on_window(self, other: "PackedSeriesMat") -> bool:
+        """Every pair of entries agrees on its common window."""
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return all(_eq_entry(a, b, sa, sb) for a, b in zip(self.entries, other.entries))
+
     def neg(self) -> "PackedSeriesMat":
-        return PackedSeriesMat(self.rows, self.cols, self.den,
-                               [(lo, hi, v, tuple([(e, -re, -im) for e, re, im in t]))
-                                for lo, hi, v, t in self.entries])
+        return self._map(_neg_entry)
 
     def shift(self, k: int) -> "PackedSeriesMat":
         """Multiply by eps^k (k may be negative)."""
-        out = []
-        for lo, hi, _, t in self.entries:
-            hi = hi + k if hi < INF_ORDER else INF_ORDER
-            t = tuple([(e + k, re, im) for e, re, im in t])
-            out.append((lo + k, hi, t[0][0] if t else hi, t))
-        return PackedSeriesMat(self.rows, self.cols, self.den, out)
+        return self._map(_shift_entry, k)
 
     def truncate(self, h: int) -> "PackedSeriesMat":
         """Restrict every entry's window to hi <= h."""
-        out = []
-        for lo, hi, _, t in self.entries:
-            if h < hi:
-                hi = h
-                t = tuple([x for x in t if x[0] <= h])
-            out.append((lo if lo < hi else hi, hi, t[0][0] if t else hi, t))
-        return PackedSeriesMat(self.rows, self.cols, self.den, out)
+        return self._map(_truncate_entry, h)
+
+    def _map(self, op, *args) -> "PackedSeriesMat":
+        return PackedSeriesMat(self.rows, self.cols, self.den,
+                               [op(x, *args) for x in self.entries])
 
     def reduced(self) -> "PackedSeriesMat":
         """The same matrix over the smallest common denominator."""
@@ -427,7 +362,13 @@ class PackedSeriesMat:
         return PackedSeriesMat(1, 1, self.den ** n, [_cofactor_dp(n, entries, combine)])
 
     def inverse(self) -> "PackedSeriesMat":
-        """Inverse of a matrix with invertible constant term (Neumann series)."""
+        """Inverse of a matrix with invertible constant term (Neumann series).
+
+        With no stored negative power, N = C M - I has valuation >= 1, so
+        (-N)^k starts at eps^k and hi terms reach the window edge.  With one,
+        the sum is sound only if a power of N is exactly zero (N nilpotent,
+        so at most n terms); otherwise the inverse is refused.
+        """
         n = self.rows
         if n != self.cols:
             raise ExactArithmeticError("inverse of non-square matrix")
@@ -443,94 +384,24 @@ class PackedSeriesMat:
             c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
         c0_inv = PackedSeriesMat.pack(mat_inv_exact(Mat(n, n, c0)))
         ident = PackedSeriesMat.identity(n)
-        nmat = c0_inv.matmul(self).add(ident.neg())  # valuation >= 1 on the window
+        nmat = c0_inv.matmul(self).add(ident.neg())
         if hi >= INF_ORDER and any(t for _, _, _, t in nmat.entries):
             raise ExactArithmeticError("series matrix inverse needs a finite window")
+        negative = any(t and t[0][0] < 0 for _, _, _, t in self.entries)
         acc = term = ident
-        for _ in range(hi):
+        for _ in range(n if negative else hi):
             term = term.matmul(nmat).neg()
             if not any(t for _, _, _, t in term.entries):
                 break
             acc = acc.add(term)
-        # the Neumann bound guarantees validity to the window edge
+        if negative and any(t or h < INF_ORDER for _, h, _, t in term.entries):
+            raise ExactArithmeticError(
+                "series matrix inverse of negative powers needs a nilpotent C M - I")
         return acc.matmul(c0_inv).truncate(hi).reduced()
 
     def unpack_scalar(self):
         """The boxed entry of a 1x1 packed matrix."""
         return self.unpack().data[0]
-
-
-def _const_entry(re, im):
-    """The exact constant (re + i im)/den as a packed entry (unlimited window)."""
-    return (0, INF_ORDER, 0, ((0, re, im),)) if re or im else (0, INF_ORDER, INF_ORDER, ())
-
-
-_ONE_ENTRY = _const_entry(1, 0)
-_ZERO_ENTRY = _const_entry(0, 0)
-
-
-def _add_entry(a, b, sa, sb):
-    """One entry of a + b, the numerators of a scaled by sa and those of b by sb."""
-    lo1, hi1, _, t1 = a
-    lo2, hi2, _, t2 = b
-    lo = lo1 if lo1 < lo2 else lo2
-    hi = hi1 if hi1 < hi2 else hi2
-    acc = {}
-    for e, re, im in t1:
-        if e <= hi:
-            acc[e] = (re * sa, im * sa)
-    for e, re, im in t2:
-        if e <= hi:
-            s = acc.get(e)
-            acc[e] = (re * sb, im * sb) if s is None else (s[0] + re * sb, s[1] + im * sb)
-    terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
-    return lo, hi, terms[0][0] if terms else hi, terms
-
-
-def _dot(pairs):
-    """One packed entry: the sum of a * b over (a, b) pairs of packed entries.
-
-    Numerators only: the result's denominator is the product of the
-    operands' denominators, which the caller keeps.  The window rules are
-    those of the module docstring.
-    """
-    lo = hi = None
-    nonzero = []
-    for (_, h1, v1, t1), (_, h2, v2, t2) in pairs:
-        # _sat_add, inlined: window edges saturate at INF_ORDER
-        if v1 >= INF_ORDER or v2 >= INF_ORDER:
-            plo = phi = INF_ORDER
-        else:
-            plo = v1 + v2
-            phi = v1 + h2 if h2 < INF_ORDER else INF_ORDER
-            phi2 = v2 + h1 if h1 < INF_ORDER else INF_ORDER
-            if phi2 < phi:
-                phi = phi2
-            if plo > phi:
-                raise InsufficientOrderError(
-                    "insufficient truncation order: empty product window")
-        if lo is None or plo < lo:
-            lo = plo
-        if hi is None or phi < hi:
-            hi = phi
-        if t1 and t2:
-            nonzero.append((t1, t2))
-    acc = {}
-    for t1, t2 in nonzero:
-        for e1, r1, i1 in t1:
-            cap = hi - e1
-            for e2, r2, i2 in t2:
-                if e2 > cap:
-                    break
-                if i1 or i2:
-                    re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-                else:
-                    re, im = r1 * r2, 0
-                e = e1 + e2
-                s = acc.get(e)
-                acc[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
-    terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
-    return lo, hi, terms[0][0] if terms else hi, terms
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +421,9 @@ def mat_det(m: Mat):
         raise ExactArithmeticError("determinant of non-square matrix")
     if m.rows == 1:
         return m.data[0]
-    series = m.has_series_entries()
-    if series and all(_liftable(x) for x in m.data):
+    if m.has_series_entries():
         return PackedSeriesMat.pack(m).det().unpack_scalar()
-    if series or any(isinstance(x, complex) for x in m.data):
+    if any(isinstance(x, complex) for x in m.data):
         return _det_expansion(m)
     return _det_bareiss(m)
 
@@ -623,8 +493,8 @@ def _cofactor_dp(n: int, data: list, combine):
 
 
 def _det_expansion(m: Mat):
-    """Cofactor DP on boxed values: floats and complex numbers, and the
-    reference that the packed series determinant is tested against."""
+    """Cofactor DP on boxed values (floats and complex numbers): any ring
+    with *, + and unary - will do."""
     data = m.data
 
     def combine(terms):
@@ -675,6 +545,8 @@ def mat_inv_exact(m: Mat) -> "Mat":
     """Inverse of a matrix with exact field entries (Gauss-Jordan)."""
     if not m.is_square:
         raise ExactArithmeticError("inverse of non-square matrix")
+    if m.has_series_entries():
+        raise ExactArithmeticError("mat_inv_exact expects exact entries (see mat_inv_series)")
     n = m.rows
     a = [list(m.row(i)) for i in range(n)]
     one = one_like(m.data[0])
@@ -713,7 +585,10 @@ def mat_to_series(m: Mat) -> "Mat":
 def mat_exp_trunc(a: Mat, order: int) -> "Mat":
     """Truncated exponential sum_{k<=order} eps^k a^k / k!, window [0, order].
 
-    The argument must be square with exact scalar entries.
+    The argument must be square with exact scalar entries.  The powers a^k
+    are packed products of the constant matrix (over den^k); term k is
+    scaled by den^(order-k) order!/k! onto the one denominator
+    den^order order!, and the result is unpacked once.
     """
     if not a.is_square:
         raise ExactArithmeticError("exponential of non-square matrix")
@@ -722,23 +597,19 @@ def mat_exp_trunc(a: Mat, order: int) -> "Mat":
     if a.has_series_entries():
         raise ExactArithmeticError("mat_exp_trunc expects exact (non-series) entries")
     n = a.rows
-    coeff_mats = [Mat.identity(n, one=GaussRational(1), zero=GaussRational(0))]
-    power = coeff_mats[0]
-    fact = QQ(1)
-    for k in range(1, order + 1):
-        power = power.matmul(a)
-        fact = fact * k
-        coeff_mats.append(power.map(lambda x, f=fact: GaussRational.from_any(x) * GaussRational(1 / f)))
-    out = Mat.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            coeffs = {}
-            for k, cm in enumerate(coeff_mats):
-                c = cm[i, j]
-                if not c.is_zero():
-                    coeffs[k] = c
-            out[i, j] = EpsLaurent(coeffs, lo=0, hi=order)
-    return out
+    packed = PackedSeriesMat.pack(a)
+    powers = [PackedSeriesMat.identity(n)]
+    for _ in range(order):
+        powers.append(powers[-1].matmul(packed))
+    fact = math.factorial(order)
+    scales = [packed.den ** (order - k) * (fact // math.factorial(k)) for k in range(order + 1)]
+    entries = []
+    for idx in range(n * n):
+        # the constant entry of a^k holds one term, at eps^0
+        terms = tuple([(k, re * f, im * f) for k, (p, f) in enumerate(zip(powers, scales))
+                       for _, re, im in p.entries[idx][3]])
+        entries.append(_entry(0, order, terms))
+    return PackedSeriesMat(n, n, packed.den ** order * fact, entries).unpack()
 
 
 def mat_inv_series(m: Mat) -> "Mat":

@@ -36,18 +36,17 @@ from __future__ import annotations
 
 import math
 
-from .matrices import (
-    Mat,
-    PackedSeriesMat,
+from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det, mat_minor
+from .scalars import GaussRational, as_qq, qq_str
+from .series import (
+    INF_ORDER,
+    EpsLaurent,
+    InsufficientOrderError,
+    _conj_entry,
     _const_entry,
     _dot,
-    _liftable,
-    lpm as mat_lpm,
-    mat_det,
-    mat_minor,
+    _entry,
 )
-from .scalars import GaussRational, as_qq, qq_str
-from .series import INF_ORDER, EpsLaurent, InsufficientOrderError
 
 
 class SepFunctionError(ValueError):
@@ -155,7 +154,7 @@ class UniPoly:
         g = math.gcd(c_re, c_im, den)
         # h = x - c: x's terms without eps^0, on the window [min(lo, 0), hi]
         h_terms = tuple([t for t in terms if t[0] != 0])
-        h = (min(lo, 0), hi, h_terms[0][0] if h_terms else hi, h_terms)
+        h = _entry(min(lo, 0), hi, h_terms)
         if h_terms and h_terms[0][0] < 0:
             needed = self.degree
         else:
@@ -252,7 +251,7 @@ class SepFunction:
         """The value at m: packed for a packed m, boxed for a series Mat
         (packed once, its value unpacked once), a scalar otherwise."""
         ctx = ctx or EvalContext()
-        if type(m) is Mat and m.has_series_entries() and all(map(_liftable, m.data)):
+        if type(m) is Mat and m.has_series_entries():
             value = self._eval(PackedSeriesMat.pack(m), ctx)
             return value.unpack_scalar() if isinstance(value, PackedSeriesMat) else value
         return self._eval(m, ctx)
@@ -329,15 +328,15 @@ class MinorInvariant(SepFunction):
     on the group the invariant belongs to); "both" evaluates the two and
     raises on disagreement, flagging arguments outside the group.
 
-    The direct route of p_1 on an exact or series argument is the Hermitian
+    The direct route of p_1 on a series argument is the Hermitian
     form sum_ij (DMD)_ij conj((DMD)_ij), run on the packed kernel: D is
     packed once, D M D is two packed products, the conjugate is the same
     entries with negated imaginary numerators, and the sum is one matmul
-    entry (matrices._dot), a packed value.  Its window rules are those of
+    entry (series._dot), a packed value.  Its window rules are those of
     the boxed sum of 1x1-minor products, so the value is bit-identical to
-    it; an exact argument gets the constant term.  k >= 2, float arguments
-    and the minor route run the boxed loop over minors (a packed argument
-    is unpacked for them, and their value packed).
+    it.  k >= 2, exact and float arguments and the minor route run the boxed
+    loop over minors (a packed argument is unpacked for them, and their
+    value packed).
     """
 
     kind = "pk"
@@ -348,8 +347,7 @@ class MinorInvariant(SepFunction):
         self.q_mat = q_mat
         self._d_conj = d_mat.conj()
         self._d_real = self._d_conj == d_mat
-        packable = k == 1 and all(map(_liftable, d_mat.data))
-        self._d_packed = PackedSeriesMat.pack(d_mat) if packable else None
+        self._d_packed = PackedSeriesMat.pack(d_mat) if k == 1 else None
 
     @property
     def degree(self):
@@ -388,8 +386,7 @@ class MinorInvariant(SepFunction):
         """p_1 on the packed kernel (see the class docstring)."""
         dp = self._d_packed
         dmd = dp.matmul(m).matmul(dp)
-        conj = [(lo, hi, v, tuple([(e, re, -im) for e, re, im in t]))
-                for lo, hi, v, t in dmd.entries]
+        conj = map(_conj_entry, dmd.entries)
         return PackedSeriesMat(1, 1, dmd.den ** 2, [_dot(zip(dmd.entries, conj))])
 
     def _eval(self, m, ctx):
@@ -399,14 +396,12 @@ class MinorInvariant(SepFunction):
                 return self._p1_packed(m)
             return PackedSeriesMat.scalar(self._eval(m.unpack(), ctx))
         d = self.d_mat
-        packed = self._d_packed is not None and all(map(_liftable, m.data))
+        packed = self._d_packed is not None and m.has_series_entries()
         if mode in ("minor", "both") or not packed:
             dmd = _sandwich(d, m, d)
         if mode in ("direct", "both"):
             if packed:
                 direct = self._p1_packed(PackedSeriesMat.pack(m)).unpack_scalar()
-                if not m.has_series_entries():
-                    direct = direct.coeff(0)
             else:
                 if self._d_real:
                     dmbard = dmd.conj()  # real D: conj(D M D) = D conj(M) D

@@ -1,17 +1,51 @@
 """Truncated Laurent series in a real parameter eps with exact coefficients.
 
-An EpsLaurent tracks a validity window [lo, hi]: coefficients below lo are
-known to be exactly zero, coefficients in [lo, hi] are stored exactly, and
+A series tracks a validity window [lo, hi]: coefficients below lo are known
+to be exactly zero, coefficients in [lo, hi] are stored exactly, and
 coefficients above hi are *unknown* -- never assumed zero.  Every operation
 narrows the window conservatively; asking for a coefficient beyond the window
-raises InsufficientOrderError rather than fabricating a zero.
+raises InsufficientOrderError rather than fabricating a zero.  The parameter
+is treated as real, so conjugation acts coefficientwise.
 
-The parameter is treated as real, so conjugation acts coefficientwise.
+All series arithmetic runs on one packed entry kernel, defined here.  An
+entry is (lo, hi, val, terms) over a denominator that its owner keeps: the
+window, the effective valuation val (the valuation, or hi for an entry that
+is zero on its window) and the nonzero coefficients as (e, re_num, im_num)
+integer triples sorted by exponent, the coefficient at eps^e being
+(re_num + i im_num) / den (Python ints, or gmpy2 mpz under the mpq backend).
+An exact scalar is a constant entry with the unlimited window hi = INF_ORDER.
+The window rules, stated once:
+
+- a sum of products (_dot): each term a * b has window
+  [v1 + v2, min(v1 + hi_b, v2 + hi_a)], with v the effective valuations and
+  every edge sum saturating at INF_ORDER; an empty term window raises
+  InsufficientOrderError.  The sum's window takes the minimum lo and the
+  minimum hi over its terms, and its denominator is the product of the
+  operands' denominators;
+- a sum (_add_entry): window [min lo, min hi], over a common denominator
+  that the caller reaches by scaling each operand's numerators; equality on
+  the window (_eq_entry) compares the coefficients up to min hi, so scaled;
+- negate and conjugate flip the sign of the real or imaginary numerators and
+  keep the window;
+- shift by eps^k moves exponents and both edges by k; reparametrizing
+  eps -> eps^t multiplies exponents and lo by t, and hi becomes t hi + t - 1,
+  since the exponents in between are known zeros;
+- truncate to h keeps the coefficients up to min(h, hi), which becomes the
+  new hi, and lowers lo to it when lo was above;
+- an unlimited hi stays unlimited; coefficients beyond a result's hi are
+  dropped, never fabricated, and coefficients that cancel to zero are not
+  stored.
+
+EpsLaurent is the boxed view of one entry: its arithmetic packs the operands
+over their common denominator, runs the kernel and unpacks the result.
+PackedSeriesMat (matrices.py) maps the same kernel over a matrix's entries.
 """
 
 from __future__ import annotations
 
-from .scalars import GaussRational, GR_ONE, GR_ZERO, as_qq
+import math
+
+from .scalars import QQ, QQ_ZERO, GaussRational, GR_ONE, GR_ZERO, as_qq
 
 # Window bound used for exactly-known values (exact scalars lifted to series).
 INF_ORDER = 10 ** 9
@@ -21,11 +55,153 @@ class InsufficientOrderError(ArithmeticError):
     """A computation needed a series coefficient beyond the valid window."""
 
 
-def _sat_add(a: int, b: int) -> int:
-    """Window-edge addition saturating at the unlimited-window sentinel."""
-    if a >= INF_ORDER or b >= INF_ORDER:
-        return INF_ORDER
-    return a + b
+# ---------------------------------------------------------------------------
+# The packed entry kernel (rules in the module docstring)
+# ---------------------------------------------------------------------------
+
+def _entry(lo, hi, terms):
+    """An entry with its effective valuation."""
+    return lo, hi, terms[0][0] if terms else hi, terms
+
+
+def _const_entry(re, im):
+    """The exact constant (re + i im)/den as a packed entry (unlimited window)."""
+    return (0, INF_ORDER, 0, ((0, re, im),)) if re or im else (0, INF_ORDER, INF_ORDER, ())
+
+
+def _add_entry(a, b, sa, sb):
+    """a + b, the numerators of a scaled by sa and those of b by sb."""
+    lo1, hi1, _, t1 = a
+    lo2, hi2, _, t2 = b
+    lo = lo1 if lo1 < lo2 else lo2
+    hi = hi1 if hi1 < hi2 else hi2
+    acc = {}
+    for e, re, im in t1:
+        if e <= hi:
+            acc[e] = (re * sa, im * sa)
+    for e, re, im in t2:
+        if e <= hi:
+            s = acc.get(e)
+            acc[e] = (re * sb, im * sb) if s is None else (s[0] + re * sb, s[1] + im * sb)
+    terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
+    return lo, hi, terms[0][0] if terms else hi, terms
+
+
+def _dot(pairs):
+    """The sum of a * b over (a, b) pairs of entries, on numerators only."""
+    lo = hi = None
+    nonzero = []
+    for (_, h1, v1, t1), (_, h2, v2, t2) in pairs:
+        # window edges saturate at INF_ORDER
+        if v1 >= INF_ORDER or v2 >= INF_ORDER:
+            plo = phi = INF_ORDER
+        else:
+            plo = v1 + v2
+            phi = v1 + h2 if h2 < INF_ORDER else INF_ORDER
+            phi2 = v2 + h1 if h1 < INF_ORDER else INF_ORDER
+            if phi2 < phi:
+                phi = phi2
+            if plo > phi:
+                raise InsufficientOrderError(
+                    "insufficient truncation order: empty product window")
+        if lo is None or plo < lo:
+            lo = plo
+        if hi is None or phi < hi:
+            hi = phi
+        if t1 and t2:
+            nonzero.append((t1, t2))
+    acc = {}
+    for t1, t2 in nonzero:
+        for e1, r1, i1 in t1:
+            cap = hi - e1
+            for e2, r2, i2 in t2:
+                if e2 > cap:
+                    break
+                if i1 or i2:
+                    re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                else:
+                    re, im = r1 * r2, 0
+                e = e1 + e2
+                s = acc.get(e)
+                acc[e] = (re, im) if s is None else (s[0] + re, s[1] + im)
+    terms = tuple([(e, re, im) for e, (re, im) in sorted(acc.items()) if re or im])
+    return lo, hi, terms[0][0] if terms else hi, terms
+
+
+def _eq_entry(a, b, sa, sb) -> bool:
+    """a and b agree on their common window, numerators scaled by sa and sb."""
+    hi = min(a[1], b[1])
+    return ([(e, re * sa, im * sa) for e, re, im in a[3] if e <= hi]
+            == [(e, re * sb, im * sb) for e, re, im in b[3] if e <= hi])
+
+
+def _neg_entry(x):
+    lo, hi, v, t = x
+    return lo, hi, v, tuple([(e, -re, -im) for e, re, im in t])
+
+
+def _conj_entry(x):
+    lo, hi, v, t = x
+    return lo, hi, v, tuple([(e, re, -im) for e, re, im in t])
+
+
+def _shift_entry(x, k):
+    """x * eps^k (k may be negative)."""
+    lo, hi, _, t = x
+    return _entry(lo + k, hi + k if hi < INF_ORDER else INF_ORDER,
+                  tuple([(e + k, re, im) for e, re, im in t]))
+
+
+def _reparam_entry(x, t):
+    """x with eps replaced by eps^t (t >= 1)."""
+    lo, hi, _, terms = x
+    return _entry(lo * t, hi * t + (t - 1) if hi < INF_ORDER else INF_ORDER,
+                  tuple([(e * t, re, im) for e, re, im in terms]))
+
+
+def _truncate_entry(x, h):
+    """x known only up to eps^h."""
+    lo, hi, _, t = x
+    if h < hi:
+        hi = h
+        t = tuple([term for term in t if term[0] <= h])
+    return _entry(lo if lo < hi else hi, hi, t)
+
+
+def _pack_entry(s: "EpsLaurent", den: int):
+    """s as an entry over den, a multiple of its coefficients' denominators."""
+    terms = []
+    for e, c in sorted(s.coeffs.items()):
+        re, im = c.re, c.im
+        terms.append((e, re.numerator * (den // re.denominator),
+                      im.numerator * (den // im.denominator)))
+    return _entry(s.lo, s.hi, tuple(terms))
+
+
+def _unpack_entry(x, den: int, parts: dict | None = None) -> "EpsLaurent":
+    """The entry x over den as an EpsLaurent; parts caches numerator -> QQ."""
+    if parts is None:
+        parts = {0: QQ_ZERO}
+    lo, hi, _, terms = x
+    cc = {}
+    for e, re, im in terms:
+        a = parts.get(re)
+        if a is None:
+            a = parts[re] = QQ(re, den)
+        b = parts.get(im)
+        if b is None:
+            b = parts[im] = QQ(im, den)
+        cc[e] = GaussRational.from_qq(a, b)
+    s = object.__new__(EpsLaurent)
+    s.coeffs, s.lo, s.hi = cc, lo, hi
+    return s
+
+
+def _packed(*series):
+    """(den, entries): the series packed over the lcm of their denominators."""
+    den = math.lcm(1, *{p.denominator for s in series for c in s.coeffs.values()
+                        for p in (c.re, c.im)})
+    return den, [_pack_entry(s, den) for s in series]
 
 
 def _coerce_coeff(x) -> GaussRational:
@@ -33,6 +209,10 @@ def _coerce_coeff(x) -> GaussRational:
         return x
     return GaussRational(as_qq(x))
 
+
+# ---------------------------------------------------------------------------
+# The boxed view
+# ---------------------------------------------------------------------------
 
 class EpsLaurent:
     """Truncated Laurent series sum_k c_k eps^k with GaussRational c_k."""
@@ -88,166 +268,54 @@ class EpsLaurent:
         """Smallest exponent with a nonzero stored coefficient, or None."""
         return min(self.coeffs) if self.coeffs else None
 
-    def is_certified_nonzero(self) -> bool:
-        return bool(self.coeffs)
-
-    def is_zero_on_window(self) -> bool:
-        return not self.coeffs
-
     def eq_on_window(self, other: "EpsLaurent") -> bool:
         """Exact equality of all coefficients on the intersected window."""
-        other = _coerce_series(other)
-        hi = min(self.hi, other.hi)
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e > hi:
-                continue
-            if self.coeffs.get(e, GR_ZERO) != other.coeffs.get(e, GR_ZERO):
-                return False
-        return True
+        _, (a, b) = _packed(self, _coerce_series(other))
+        return _eq_entry(a, b, 1, 1)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic on the kernel ------------------------------------------
     def __add__(self, other):
         other = _coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
-        lo = min(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        cc = {e: c for e, c in out.items() if e <= hi and not c.is_zero()}
-        return EpsLaurent(cc, lo, hi)
+        den, (a, b) = _packed(self, other)
+        return _unpack_entry(_add_entry(a, b, 1, 1), den)
 
     __radd__ = __add__
 
+    def _apply(self, op, *args) -> "EpsLaurent":
+        """op on this series' entry, unpacked over the same denominator."""
+        den, (a,) = _packed(self)
+        return _unpack_entry(op(a, *args), den)
+
     def __neg__(self):
-        r = EpsLaurent.zero()
-        r.coeffs = {e: -c for e, c in self.coeffs.items()}
-        r.lo, r.hi = self.lo, self.hi
-        return r
+        return self._apply(_neg_entry)
 
     def __sub__(self, other):
         other = _coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        den, (a, b) = _packed(self, other)
+        return _unpack_entry(_add_entry(a, _neg_entry(b), 1, 1), den)
 
     def __rsub__(self, other):
         other = _coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
-
-    def _eff_lo(self) -> int:
-        """Tightest sound lower window edge (true valuation when nonzero)."""
-        return min(self.coeffs) if self.coeffs else self.hi
+        return other - self
 
     def __mul__(self, other):
         other = _coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
-        a1, a2 = self._eff_lo(), other._eff_lo()
-        lo = _sat_add(a1, a2)
-        hi = min(_sat_add(a1, other.hi), _sat_add(a2, self.hi))
-        if lo > hi:
-            raise InsufficientOrderError("insufficient truncation order: empty product window")
-        out = {}
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                if e > hi:
-                    continue
-                p = c1 * c2
-                s = out.get(e)
-                out[e] = p if s is None else s + p
-        cc = {e: c for e, c in out.items() if not c.is_zero()}
-        r = EpsLaurent.zero()
-        r.coeffs, r.lo, r.hi = cc, lo, hi
-        return r
+        den, (a, b) = _packed(self, other)
+        return _unpack_entry(_dot([(a, b)]), den * den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = EpsLaurent.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def inverse(self) -> "EpsLaurent":
-        """Multiplicative inverse; needs a nonzero lowest-order coefficient."""
-        v = self.valuation()
-        if v is None:
-            raise InsufficientOrderError("cannot invert a series that is zero on its window")
-        lead = self.coeffs[v]
-        # self = lead * eps^v * (1 + u), with u of valuation >= 1 known on [1, hi - v]
-        inv_lead = lead.inverse()
-        u = {e - v: c * inv_lead for e, c in self.coeffs.items() if e != v}
-        if u and self.hi >= INF_ORDER:
-            raise InsufficientOrderError(
-                "inverse of a non-monomial series with unlimited window is an "
-                "infinite series; truncate() first"
-            )
-        width = min(self.hi, INF_ORDER) - v
-        # geometric series sum (-u)^k, truncated at eps^width
-        acc = {0: GR_ONE}
-        term = {0: GR_ONE}
-        for _ in range(width if u else 0):
-            nxt = {}
-            for e1, c1 in term.items():
-                for e2, c2 in u.items():
-                    e = e1 + e2
-                    if e > width:
-                        continue
-                    p = c1 * c2
-                    s = nxt.get(e)
-                    nxt[e] = p if s is None else s + p
-            term = {e: -c for e, c in nxt.items() if not c.is_zero()}
-            if not term:
-                break
-            for e, c in term.items():
-                s = acc.get(e)
-                acc[e] = c if s is None else s + c
-        out = {}
-        for e, c in acc.items():
-            c2 = c * inv_lead
-            if not c2.is_zero():
-                out[e - v] = c2
-        r = EpsLaurent.zero()
-        r.coeffs = out
-        r.lo = -v
-        r.hi = INF_ORDER if self.hi >= INF_ORDER else self.hi - 2 * v
-        if r.lo > r.hi:
-            raise InsufficientOrderError("insufficient truncation order for inverse")
-        return r
-
     def shift(self, k: int) -> "EpsLaurent":
         """Multiply by eps^k (k may be negative: divide by eps^{-k})."""
-        r = EpsLaurent.zero()
-        r.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        r.lo, r.hi = self.lo + k, self.hi + k if self.hi < INF_ORDER else INF_ORDER
-        return r
+        return self._apply(_shift_entry, k)
 
     def reparametrize(self, t: int) -> "EpsLaurent":
         """Substitute eps -> eps^t (t >= 1)."""
@@ -255,36 +323,19 @@ class EpsLaurent:
             return self
         if t < 1:
             raise ValueError("reparametrization exponent must be >= 1")
-        r = EpsLaurent.zero()
-        r.coeffs = {e * t: c for e, c in self.coeffs.items()}
-        r.lo = self.lo * t
-        r.hi = self.hi * t + (t - 1) if self.hi < INF_ORDER else INF_ORDER
-        return r
+        return self._apply(_reparam_entry, t)
 
     def truncate(self, hi: int) -> "EpsLaurent":
         """Restrict the guaranteed window to [lo, hi]."""
-        hi = min(hi, self.hi)
-        cc = {e: c for e, c in self.coeffs.items() if e <= hi}
-        r = EpsLaurent.zero()
-        r.coeffs, r.lo, r.hi = cc, min(self.lo, hi), hi
-        return r
+        return self._apply(_truncate_entry, hi)
 
     def conjugate(self) -> "EpsLaurent":
         """Coefficientwise conjugation (eps is real)."""
-        r = EpsLaurent.zero()
-        r.coeffs = {e: c.conjugate() for e, c in self.coeffs.items()}
-        r.lo, r.hi = self.lo, self.hi
-        return r
+        return self._apply(_conj_entry)
 
     def is_zero(self) -> bool:
         # "zero" in the generic-scalar sense: zero on the whole known window
         return not self.coeffs
-
-    def zero_like(self):
-        return EpsLaurent.zero()
-
-    def one_like(self):
-        return EpsLaurent.const(1)
 
     def __eq__(self, other):
         other = _coerce_series(other)

@@ -27,7 +27,8 @@ import random
 from dataclasses import dataclass, field
 
 from .matrices import Mat, PackedSeriesMat, mat_inv_exact
-from .series import EpsLaurent
+from .scalars import ExactArithmeticError
+from .series import EpsLaurent, InsufficientOrderError
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 7
 
@@ -95,10 +96,10 @@ class TppInstance:
         self.mode = mode
         self._inv_cache = {}
         self._packed = {}
-        self._check_distinct()
+        self._check_elements()
 
     # -- load-time checks ---------------------------------------------------
-    def _check_distinct(self):
+    def _check_elements(self):
         for name, lst in (("X", self.x), ("Y", self.y), ("Z", self.z)):
             if self.mode == "table":
                 order = self.group.order
@@ -108,14 +109,21 @@ class TppInstance:
                         f"group order {order}")
                 if len(set(lst)) != len(lst):
                     raise InstanceError(f"duplicate element in {name}")
-            elif self.mode == "exact":
+                continue
+            dim = self.group.dim
+            for i, m in enumerate(lst):
+                if (m.rows, m.cols) != (dim, dim):
+                    raise InstanceError(f"{name.lower()}[{i}] is {m.rows}x{m.cols}, "
+                                        f"but the group has dimension {dim}")
+            if self.mode == "exact":
                 keys = [m.key() for m in lst]
                 if len(set(keys)) != len(keys):
                     raise InstanceError(f"duplicate element in {name}")
             else:
+                packed = [self._packed_factor((name.lower(), i, False)) for i in range(len(lst))]
                 for i in range(len(lst)):
                     for j in range(i + 1, len(lst)):
-                        if _families_equal(lst[i], lst[j]):
+                        if packed[i].eq_on_window(packed[j]):
                             raise InstanceError(
                                 f"duplicate family in {name}: indices {i} and {j} "
                                 "agree on the entire valid window"
@@ -136,7 +144,10 @@ class TppInstance:
         if self.mode == "table":
             out = self.group.inv(elt)
         elif self.mode == "exact":
-            out = mat_inv_exact(elt)
+            try:
+                out = mat_inv_exact(elt)
+            except ExactArithmeticError as exc:
+                raise _no_inverse(which, idx, exc) from None
         else:
             out = self._packed_factor((which, idx, True)).unpack()
         self._inv_cache[key] = out
@@ -170,9 +181,13 @@ class TppInstance:
         p = self._packed.get(key)
         if p is None:
             which, idx, inverse = key
-            p = PackedSeriesMat.pack(self.element(which, idx))
             if inverse:
-                p = p.inverse()
+                try:
+                    p = self._packed_factor((which, idx, False)).inverse()
+                except (ExactArithmeticError, InsufficientOrderError) as exc:
+                    raise _no_inverse(which, idx, exc) from None
+            else:
+                p = PackedSeriesMat.pack(self.element(which, idx))
             self._packed[key] = p
         return p
 
@@ -189,15 +204,8 @@ class TppInstance:
         return len(self.x), len(self.y), len(self.z)
 
 
-def _families_equal(a: Mat, b: Mat) -> bool:
-    if a.rows != b.rows or a.cols != b.cols:
-        return False
-    for p, q in zip(a.data, b.data):
-        sp = p if isinstance(p, EpsLaurent) else EpsLaurent.const(p)
-        sq = q if isinstance(q, EpsLaurent) else EpsLaurent.const(q)
-        if not sp.eq_on_window(sq):
-            return False
-    return True
+def _no_inverse(which, idx, exc) -> InstanceError:
+    return InstanceError(f"{which}[{idx}] has no inverse: {exc}")
 
 
 # ---------------------------------------------------------------------------

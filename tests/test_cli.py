@@ -201,6 +201,32 @@ BAD_INSTANCES = {
                                   "identity": 0}},
 }
 
+
+def _window(coeffs, hi=3):
+    return {"coeffs": coeffs, "lo": min([0, *map(int, coeffs)]), "hi": hi}
+
+
+def _matrix_instance(mode, dim, x, y, z):
+    return {"schema": 1, "mode": mode, "group": {"type": "matrix", "dim": dim},
+            "x": x, "y": y, "z": z}
+
+
+_ONE, _ZERO = _window({"0": "1"}), _window({})
+_FAMILY_I = [[_window({"0": "1", "1": "1"}), _ZERO], [_ZERO, _ONE]]
+_EXACT_I = [["1", "0"], ["0", "1"]]
+# elements that load but have no inverse: a singular constant term, a
+# singular exact matrix; and a Y of 3x3 elements in a group of dimension 2
+BAD_INSTANCES.update({
+    "family-singular.json": _matrix_instance(
+        "family", 2, [_FAMILY_I, [[_ONE, _ONE], [_ONE, _window({"0": "1", "1": "1"})]]],
+        [_FAMILY_I], [_FAMILY_I]),
+    "exact-singular.json": _matrix_instance(
+        "exact", 2, [_EXACT_I, [["1", "1"], ["1", "1"]]], [_EXACT_I], [_EXACT_I]),
+    "family-mis-sized.json": _matrix_instance(
+        "family", 2, [_FAMILY_I], [[[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO],
+                                    [_ZERO, _ZERO, _ONE]]], [_FAMILY_I]),
+})
+
 ENTRY = {"kind": "entry", "i": 0, "j": 0}
 
 # A valid instance, and sep files for it with node kinds and a polynomial form
@@ -277,6 +303,12 @@ def sep_verify(sepfile):
     pytest.param(["tpp-verify", "--instance", "outside-z2.json"],
                  "Y holds an element that is not an index below the group order 2",
                  id="instance-element-outside-table"),
+    pytest.param(["tpp-verify", "--instance", "family-singular.json"],
+                 "x[1] has no inverse: singular matrix", id="instance-family-singular"),
+    pytest.param(["tpp-verify", "--instance", "exact-singular.json"],
+                 "x[1] has no inverse: singular matrix", id="instance-exact-singular"),
+    pytest.param(["tpp-verify", "--instance", "family-mis-sized.json"],
+                 "y[0] is 3x3, but the group has dimension 2", id="instance-mis-sized"),
     pytest.param(["running-example", "--n", "3", "--q", "2", "--set-cap", "0"],
                  "--set-cap must be at least 1", id="running-example-set-cap0"),
     pytest.param(["running-example", "--n", "3", "--q", "2", "--y-count", "0"],
@@ -452,6 +484,29 @@ def _table_instance(k, x, y, z):
             "group": {"type": "table", "table": table, "identity": 0}}
 
 
+@st.composite
+def matrix_instances(draw):
+    """Small exact or family instances: mostly of the group's dimension,
+    with singular, mis-sized and negative-power elements among them."""
+    mode = draw(st.sampled_from(["exact", "family"]))
+    dim = draw(st.integers(1, 2))
+
+    def entry():
+        if mode == "exact":
+            return draw(st.sampled_from(["0", "1", "-1", "2", "1/2"]))
+        hi = draw(st.integers(0, 3))
+        terms = draw(st.dictionaries(st.integers(-1, hi).map(str),
+                                     st.sampled_from(["1", "-1", "2", "1/2"]), max_size=2))
+        return _window(terms, hi)
+
+    def element():
+        size = dim if draw(st.integers(0, 5)) else draw(st.integers(1, 3))
+        return [[entry() for _ in range(size)] for _ in range(size)]
+
+    sets = [[element() for _ in range(draw(st.integers(1, 2)))] for _ in "xyz"]
+    return _matrix_instance(mode, dim, *sets)
+
+
 small = st.integers(-1, 4)
 elements = st.lists(st.integers(0, 5), max_size=3, unique=True)
 cli_argv = st.one_of(
@@ -472,10 +527,16 @@ cli_argv = st.one_of(
               st.integers(2, 6), elements, elements, elements,
               st.sampled_from(["auto", "exhaustive", "sampled"]), st.integers(-1, 30),
               st.integers(0, 3)),
+    st.builds(lambda inst, mode, budget, seed:
+              ({"inst.json": inst},
+               ["tpp-verify", "--instance", "inst.json", "--mode", mode,
+                "--sample-budget", str(budget), "--seed", str(seed)]),
+              matrix_instances(), st.sampled_from(["auto", "exhaustive", "sampled"]),
+              st.integers(1, 30), st.integers(0, 3)),
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(cli_argv)
 def test_cli_exit_codes_keep_their_contract(case):
     # 0 pass, 1 fail with a witness, 2 inconclusive, 3 rejected input: never a

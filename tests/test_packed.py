@@ -1,19 +1,22 @@
 """Differential tests of the packed series kernels against boxed loops.
 
-The boxed loop below is the generic Mat.matmul inner loop as it runs on
-EpsLaurent entries (a sum of EpsLaurent products); it is kept here only as
-an oracle.  Every entry of a packed product must equal it bit for bit,
+Every oracle here runs on OracleSeries (series_oracle.py), the dict-loop
+series arithmetic that shares no code with the packed kernel, since
+EpsLaurent's own arithmetic runs on that kernel.  oracle_matmul is the
+generic Mat.matmul inner loop on OracleSeries entries (a sum of series
+products).  Every entry of a packed product must equal it bit for bit,
 windows included, and InsufficientOrderError must be raised in exactly the
 same cases.  The packed series determinant is held to the cofactor DP run on
-boxed series (matrices._det_expansion), and LinearForm's series evaluation
+oracle series (matrices._det_expansion), and LinearForm's series evaluation
 to the boxed sum of coefficient times real or imaginary part, in the same
 way, and the packed p_1 of MinorInvariant to the boxed k = 1 loop over
 1x1 minors.
 
 The boxed paths that the packed kernel replaced live on here as oracles only:
-the Neumann inverse on boxed series, UniPoly's boxed Taylor expansion and
-evaluation, and check_border_value on a boxed value.  The packed entrywise
-operations (add, negate, shift, truncate) are held to EpsLaurent's own.
+the Neumann inverse, UniPoly's Taylor expansion and evaluation,
+check_border_value on a boxed value and mat_exp_trunc's loop over exact
+powers.  The packed entrywise operations (add, negate, shift, truncate) are
+held to the oracle's own.
 """
 
 import json
@@ -56,19 +59,7 @@ from tppverify.tpp import (
     verify_tpp_series,
 )
 
-
-def boxed_matmul(a: Mat, b: Mat) -> Mat:
-    """Oracle: the boxed sum of series products."""
-    n, k, m = a.rows, a.cols, b.cols
-    out = []
-    for i in range(n):
-        arow = a.data[i * k : (i + 1) * k]
-        for j in range(m):
-            acc = arow[0] * b.data[j]
-            for t in range(1, k):
-                acc = acc + arow[t] * b.data[t * m + j]
-            out.append(acc)
-    return Mat(n, m, out)
+from series_oracle import OracleSeries, oracle_matmul, to_oracle, triple
 
 
 def boxed_series_deviation(prod: Mat, order: int):
@@ -78,9 +69,7 @@ def boxed_series_deviation(prod: Mat, order: int):
     deviates = False
     for i in range(n):
         for j in range(n):
-            s = prod[i, j]
-            if not isinstance(s, EpsLaurent):
-                s = EpsLaurent.const(s)
+            s = OracleSeries.of(prod[i, j])
             min_hi = min(min_hi, s.hi)
             target = 1 if i == j else 0
             if s.known(0) and s.coeff(0) != target:
@@ -91,11 +80,10 @@ def boxed_series_deviation(prod: Mat, order: int):
     return deviates, min_hi
 
 
-def same_entries(p: Mat, q: Mat) -> bool:
-    return (p.rows, p.cols) == (q.rows, q.cols) and all(
-        type(s) is type(t) is EpsLaurent
-        and s.coeffs == t.coeffs and s.lo == t.lo and s.hi == t.hi
-        for s, t in zip(p.data, q.data))
+def same_entries(got: Mat, want: Mat) -> bool:
+    """got holds EpsLaurent entries equal to want's, windows included."""
+    return (got.rows, got.cols) == (want.rows, want.cols) and all(
+        type(s) is EpsLaurent and triple(s) == triple(t) for s, t in zip(got.data, want.data))
 
 
 def outcome(fn, *args):
@@ -150,7 +138,7 @@ def operand_pairs(draw):
 @given(operand_pairs())
 def test_packed_matmul_matches_boxed_loop(ab):
     a, b = ab
-    want = outcome(boxed_matmul, a, b)
+    want = outcome(oracle_matmul, a, b)
     got = outcome(a.matmul, b)
     if want is InsufficientOrderError:
         assert got is InsufficientOrderError
@@ -165,7 +153,7 @@ def test_packed_matmul_raises_on_empty_term_window():
     a = Mat(1, 1, [EpsLaurent({}, lo=0, hi=INF_ORDER - 1)])
     b = Mat(1, 1, [EpsLaurent.eps(2)])
     with pytest.raises(InsufficientOrderError):
-        boxed_matmul(a, b)
+        oracle_matmul(a, b)
     with pytest.raises(InsufficientOrderError):
         a.matmul(b)
 
@@ -211,7 +199,7 @@ def det_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(det_matrices())
 def test_packed_det_matches_boxed_dp(m):
-    want = outcome(_det_expansion, mat_to_series(m))
+    want = outcome(_det_expansion, to_oracle(m))
     got = outcome(mat_det, m)
     if want is InsufficientOrderError:
         assert got is InsufficientOrderError
@@ -233,7 +221,7 @@ def test_packed_det_raises_on_empty_term_window():
     m = Mat(2, 2, [EpsLaurent({}, lo=0, hi=INF_ORDER - 1), EpsLaurent.const(1),
                    EpsLaurent.const(1), EpsLaurent.eps(2)])
     with pytest.raises(InsufficientOrderError):
-        _det_expansion(m)
+        _det_expansion(to_oracle(m))
     with pytest.raises(InsufficientOrderError):
         mat_det(m)
 
@@ -340,6 +328,58 @@ def test_indicator_border_golden_reports():
     assert _jsonable(lpms) == GOLDEN_LPM
 
 
+# -- mat_exp_trunc on packed powers ------------------------------------------------
+
+def boxed_exp_trunc(a: Mat, order: int) -> Mat:
+    """Oracle: sum eps^k a^k / k! from boxed exact powers a^k."""
+    n = a.rows
+    coeff_mats = [Mat.identity(n, one=GaussRational(1), zero=GaussRational(0))]
+    power = coeff_mats[0]
+    fact = QQ(1)
+    for k in range(1, order + 1):
+        power = power.matmul(a)
+        fact = fact * k
+        coeff_mats.append(power.map(lambda x, f=fact: GaussRational.from_any(x) * GaussRational(1 / f)))
+    return Mat(n, n, [EpsLaurent({k: cm.data[idx] for k, cm in enumerate(coeff_mats)},
+                                 lo=0, hi=order) for idx in range(n * n)])
+
+
+@st.composite
+def exp_arguments(draw):
+    n = draw(st.integers(1, 4))
+    return draw(matrices(n, n, st.one_of(st.just(0), exact_entries))), draw(st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exp_arguments())
+def test_packed_exp_trunc_matches_boxed_powers(args):
+    a, order = args
+    got = mat_exp_trunc(a, order)
+    assert same_entries(got, boxed_exp_trunc(a, order))
+    qq = type(QQ(0))
+    for s in got.data:
+        assert all(type(c.re) is qq and type(c.im) is qq for c in s.coeffs.values())
+
+
+def test_exp_trunc_on_su_and_running_example_arguments():
+    from tppverify.running_example import skew_symmetric_lattice
+    from tppverify.su import su_build, su_s_matrix, su_y_lattice
+
+    constr = su_build(4)
+    coords, _ = su_y_lattice(constr, 2, cap=6, seed=0)
+    skew, _ = skew_symmetric_lattice(4, 4, cap=6, seed=1)
+    args = [su_s_matrix(constr, c) for c in coords] + skew
+    for a in args:
+        for order in (0, 1, 3, 5):
+            assert same_entries(mat_exp_trunc(a, order), boxed_exp_trunc(a, order))
+    square = Mat.from_rows([[1, 2], [3, 4]])
+    for bad, order, text in [(Mat(1, 2, [1, 2]), 1, "exponential of non-square matrix"),
+                             (square, -1, "order must be >= 0"),
+                             (mat_to_series(square), 1,
+                              "mat_exp_trunc expects exact (non-series) entries")]:
+        assert outcome_text(mat_exp_trunc, bad, order) == (ExactArithmeticError, text)
+
+
 # -- packed chains and _series_deviation -----------------------------------------
 
 def random_family(n, rng, order):
@@ -358,7 +398,7 @@ def tpp_factors(ix, ix2, iy, iy2, iz, iz2):
 def boxed_chain(factors):
     p = factors[0]
     for f in factors[1:]:
-        p = boxed_matmul(p, f)
+        p = oracle_matmul(p, f)
     return p
 
 
@@ -418,25 +458,23 @@ def test_packed_memo_keeps_public_api_boxed():
             assert all(isinstance(s, EpsLaurent) for s in inst.element(which, idx).data)
     inv = inst.inv_element("x", 1)
     assert all(isinstance(s, EpsLaurent) for s in inv.data)
-    assert same_entries(boxed_matmul(inv, fams[1]), inv.matmul(fams[1]))
+    assert same_entries(inv.matmul(fams[1]), oracle_matmul(inv, fams[1]))
     assert same_entries(mat_inv_series(fams[1]), inv)
 
 
 # -- LinearForm on series arguments ----------------------------------------------
 
-def boxed_linear_form(form: LinearForm, m: Mat) -> EpsLaurent:
-    """Oracle: sum of coef_r * Re(x) + coef_i * Im(x) over boxed series."""
+def boxed_linear_form(form: LinearForm, m: Mat) -> OracleSeries:
+    """Oracle: sum of coef_r * Re(x) + coef_i * Im(x) over oracle series."""
     def part(x, which):
-        out = EpsLaurent.zero()
-        out.coeffs = {e: GaussRational(getattr(c, which))
-                      for e, c in x.coeffs.items() if getattr(c, which) != 0}
-        out.lo, out.hi = x.lo, x.hi
-        return out
+        return OracleSeries({e: GaussRational(getattr(c, which))
+                             for e, c in x.coeffs.items() if getattr(c, which) != 0},
+                            x.lo, x.hi)
 
-    acc = EpsLaurent.const(0)
+    acc = OracleSeries.of(0)
     for j in range(m.rows):
         for k in range(m.cols):
-            x = m[j, k] if isinstance(m[j, k], EpsLaurent) else EpsLaurent.const(m[j, k])
+            x = OracleSeries.of(m[j, k])
             coef_r = GaussRational(form.rr[j, k], form.ir[j, k])
             coef_i = GaussRational(form.ri[j, k], form.ii[j, k])
             if not coef_r.is_zero():
@@ -503,9 +541,10 @@ def boxed_p1(d: Mat, m: Mat):
     The conjugated factor is D-bar M-bar D-bar, as the boxed loop builds it
     for a non-real D.
     """
-    dmd = boxed_matmul(boxed_matmul(d, m), d)
+    m = to_oracle(m)
+    dmd = oracle_matmul(oracle_matmul(d, m), d)
     dbar = d.conj()
-    dmbard = boxed_matmul(boxed_matmul(dbar, m.conj()), dbar)
+    dmbard = oracle_matmul(oracle_matmul(dbar, m.conj()), dbar)
     acc = None
     for a, b in zip(dmd.data, dmbard.data):
         term = a * b
@@ -531,8 +570,13 @@ def test_packed_p1_matches_boxed_loop(dm):
     d, m = dm
     want = outcome(boxed_p1, d, m)
     got = outcome(MinorInvariant(1, d).eval, m, EvalContext())
-    if want is InsufficientOrderError or not m.has_series_entries():
-        assert got == want
+    if want is InsufficientOrderError:
+        assert got is InsufficientOrderError
+        return
+    if not m.has_series_entries():
+        # an exact argument runs the boxed exact loop: the constant term
+        assert want.hi == INF_ORDER and set(want.coeffs) <= {0}
+        assert got == want.coeff(0)
         return
     assert type(got) is EpsLaurent
     assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
@@ -570,8 +614,8 @@ def packed_scaled(p: PackedSeriesMat, f: int) -> PackedSeriesMat:
                             for lo, hi, v, t in p.entries])
 
 
-def same_series(s, t) -> bool:
-    return type(s) is type(t) is EpsLaurent and (s.coeffs, s.lo, s.hi) == (t.coeffs, t.lo, t.hi)
+def same_series(got, want) -> bool:
+    return type(got) is EpsLaurent and triple(got) == triple(want)
 
 
 any_entries = st.one_of(series_entries(), series_entries(), exact_entries)
@@ -590,7 +634,7 @@ def test_packed_entrywise_ops_match_eps_laurent(ab, k, h):
     a, b, fa, fb = ab
     pa = packed_scaled(PackedSeriesMat.pack(a), fa)
     pb = packed_scaled(PackedSeriesMat.pack(b), fb)
-    sa, sb = mat_to_series(a), mat_to_series(b)
+    sa, sb = to_oracle(a), to_oracle(b)
     assert same_entries(pa.add(pb).unpack(), sa + sb)
     assert same_entries(pa.neg().unpack(), sa.map(lambda x: -x))
     assert same_entries(pa.shift(k).unpack(), sa.map(lambda x: x.shift(k)))
@@ -618,27 +662,41 @@ def test_packed_key_names_the_value_not_its_denominator(ab):
 # -- the Neumann inverse ------------------------------------------------------------
 
 def boxed_inv_series(m: Mat) -> Mat:
-    """Oracle: the Neumann loop on boxed series, products by boxed_matmul."""
+    """Oracle: the Neumann loop on oracle series, products by oracle_matmul.
+
+    A stored negative power is accepted only when a power of N = C M - I is
+    exactly zero (every entry zero with an unlimited window) within n terms.
+    """
     n = m.rows
-    m = mat_to_series(m)
+    m = to_oracle(m)
     lo = max(x.lo for x in m.data)
     hi = min(x.hi for x in m.data)
     if lo > 0:
         raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
     c0 = m.map(lambda x: x.coeff(0))
-    c0_inv_s = mat_to_series(mat_inv_exact(c0))
-    ident = Mat.identity(n, one=EpsLaurent.const(1), zero=EpsLaurent.zero())
-    nmat = boxed_matmul(c0_inv_s, m) - ident
-    width = min(hi, INF_ORDER)
-    if width >= INF_ORDER and any(x.is_certified_nonzero() for x in nmat.data):
+    c0_inv_s = to_oracle(mat_inv_exact(c0))
+    ident = to_oracle(Mat.identity(n))
+    nmat = oracle_matmul(c0_inv_s, m) - ident
+    if hi >= INF_ORDER and any(x.coeffs for x in nmat.data):
         raise ExactArithmeticError("series matrix inverse needs a finite window")
+    negative = any(e < 0 for x in m.data for e in x.coeffs)
     acc = term = ident
-    for _ in range(width):
-        term = boxed_matmul(term, nmat).map(lambda x: -x)
+    for _ in range(n if negative else hi):
+        term = oracle_matmul(term, nmat).map(lambda x: -x)
         if all(x.is_zero_on_window() for x in term.data):
             break
         acc = acc + term
-    return boxed_matmul(acc, c0_inv_s).map(lambda x: x.truncate(hi))
+    if negative and any(x.coeffs or x.hi < INF_ORDER for x in term.data):
+        raise ExactArithmeticError(
+            "series matrix inverse of negative powers needs a nilpotent C M - I")
+    return oracle_matmul(acc, c0_inv_s).map(lambda x: x.truncate(hi))
+
+
+def multiplies_back(m: Mat, inv: Mat) -> bool:
+    """m inv equals I on every entry's window (oracle arithmetic)."""
+    prod = oracle_matmul(m, inv)
+    n = m.rows
+    return all(prod[i, j].eq_on_window(int(i == j)) for i in range(n) for j in range(n))
 
 
 def outcome_text(fn, *args):
@@ -662,6 +720,13 @@ def near_identity_entries(draw):
 @st.composite
 def inverse_operands(draw):
     n = draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:
+        # unit upper triangular with Laurent entries above the diagonal:
+        # N = C M - I is strictly upper triangular, so exactly nilpotent
+        above = st.one_of(exact_entries, near_identity_entries(), st.builds(
+            lambda c, hi: EpsLaurent({-1: c}, lo=-1, hi=hi), gauss, st.integers(0, 3)))
+        return Mat(n, n, [1 if i == j else draw(above) if j > i else 0
+                          for i in range(n) for j in range(n)])
     m = draw(matrices(n, n, st.one_of(near_identity_entries(), near_identity_entries(),
                                       exact_entries)))
     if draw(st.booleans()):
@@ -681,10 +746,41 @@ def test_packed_inverse_matches_boxed_neumann(m):
         return
     assert not isinstance(got, tuple), got
     assert same_entries(got, want)
+    # every inverse given is an inverse on its window; with a negative power
+    # drawn, only a nilpotent N = C M - I (one that vanishes exactly) passes
+    assert multiplies_back(m, got)
+    if any(e < 0 for x in to_oracle(m).data for e in x.coeffs):
+        n = m.rows
+        c0_inv = mat_inv_exact(to_oracle(m).map(lambda x: x.coeff(0)))
+        nmat = oracle_matmul(c0_inv, m) - to_oracle(Mat.identity(n))
+        power = nmat
+        for _ in range(n - 1):
+            power = oracle_matmul(power, nmat)
+        assert all(not x.coeffs and x.hi >= INF_ORDER for x in power.data)
     # the packed inverse is reduced: its own pack, over the smallest denominator
     packed = PackedSeriesMat.pack(m).inverse()
-    assert (packed.den, packed.entries) == (PackedSeriesMat.pack(want).den,
-                                            PackedSeriesMat.pack(want).entries)
+    assert (packed.den, packed.entries) == (PackedSeriesMat.pack(got).den,
+                                            PackedSeriesMat.pack(got).entries)
+
+
+def test_packed_inverse_refuses_a_singular_laurent_matrix():
+    # [[1, eps^-1], [eps, 1]] has determinant 0; N = M - I squares to I, so
+    # the truncated Neumann sum 2I - N was once returned as its inverse
+    m = Mat.from_rows([[EpsLaurent({0: 1}, lo=0, hi=2), EpsLaurent({-1: 1}, lo=-1, hi=2)],
+                       [EpsLaurent({1: 1}, lo=0, hi=2), EpsLaurent({0: 1}, lo=0, hi=2)]])
+    refusal = (ExactArithmeticError,
+               "series matrix inverse of negative powers needs a nilpotent C M - I")
+    assert outcome_text(mat_inv_series, m) == refusal
+    assert outcome_text(boxed_inv_series, m) == refusal
+    assert outcome_text(mat_inv_exact, m) == (
+        ExactArithmeticError, "mat_inv_exact expects exact entries (see mat_inv_series)")
+    # a nilpotent N inverts exactly: [[1, eps^-1], [0, 1]]^-1 = [[1, -eps^-1], [0, 1]]
+    u = Mat.from_rows([[1, EpsLaurent({-1: 1}, lo=-1, hi=2)], [0, 1]])
+    inv = mat_inv_series(u)
+    assert [x.coeffs for x in inv.data] == [{0: 1}, {-1: -1}, {}, {0: 1}]
+    assert min(x.hi for x in inv.data) == 2
+    assert same_entries(inv, boxed_inv_series(u))
+    assert multiplies_back(u, inv)
 
 
 def test_packed_inverse_on_running_example_families():
@@ -710,16 +806,17 @@ def boxed_taylor(poly: UniPoly, c: GaussRational, order: int):
     return t + [GaussRational(0)] * (order + 1 - len(t))
 
 
-def boxed_eval_series(poly: UniPoly, x: EpsLaurent) -> EpsLaurent:
-    """Oracle: the boxed Taylor evaluation, sums and products of EpsLaurent."""
+def boxed_eval_series(poly: UniPoly, x: EpsLaurent) -> OracleSeries:
+    """Oracle: the boxed Taylor evaluation, sums and products of oracle series."""
+    x = OracleSeries.of(x)
     c = x.coeff(0)
-    h = x - EpsLaurent.const(c)
+    h = x - c
     if any(e < 0 for e in h.coeffs):
         needed = poly.degree
     else:
         needed = min(poly.degree, max(x.hi, 0) if x.hi < 10 ** 8 else poly.degree)
     t = boxed_taylor(poly, c, needed)
-    acc = EpsLaurent.const(t[0])
+    acc = OracleSeries.of(t[0])
     if needed >= 1:
         hpow = h
         acc = acc + t[1] * hpow

@@ -19,7 +19,9 @@ from tppverify.sepfun import (
     UniPoly,
     lagrange_indicator,
 )
-from tppverify.series import EpsLaurent, InsufficientOrderError, series
+from tppverify.series import InsufficientOrderError, series
+
+from series_oracle import OracleSeries
 
 
 def trace_node(n):
@@ -66,10 +68,10 @@ def test_taylor_vs_product_form_oracle():
         x = series({0: rng.choice(nodes), 1: rng.randint(-3, 3),
                     2: rng.randint(-3, 3)}, hi=3)
         via_taylor = p.eval_series(x)
-        acc = EpsLaurent.const(p.scale)
+        acc = OracleSeries.of(p.scale)
         for r in p.roots:
-            acc = acc * (x - EpsLaurent.const(r))
-        assert via_taylor.eq_on_window(acc)
+            acc = acc * (OracleSeries.of(x) - r)
+        assert acc.eq_on_window(OracleSeries.of(via_taylor))
 
 
 def test_unipoly_series_window_capped():

@@ -1,10 +1,12 @@
-import random
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tppverify.scalars import GaussRational, QQ
-from tppverify.series import EpsLaurent, InsufficientOrderError, series
+from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError, series
+
+from series_oracle import OracleSeries, triple
 
 
 def hand_mul(a: dict, b: dict) -> dict:
@@ -59,60 +61,6 @@ def test_empty_window_construction_errors():
         EpsLaurent({}, lo=3, hi=1)
 
 
-def test_insufficient_order_for_inverse():
-    # inverting eps*(...) known only to eps^1 leaves no certified coefficients
-    a = series({1: 1}, lo=1, hi=1)
-    inv = a.inverse()
-    assert (inv.lo, inv.hi) == (-1, -1)
-    with pytest.raises(InsufficientOrderError):
-        inv.coeff(0)
-
-
-def test_inv_geometric():
-    a = series({0: 1, 1: 1}, hi=2)
-    inv = a.inverse()
-    assert [inv.coeff(k) for k in range(3)] == [
-        GaussRational(1),
-        GaussRational(-1),
-        GaussRational(1),
-    ]
-
-
-def test_inv_constant():
-    assert EpsLaurent.const(2).inverse().constant_term() == GaussRational(QQ(1, 2))
-
-
-def test_inv_shifted_multiply_back():
-    a = series({1: 1, 2: 1}, lo=1, hi=4)  # eps(1+eps), window [1,4]
-    inv = a.inverse()
-    assert inv.valuation() == -1
-    assert inv.coeff(-1) == GaussRational(1)
-    assert inv.coeff(0) == GaussRational(-1)
-    prod = a * inv
-    assert prod.constant_term() == GaussRational(1)
-    assert all(c.is_zero() for e, c in prod.coeffs.items() if e != 0)
-
-
-def test_inv_zero_errors():
-    with pytest.raises(InsufficientOrderError):
-        series({}, lo=0, hi=3).inverse()
-
-
-def test_inv_multiply_back_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        lo = rng.randint(-2, 2)
-        hi = lo + rng.randint(2, 5)
-        coeffs = {lo: QQ(rng.choice([1, -1, 2, 3]), rng.randint(1, 4))}
-        for e in range(lo + 1, hi + 1):
-            if rng.random() < 0.6:
-                coeffs[e] = QQ(rng.randint(-5, 5), rng.randint(1, 5))
-        a = series(coeffs, lo=lo, hi=hi)
-        prod = a * a.inverse()
-        assert prod.constant_term() == GaussRational(1)
-        assert all(c.is_zero() for e, c in prod.coeffs.items() if e != 0), (a, prod)
-
-
 @settings(max_examples=60)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_ring_axioms_on_windows(_, __, ___, data):
@@ -164,3 +112,69 @@ def test_json_roundtrip():
     a = series({-1: GaussRational(1, 2), 2: 3}, lo=-1, hi=4)
     b = EpsLaurent.from_json(a.to_json())
     assert a == b
+
+
+# -- EpsLaurent's arithmetic on the packed kernel, against the dict loops ------
+
+rationals = st.builds(QQ, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+gauss = st.builds(GaussRational, rationals, st.one_of(st.just(0), rationals))
+exact = st.one_of(st.integers(-3, 3), rationals, gauss)
+
+
+@st.composite
+def laurent(draw):
+    """Negative exponents; finite, saturating (INF_ORDER - 1) and unlimited windows."""
+    lo = draw(st.integers(-3, 3))
+    hi = draw(st.one_of(st.integers(lo, lo + 5), st.just(INF_ORDER - 1), st.just(INF_ORDER)))
+    exps = draw(st.lists(st.integers(lo, min(hi, lo + 5)), max_size=4, unique=True))
+    return EpsLaurent({e: draw(gauss) for e in exps}, lo=lo, hi=hi)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the InsufficientOrderError it raises."""
+    try:
+        return fn(*args)
+    except InsufficientOrderError as exc:
+        return "InsufficientOrderError", str(exc)
+
+
+def agrees(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    return type(got) is EpsLaurent and triple(got) == triple(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(laurent(), exact), laurent(), st.booleans(), st.integers(-4, 4),
+       st.one_of(st.integers(-3, 6), st.just(INF_ORDER - 1), st.just(INF_ORDER)),
+       st.integers(1, 3))
+def test_delegated_ops_match_dict_oracle(other, x, series_left, k, h, t):
+    # binary operations with a series on either side, the other operand a
+    # series or an int, QQ or GaussRational
+    a, b = (x, other) if series_left else (other, x)
+    oa, ob = OracleSeries.of(a), OracleSeries.of(b)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert agrees(outcome(op, a, b), outcome(op, oa, ob)), op
+    ox = OracleSeries.of(x)
+    assert agrees(-x, -ox)
+    assert agrees(x.shift(k), ox.shift(k))
+    assert agrees(x.truncate(h), ox.truncate(h))
+    assert agrees(x.reparametrize(t), ox.reparametrize(t))
+    assert agrees(x.conjugate(), ox.conjugate())
+    # equality on the window: an unrelated operand, x changed at eps^j (unequal
+    # when j is in the window), and that change cut off (equal)
+    j = x.lo + 1
+    changed = x + EpsLaurent({j: 1}, lo=j)
+    for y in (other, changed, changed.truncate(j - 1)):
+        assert x.eq_on_window(y) == ox.eq_on_window(OracleSeries.of(y))
+    assert x.eq_on_window(changed) == (j > x.hi)
+    assert x.eq_on_window(changed.truncate(j - 1))
+
+
+def test_empty_product_window_text():
+    # zero up to INF_ORDER - 1 times eps^2 known exactly: the window
+    # [INF_ORDER + 1, INF_ORDER] is empty, in the kernel and in the oracle
+    a, b = EpsLaurent({}, lo=0, hi=INF_ORDER - 1), EpsLaurent.eps(2)
+    want = ("InsufficientOrderError", "insufficient truncation order: empty product window")
+    assert outcome(operator.mul, a, b) == want
+    assert outcome(operator.mul, OracleSeries.of(a), OracleSeries.of(b)) == want
