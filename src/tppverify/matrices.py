@@ -26,8 +26,10 @@ The inverse of a series matrix is the Neumann series run on the packed
 kernel: with C the exact inverse of the constant term and N = C M - I,
 M^-1 = (sum_k (-N)^k) C, summed until a term is zero on its window or for
 hi terms, and truncated to the smallest hi of M; the result is reduced.  The
-bound needs N to have valuation >= 1: a matrix that stores a negative power
-of eps is refused, unless a power of N is exactly zero.
+bound needs N to have valuation >= 1 and hi to be finite: a matrix that
+stores a negative power of eps, or whose window is unlimited, is refused
+unless a power of N is exactly zero.  A constant term of exactly I (every
+su and running-example Y family) skips C and its products.
 
 Chains of products (the TPP/DPP products, the Y inverses and the separation
 arguments) stay packed from factor to verdict; mat_det, lpm, mat_exp_trunc
@@ -354,20 +356,38 @@ class PackedSeriesMat:
         if n == 1:
             return self
         entries = self.entries
-        negated = self.neg().entries
+        negated = {}            # entry index -> negated entry, made on first use
+
+        def signed(k):
+            x = negated.get(k)
+            if x is None:
+                x = negated[k] = _neg_entry(entries[k])
+            return x
 
         def combine(terms):
-            return _dot([(sub, negated[k] if negate else entries[k]) for sub, k, negate in terms])
+            return _dot([(sub, signed(k) if negate else entries[k]) for sub, k, negate in terms])
 
         return PackedSeriesMat(1, 1, self.den ** n, [_cofactor_dp(n, entries, combine)])
+
+    def has_unit_constant(self) -> bool:
+        """The constant term is known and exactly I, read from the numerators."""
+        den, cols = self.den, self.cols
+        for idx, (_, h, _, t) in enumerate(self.entries):
+            c0 = next(((re, im) for e, re, im in t if e == 0), (0, 0))
+            if h < 0 or c0 != ((den, 0) if idx // cols == idx % cols else (0, 0)):
+                return False
+        return True
 
     def inverse(self) -> "PackedSeriesMat":
         """Inverse of a matrix with invertible constant term (Neumann series).
 
-        With no stored negative power, N = C M - I has valuation >= 1, so
-        (-N)^k starts at eps^k and hi terms reach the window edge.  With one,
-        the sum is sound only if a power of N is exactly zero (N nilpotent,
-        so at most n terms); otherwise the inverse is refused.
+        With no stored negative power and a finite window, N = C M - I has
+        valuation >= 1, so (-N)^k starts at eps^k and hi terms reach the
+        window edge.  With a negative power or an unlimited window, the sum
+        is sound only if a power of N is exactly zero (N nilpotent, so at
+        most n terms); otherwise the inverse is refused.  A constant term of
+        exactly I needs no C: N = M - I, and only the lo narrowing that the
+        products by C = I would make is kept.
         """
         n = self.rows
         if n != self.cols:
@@ -375,29 +395,40 @@ class PackedSeriesMat:
         if max(lo for lo, _, _, _ in self.entries) > 0:
             raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
         hi = min(h for _, h, _, _ in self.entries)
-        c0 = []
-        for lo, h, _, t in self.entries:
+        for lo, h, _, _ in self.entries:
             if h < 0:
                 raise InsufficientOrderError(
                     f"coefficient at eps^0 unknown (window [{lo},{h}])")
-            re, im = next(((re, im) for e, re, im in t if e == 0), (0, 0))
-            c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
-        c0_inv = PackedSeriesMat.pack(mat_inv_exact(Mat(n, n, c0)))
         ident = PackedSeriesMat.identity(n)
-        nmat = c0_inv.matmul(self).add(ident.neg())
-        if hi >= INF_ORDER and any(t for _, _, _, t in nmat.entries):
-            raise ExactArithmeticError("series matrix inverse needs a finite window")
+        if self.has_unit_constant():
+            c0_inv = None
+            nmat = self.add(ident.neg())
+        else:
+            c0 = []
+            for _, _, _, t in self.entries:
+                re, im = next(((re, im) for e, re, im in t if e == 0), (0, 0))
+                c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
+            c0_inv = PackedSeriesMat.pack(mat_inv_exact(Mat(n, n, c0)))
+            nmat = c0_inv.matmul(self).add(ident.neg())
         negative = any(t and t[0][0] < 0 for _, _, _, t in self.entries)
-        acc = term = ident
-        for _ in range(n if negative else hi):
-            term = term.matmul(nmat).neg()
+        must_vanish = negative or hi >= INF_ORDER
+        acc, term = ident, nmat.neg()
+        for k in range(n if must_vanish else hi):
+            if k:
+                term = term.matmul(nmat).neg()
             if not any(t for _, _, _, t in term.entries):
                 break
             acc = acc.add(term)
-        if negative and any(t or h < INF_ORDER for _, h, _, t in term.entries):
+        if must_vanish and any(t or h < INF_ORDER for _, h, _, t in term.entries):
             raise ExactArithmeticError(
-                "series matrix inverse of negative powers needs a nilpotent C M - I")
-        return acc.matmul(c0_inv).truncate(hi).reduced()
+                "series matrix inverse of negative powers needs a nilpotent C M - I"
+                if negative else "series matrix inverse of an unlimited window needs "
+                "a nilpotent C M - I")
+        if c0_inv is None:
+            acc = PackedSeriesMat(n, n, acc.den, [(v, h, v, t) for _, h, v, t in acc.entries])
+        else:
+            acc = acc.matmul(c0_inv)
+        return acc.truncate(hi).reduced()
 
     def unpack_scalar(self):
         """The boxed entry of a 1x1 packed matrix."""

@@ -1,4 +1,19 @@
-"""Verification of separating and border-separating function families."""
+"""Verification of separating and border-separating function families.
+
+The border verifier evaluates each member f_{x,z} at M = x' y^-1 y' z'^-1,
+packed and reduced to lowest terms, and memoises M per index tuple and the
+shared nodes' values per distinct M.  A tuple with y = y' is evaluated at
+x' z'^-1, memoised by (x', z'), when every X', Y and Z' element is
+I + eps A1 + O(eps^2) under one window edge h (tpp.unit_first_order_edge).
+The gate makes this exact: y^-1 y is I on the window [0, h], every factor
+and product of the chain has valuation >= 0 and the window edge h on every
+entry, and a product's coefficients up to h depend only on its factors'
+coefficients up to h; so the chain and x' z'^-1 agree entry for entry,
+windows and effective valuations included, and reduce to the same lowest
+terms.  Every gated element has a packed inverse, so the skipped y^-1 hides
+no refusal.  Without the gate (a Y element known to a shorter window, a constant
+term other than I) the chain can differ, and all four factors are kept.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +24,7 @@ from .matrices import PackedSeriesMat
 from .scalars import QQ, GaussRational, approx_eq
 from .sepfun import EvalContext, PolyApply, Product, SepFunction
 from .series import InsufficientOrderError
-from .tpp import TppInstance, quotient_product_set
+from .tpp import TppInstance, quotient_product_set, unit_first_order_edge
 
 
 @dataclass
@@ -259,15 +274,22 @@ def verify_separating_border(family, inst: TppInstance, order: int,
     # Members that share node objects (p0 and the coordinate indicators of an
     # assembled split family) evaluate each shared node once per distinct M.
     memo = _NodeMemo(_shared_nodes(family), ctx or EvalContext())
+    # y^-1 y is I on the one window edge of unit-constant elements, so M for
+    # y = y' is x' z'^-1 bit for bit once reduced (see the module docstring)
+    y_cancels = unit_first_order_edge(inst, "xyz") is not None
     prod_cache = {}
     for ix, iz, ix2, iy, iy2, iz2 in tuples():
-        key = (ix2, iy, iy2, iz2)
+        if y_cancels and iy == iy2:
+            key = (ix2, iz2)
+            factors = (("x", ix2, False), ("z", iz2, True))
+        else:
+            key = (ix2, iy, iy2, iz2)
+            factors = (("x", ix2, False), ("y", iy, True), ("y", iy2, False), ("z", iz2, True))
         cached = prod_cache.get(key)
         if cached is None:
             # M stays packed, in lowest terms: the tree reads its entries, and
             # the memo its key
-            m = inst.product((("x", ix2, False), ("y", iy, True),
-                              ("y", iy2, False), ("z", iz2, True))).reduced()
+            m = inst.product(factors).reduced()
             cached = m, memo.intern(m.lowest_terms_key())
             if len(prod_cache) < 4096:
                 prod_cache[key] = cached

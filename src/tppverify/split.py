@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 
 from .groups import MatrixGroupOps
-from .matrices import Mat, mat_rank, mat_inv_exact, mat_exp_trunc
+from .matrices import Mat, PackedSeriesMat, mat_rank, mat_inv_exact, mat_exp_trunc
 from .scalars import GaussRational, QQ, GR_ZERO
 from .sepfun import (
     Affine,
@@ -254,18 +254,8 @@ class SplitOutput:
 
 
 def _family_has_identity_constant(fam: Mat) -> bool:
-    n = fam.rows
-    for i in range(n):
-        for j in range(n):
-            x = fam[i, j]
-            s = x if isinstance(x, EpsLaurent) else EpsLaurent.const(x)
-            if any(e < 0 for e in s.coeffs):
-                return False
-            if not s.known(0):
-                return False
-            if s.coeff(0) != GaussRational(1 if i == j else 0):
-                return False
-    return True
+    p = PackedSeriesMat.pack(fam)
+    return p.has_unit_constant() and not any(t and t[0][0] < 0 for _, _, _, t in p.entries)
 
 
 def coordinate_indicators(values, forms):

@@ -17,6 +17,22 @@ vanishes the tuple is reported inconclusive, never silently passed.  Family
 products are chains of packed series matrices (PackedSeriesMat): every
 element is packed and every inverse computed on the packed kernel once per
 instance, and the product is classified without unpacking it.
+
+First order.  When every element of the sets a check reads is
+I + eps A1 + O(eps^2) -- constant term exactly I, no stored negative power,
+no window starting above eps^0, and every entry's window ending at one edge
+h with 1 <= h < INF_ORDER (unit_first_order_edge, checked once on the packed
+elements) -- a tuple is first tried without its product.  Every such element
+has a packed inverse I - eps A1 + O(eps^2), so the eps^1 coefficient of
+x x'^-1 y y'^-1 z z'^-1 is
+(X1 - X1') + (Y1 - Y1') + (Z1 - Z1'), read from exact tables (for the DPP,
+-X1 + X1' - Z1 + Z1').  A nonzero sum is the e = 1 deviation that
+_series_deviation finds on the chain, at the window edge min(order, h): a
+product of unit-constant factors keeps constant term I and valuation >= 0,
+and each of its entries ends at its factors' smallest edge, since the term
+with the diagonal entry 1 reaches exactly that edge and every other term
+reaches at least as far.  A zero sum (every all-equal tuple, and collisions
+such as Z' = X') falls back to the packed chain.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .matrices import Mat, PackedSeriesMat, mat_inv_exact
 from .scalars import ExactArithmeticError
-from .series import EpsLaurent, InsufficientOrderError
+from .series import INF_ORDER, EpsLaurent, InsufficientOrderError
 
 DEFAULT_EXHAUSTIVE_CAP = 10 ** 7
 
@@ -255,20 +271,94 @@ def _iter_tuples(sizes, how, budget, seed):
     return (tuple(rng.randrange(s) for s in sizes) for _ in range(budget))
 
 
-def _classifier(inst: TppInstance, order):
-    """prod -> (is_identity, window edge), is_identity None when unknown.
+def _classifier(inst: TppInstance, kind: str, order):
+    """tup -> (is_identity, window edge), is_identity None when unknown.
 
     Exact and table products are decided by equality.  A family product is
     proved to differ from I by a nonzero coefficient in its window, and never
-    proved equal to I: the coefficients beyond the window are unknown.
+    proved equal to I: the coefficients beyond the window are unknown.  When
+    every element the check reads is I + eps A1 + O(eps^2) under one window
+    edge h, a nonzero first-order sum settles the tuple without its product;
+    a zero sum falls back to the packed chain.
     """
     if inst.mode != "family":
-        return lambda prod: (inst.is_identity(prod), None)
+        return lambda tup: (inst.is_identity(inst.product(_factors(kind, tup))), None)
 
-    def classify(prod):
-        deviates, used = _series_deviation(prod, order)
+    def chain(tup):
+        deviates, used = _series_deviation(inst.product(_factors(kind, tup)), order)
         return (False if deviates else None), used
+
+    h = unit_first_order_edge(inst, {which for which, _, _ in _FACTORS[kind]})
+    if h is None or order < 1:
+        return chain
+    edge = min(order, h)
+    tables = _first_order_tables(inst, kind)
+
+    def classify(tup):
+        if sum(table[tup[pos]] for pos, table in tables):
+            return False, edge
+        return chain(tup)
     return classify
+
+
+def unit_first_order_edge(inst: TppInstance, sets):
+    """The one window edge h of the family elements of sets, or None.
+
+    h is returned when every element of the named sets ("x", "y", "z") has
+    constant term exactly I, stores no negative power, has no window starting
+    above eps^0, and has every entry's window end at the same h, with
+    1 <= h < INF_ORDER.  Such an element has a packed inverse, so a tuple
+    settled without one hides no InstanceError.  Read once from the packed
+    elements that the instance holds.
+    """
+    if inst.mode != "family":
+        return None
+    edges = set()
+    for which in sets:
+        for idx in range(len(getattr(inst, which))):
+            p = inst._packed_factor((which, idx, False))
+            if not p.has_unit_constant() or any(
+                    lo > 0 or (t and t[0][0] < 0) for lo, _, _, t in p.entries):
+                return None
+            edges.update(h for _, h, _, _ in p.entries)
+    if len(edges) != 1:
+        return None
+    (h,) = edges
+    return h if 1 <= h < INF_ORDER else None
+
+
+def _first_order_tables(inst: TppInstance, kind: str):
+    """(position, table) per factor of kind: table[idx] encodes the eps^1
+    coefficient of that element, negated for an inverse factor.
+
+    An element I + eps A1 + O(eps^2) has inverse I - eps A1 + O(eps^2), so a
+    tuple's first-order sum is the sum of its factors' table values.  The
+    coefficients are numerators over one denominator D; the 2 n^2 real and
+    imaginary numerators of a matrix are packed into one integer as digits
+    in base 2^b, with 2^(b-1) above every |digit| a sum of len(factors)
+    terms can reach.  Such a sum is zero exactly when every digit is zero,
+    so it is zero exactly when the first-order sum is.
+    """
+    factors = _FACTORS[kind]
+    elements = {which: [inst._packed_factor((which, idx, False))
+                        for idx in range(len(getattr(inst, which)))]
+                for which, _, _ in factors}
+    den = math.lcm(*[p.den for ps in elements.values() for p in ps])
+
+    def digits(p):
+        scale, out = den // p.den, []
+        for _, _, _, t in p.entries:
+            re, im = next(((re, im) for e, re, im in t if e == 1), (0, 0))
+            out += [int(re) * scale, int(im) * scale]
+        return out
+
+    rows = {which: [digits(p) for p in ps] for which, ps in elements.items()}
+    top = max([abs(d) for rs in rows.values() for row in rs for d in row] + [1])
+    b = (2 * len(factors) * top).bit_length()
+    encoded = {which: [sum(d << (b * k) for k, d in enumerate(row)) for row in rs]
+               for which, rs in rows.items()}
+    return [(pos, [-v for v in encoded[which]] if inverse else encoded[which])
+            for which, pos, inverse in factors]
 
 
 def _verify(inst: TppInstance, kind: str, order, mode, sample_budget, seed,
@@ -293,14 +383,14 @@ def _verify(inst: TppInstance, kind: str, order, mode, sample_budget, seed,
     sampled = how == "sampled"
     seed_used = seed if sampled else None
     family = inst.mode == "family"
-    classify = _classifier(inst, order)
+    classify = _classifier(inst, kind, order)
     checked = inconclusive = 0
     first_inconclusive = None
     order_used = order
     for tup in _iter_tuples(sizes, how, budget, seed):
         checked += 1
         all_equal = tup[0::2] == tup[1::2]
-        is_identity, used = classify(inst.product(_factors(kind, tup)))
+        is_identity, used = classify(tup)
         if used is not None:
             order_used = min(order_used, used)
         if is_identity is None:

@@ -9,6 +9,7 @@ recomputation.  The correct constant, 2*(n!/(n/2)!)^4, is asserted in A7c.
 See su.C_INTEGRALITY_NOTE and the reports' deviations field.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -294,6 +295,9 @@ def test_a8_kvn_monte_carlo():
 
 SPLIT_ARGS = ["split-assemble", "--n", "4", "--q", "2", "--sample-budget", "10000",
               "--seed", "1234", "--no-timestamp", "--format", "json"]
+# sha256 of the whole A9 report: a fast path may change how a verdict is
+# reached, never a byte of what is reported
+A9_REPORT_SHA256 = "32a972b44fe8100afc418630ceadbd86accc40eb90ac97a74a848eaec850ff63"
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +347,7 @@ def test_a9_end_to_end_split(split_reports):
     assert _line("A9", ok, "split assembly at n=4, q=2: TPP + border separation "
                  f"pass on 10^4 seeded tuples in {max(per_run):.0f}s; degree "
                  "ledger exact; indicator degree bound linear in q across {2,4,8}", t0)
+    assert hashlib.sha256(text.encode()).hexdigest() == A9_REPORT_SHA256
 
 
 def test_a10_running_border_p0():

@@ -18,7 +18,7 @@ from tppverify.instances import (
 )
 from tppverify.matrices import Mat, mat_exp_trunc
 from tppverify.scalars import GaussRational, QQ
-from tppverify.series import EpsLaurent
+from tppverify.series import INF_ORDER, EpsLaurent
 from tppverify.tpp import TppInstance
 
 
@@ -99,6 +99,23 @@ def test_tpp_verify_family_inconclusive_exit2(tmp_path, capsys):
                          "--no-timestamp"], capsys)
     assert code == 2
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+def test_tpp_verify_unlimited_window_nilpotent_inverse(tmp_path, capsys):
+    # [[1, eps], [0, 1]] in the {exponent: coefficient} shorthand has an
+    # unlimited window; N = M - I squares to 0, so its inverse is exactly
+    # [[1, -eps], [0, 1]] and the instance verifies
+    ident = [[{"0": "1"}, {}], [{}, {"0": "1"}]]
+    unipotent = [[{"0": "1"}, {"1": "1"}], [{}, {"0": "1"}]]
+    obj = _matrix_instance("family", 2, [ident, unipotent], [ident], [ident])
+    path = tmp_path / "unipotent.json"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli(["tpp-verify", "--instance", str(path), "--no-timestamp"], capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    inv = instance_from_json(obj).inv_element("x", 1)
+    assert [s.coeffs for s in inv.data] == [{0: 1}, {1: -1}, {}, {0: 1}]
+    assert all(s.hi == INF_ORDER for s in inv.data)
 
 
 def test_instance_json_roundtrip_exact_mode():

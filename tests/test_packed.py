@@ -664,8 +664,9 @@ def test_packed_key_names_the_value_not_its_denominator(ab):
 def boxed_inv_series(m: Mat) -> Mat:
     """Oracle: the Neumann loop on oracle series, products by oracle_matmul.
 
-    A stored negative power is accepted only when a power of N = C M - I is
-    exactly zero (every entry zero with an unlimited window) within n terms.
+    A stored negative power or an unlimited window is accepted only when a
+    power of N = C M - I is exactly zero (every entry zero with an unlimited
+    window) within n terms.
     """
     n = m.rows
     m = to_oracle(m)
@@ -677,18 +678,19 @@ def boxed_inv_series(m: Mat) -> Mat:
     c0_inv_s = to_oracle(mat_inv_exact(c0))
     ident = to_oracle(Mat.identity(n))
     nmat = oracle_matmul(c0_inv_s, m) - ident
-    if hi >= INF_ORDER and any(x.coeffs for x in nmat.data):
-        raise ExactArithmeticError("series matrix inverse needs a finite window")
     negative = any(e < 0 for x in m.data for e in x.coeffs)
+    must_vanish = negative or hi >= INF_ORDER
     acc = term = ident
-    for _ in range(n if negative else hi):
+    for _ in range(n if must_vanish else hi):
         term = oracle_matmul(term, nmat).map(lambda x: -x)
         if all(x.is_zero_on_window() for x in term.data):
             break
         acc = acc + term
-    if negative and any(x.coeffs or x.hi < INF_ORDER for x in term.data):
+    if must_vanish and any(x.coeffs or x.hi < INF_ORDER for x in term.data):
         raise ExactArithmeticError(
-            "series matrix inverse of negative powers needs a nilpotent C M - I")
+            "series matrix inverse of negative powers needs a nilpotent C M - I"
+            if negative else
+            "series matrix inverse of an unlimited window needs a nilpotent C M - I")
     return oracle_matmul(acc, c0_inv_s).map(lambda x: x.truncate(hi))
 
 
@@ -727,6 +729,20 @@ def inverse_operands(draw):
             lambda c, hi: EpsLaurent({-1: c}, lo=-1, hi=hi), gauss, st.integers(0, 3)))
         return Mat(n, n, [1 if i == j else draw(above) if j > i else 0
                           for i in range(n) for j in range(n)])
+    if draw(st.integers(0, 3)) == 0:
+        # I + O(eps), the path that skips C: one window for every entry or
+        # one per entry, finite or unlimited
+        his = st.sampled_from([0, 1, 2, 3, INF_ORDER])
+        shared = draw(st.one_of(st.none(), his))
+        data = []
+        for idx in range(n * n):
+            hi = draw(his) if shared is None else shared
+            exps = draw(st.lists(st.integers(1, 4), max_size=2, unique=True))
+            coeffs = {e: draw(gauss) for e in exps if e <= hi}
+            if idx % (n + 1) == 0:
+                coeffs[0] = 1
+            data.append(EpsLaurent(coeffs, lo=0, hi=hi))
+        return Mat(n, n, data)
     m = draw(matrices(n, n, st.one_of(near_identity_entries(), near_identity_entries(),
                                       exact_entries)))
     if draw(st.booleans()):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tppverify import sepverify
 from tppverify.groups import MatrixGroupOps
-from tppverify.matrices import Mat
+from tppverify.matrices import Mat, mat_exp_trunc
 from tppverify.scalars import GaussRational, QQ
 from tppverify.sepfun import LinearForm, PolyApply, Product, SepFunction, lagrange_indicator
 from tppverify.sepverify import (
@@ -238,9 +238,15 @@ def assembled_family(q, middle, t, order):
     the identity family; the identity and a constant known only to eps^0,
     so that y^-1 y' is I for both y = y' but with different windows
     ("windows"); or the offset families with the offset-aware p0 ("offset")
-    or with the constant p0 1, which cannot vanish on y != y'."""
+    or with the constant p0 1, which cannot vanish on y != y'; or two
+    exponentials known to eps^order, the window of X' and Z', so that with
+    t = 1 every element is I + O(eps) under one window edge and y = y'
+    tuples are evaluated at x' z'^-1 ("exp")."""
     if middle == "identity":
         inputs = base_inputs(q=q)
+    elif middle == "exp":
+        gens = [Mat.from_rows([[1, 0], [0, -1]]), Mat.from_rows([[0, 2], [QQ(1, 3), 0]])]
+        inputs = base_inputs(q=q, yfams=[mat_exp_trunc(a, order) for a in gens])
     elif middle == "windows":
         short = Mat.from_rows([[EpsLaurent({0: c}, lo=0, hi=0) for c in row]
                                for row in ([1, 1], [0, 1])])
@@ -256,7 +262,7 @@ def assembled_family(q, middle, t, order):
 
 @settings(max_examples=30, deadline=None)
 @given(q=st.integers(1, 3),
-       middle=st.sampled_from(["identity", "windows", "offset", "constant-p0"]),
+       middle=st.sampled_from(["identity", "windows", "offset", "constant-p0", "exp"]),
        t=st.sampled_from([None, 1, 2]),
        order=st.integers(2, 8),
        budget=st.one_of(st.integers(1, 40), st.just(10 ** 4)),
@@ -301,6 +307,28 @@ def test_memoised_border_planted_failures_and_reuse(middle, t, order, verdict):
     assert got.to_json() == want.to_json()
     # p0 is evaluated once per distinct argument, not once per tuple
     assert len(evals) == len(set(evals)) < got.checked
+
+
+@pytest.mark.parametrize("middle, t, cancels", [
+    ("exp", None, True),
+    # reparametrized by t = 2, Y is known to eps^9 and X', Z' to eps^4
+    ("exp", 2, False),
+    # the identity is known to every order, X' and Z' to eps^4
+    ("identity", None, False),
+    ("windows", 1, False),
+])
+def test_y_equal_tuples_evaluate_at_x_z_inverse(middle, t, cancels):
+    out, inst = assembled_family(2, middle, t, 4)
+    want = reference_border_report(out.sep_family, inst, 4, 10 ** 4, 0)
+    calls = []
+    product = inst.product
+    inst.product = lambda factors: calls.append(tuple(factors)) or product(factors)
+    got = verify_separating_border(out.sep_family, inst, 4)
+    assert got.to_json() == want.to_json()
+    # y = y' tuples multiply x' z'^-1 only when every element is I + O(eps)
+    # under one window edge; otherwise the y^-1 y chain is kept
+    assert any(len(f) == 2 for f in calls) == cancels
+    assert any(f[1][1] == f[2][1] for f in calls if len(f) == 4) != cancels
 
 
 @pytest.mark.parametrize("budget", [0, -1])
