@@ -369,10 +369,8 @@ def _run_su_verify(args):
             nominal_integral_failures += 1
         if crep.is_zero != (ca == cb):
             c_zero_iff = False
-        if pairs <= 5:
-            mode = "both" if pairs <= 2 else "direct"
-            if not su_eps2_check(constr, a, b, conj_mode=mode).ok:
-                eps2_ok = False
+        if pairs <= 5 and not su_eps2_check(constr, a, b).ok:
+            eps2_ok = False
     kvn = kvn_inequality_check(args.n, trials=args.trials, tol=args.tol, seed=args.seed)
     verdict = "pass" if (eps2_ok and c_zero_iff and kvn.verdict == "pass") else "fail"
     details = {

@@ -381,8 +381,9 @@ class PackedSeriesMat:
     def inverse(self) -> "PackedSeriesMat":
         """Inverse of a matrix with invertible constant term (Neumann series).
 
-        With no stored negative power and a finite window, N = C M - I has
-        valuation >= 1, so (-N)^k starts at eps^k and hi terms reach the
+        C is the constant term; a window starting above eps^0 only says that
+        its entry's eps^0 coefficient is zero.  With no stored negative power
+        and a finite window, N = C M - I has valuation >= 1, so (-N)^k starts at eps^k and hi terms reach the
         window edge.  With a negative power or an unlimited window, the sum
         is sound only if a power of N is exactly zero (N nilpotent, so at
         most n terms); otherwise the inverse is refused.  A constant term of
@@ -392,8 +393,6 @@ class PackedSeriesMat:
         n = self.rows
         if n != self.cols:
             raise ExactArithmeticError("inverse of non-square matrix")
-        if max(lo for lo, _, _, _ in self.entries) > 0:
-            raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
         hi = min(h for _, h, _, _ in self.entries)
         for lo, h, _, _ in self.entries:
             if h < 0:

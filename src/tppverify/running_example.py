@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import Mat, lpm as mat_lpm, mat_exp_trunc, mat_inv_series
-from .scalars import GaussRational, QQ
+from .matrices import Mat, mat_exp_trunc
+from .scalars import QQ
 from .sepfun import (
     Affine,
     DivEps,
@@ -40,9 +40,8 @@ from .sepfun import (
     SumNode,
     lagrange_indicator,
 )
-from .sepverify import SepReport, verify_indicator_border
-from .series import EpsLaurent
-from .tpp import TppReport, TppWitness
+from .sepverify import Eps2Report, SepReport, eps2_expansion_check, verify_indicator_border
+from .tpp import TppReport, TppWitness, lattice_tuples
 
 SIGN_CORRECTION_NOTE = (
     "indicator argument uses (n - sum lpm_j)/eps^2, the expansion-consistent "
@@ -64,16 +63,7 @@ def build_unitriangular_sets(n: int, q: int, cap: int | None = None, seed: int =
     if n < 2 or q < 1:
         raise ValueError("need n >= 2 and q >= 1")
     positions = [(i, j) for i in range(n) for j in range(i)]
-    total = q ** len(positions)
-    sampled = cap is not None and total > cap
-    if sampled:
-        rng = random.Random(seed)
-        tuples = set()
-        while len(tuples) < cap:
-            tuples.add(tuple(rng.randint(1, q) for _ in positions))
-        tuples = sorted(tuples)
-    else:
-        tuples = list(itertools.product(range(1, q + 1), repeat=len(positions)))
+    tuples, sampled = lattice_tuples(range(1, q + 1), len(positions), cap, seed)
     xq = []
     zq = []
     for vals in tuples:
@@ -315,21 +305,9 @@ def build_running_sep_family(n: int, q: int, x: Mat, z: Mat, wq) -> SepFunction:
 # Border machinery: lpm expansion and the invariant indicator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LpmExpansionReport:
-    ok: bool
-    coeff0_ok: bool
-    coeff1_ok: bool
-    coeff2_ok: bool
-    expected_coeff2: object
-    got_coeff2: object
-
-
-def lpm_sum_series(m: Mat) -> EpsLaurent:
-    acc = EpsLaurent.const(0)
-    for j in range(1, m.rows + 1):
-        acc = acc + mat_lpm(m, j)
-    return acc
+def lpm_sum_node(n: int) -> SumNode:
+    """sum_{j=1..n} lpm_j(M) as an expression node."""
+    return SumNode([LeadingMinor(j) for j in range(1, n + 1)])
 
 
 def skew_weight_sum(diff: Mat):
@@ -344,42 +322,21 @@ def skew_weight_sum(diff: Mat):
     return acc / 2
 
 
-def lpm_expansion_check(n: int, a: Mat, b: Mat) -> LpmExpansionReport:
+def lpm_expansion_check(n: int, a: Mat, b: Mat) -> Eps2Report:
     """Exact check of the lpm-sum expansion for skew-symmetric integer a, b.
 
     With M = exp(eps a) exp(eps b)^-1:
       coeff 0 of sum lpm_j(M) must be n, coeff 1 must be 0, and coeff 2 must
       be -(1/2) sum_{i<i'} (i'-i) (a-b)[i,i']^2.
     """
-    m = mat_exp_trunc(a, 3).matmul(mat_inv_series(mat_exp_trunc(b, 3)))
-    s = lpm_sum_series(m)
-    expected2 = -skew_weight_sum(a - b)
-    c0_ok = s.coeff(0) == GaussRational(n)
-    c1_ok = s.coeff(1).is_zero()
-    got2 = s.coeff(2)
-    c2_ok = got2 == GaussRational(expected2)
-    return LpmExpansionReport(
-        ok=c0_ok and c1_ok and c2_ok,
-        coeff0_ok=c0_ok, coeff1_ok=c1_ok, coeff2_ok=c2_ok,
-        expected_coeff2=expected2, got_coeff2=got2,
-    )
+    return eps2_expansion_check(lpm_sum_node(n).eval, a, b, n, -skew_weight_sum(a - b))
 
 
 def skew_symmetric_lattice(n: int, q: int, cap: int | None = None, seed: int = 0):
     """Integer skew-symmetric matrices with entries in [-q/2, q/2]."""
     bound = q // 2
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    values = range(-bound, bound + 1)
-    total = (2 * bound + 1) ** len(positions)
-    sampled = cap is not None and total > cap
-    if sampled:
-        rng = random.Random(seed)
-        chosen = set()
-        while len(chosen) < cap:
-            chosen.add(tuple(rng.randint(-bound, bound) for _ in positions))
-        tuples = sorted(chosen)
-    else:
-        tuples = list(itertools.product(values, repeat=len(positions)))
+    tuples, sampled = lattice_tuples(range(-bound, bound + 1), len(positions), cap, seed)
     mats = []
     for vals in tuples:
         m = Mat.zeros(n, n)
@@ -423,7 +380,7 @@ def running_border_p0(n: int, q: int, yfam_cap: int = 200, seed: int = 0,
         )
     grid = [QQ(k, 2) for k in range(0, needed)]
     r_poly = lagrange_indicator(0, grid)
-    argument = DivEps(2, Affine(-1, n, SumNode([LeadingMinor(j) for j in range(1, n + 1)])))
+    argument = DivEps(2, Affine(-1, n, lpm_sum_node(n)))
     p0 = PolyApply(r_poly, argument)
 
     mats, sampled = skew_symmetric_lattice(n, q, cap=yfam_cap, seed=seed)

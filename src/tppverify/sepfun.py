@@ -1,10 +1,10 @@
 """Evaluable polynomial expressions on matrices with tracked total degree.
 
 A SepFunction is an expression tree over eleven node kinds: matrix entry
-access, leading principal minors, the minor-based invariants p_k, the
-sandwich L M R by constant matrices, real-linear coordinate forms,
-univariate polynomial application, products, sums, scalar affine maps,
-division by eps^k, and reparametrization eps -> eps^t.  _NODE_KINDS maps
+access, leading principal minors, the invariant p_1 (the Hermitian form of
+D M D), the sandwich L M R by constant matrices, real-linear coordinate
+forms, univariate polynomial application, products, sums, scalar affine
+maps, division by eps^k, and reparametrization eps -> eps^t.  _NODE_KINDS maps
 each JSON "kind" to its class.
 
 Each node has one evaluation rule, written in the ring operations of the
@@ -19,7 +19,8 @@ Series arguments are evaluated on the packed kernel (matrices.PackedSeriesMat):
 a packed argument gives a packed value, a 1x1 PackedSeriesMat, which stays
 packed through every node; a Mat with series entries is packed once and its
 value unpacked once (SepFunction.eval).  Exact and float arguments keep
-their boxed rules.
+their boxed rules, except that p_1 and the linear forms pack an exact
+argument and read their value at eps^0.
 
 Univariate polynomials are kept in product form scale * prod (x - root) and
 applied to series via their exact Taylor expansion around the argument's
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import math
 
-from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det, mat_minor
+# mat_det stays bound here: perfbench's tracer counts determinants through it
+from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det  # noqa: F401
 from .scalars import GaussRational, as_qq, qq_str
 from .series import (
     INF_ORDER,
@@ -222,16 +224,15 @@ def lagrange_indicator(point, points) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 class EvalContext:
-    """Evaluation context: eps scaling (from reparametrization) and p_k mode."""
+    """Evaluation context: the eps scaling that reparametrization sets."""
 
-    __slots__ = ("eps_scale", "conj_mode")
+    __slots__ = ("eps_scale",)
 
-    def __init__(self, eps_scale: int = 1, conj_mode: str = "direct"):
+    def __init__(self, eps_scale: int = 1):
         self.eps_scale = eps_scale
-        self.conj_mode = conj_mode
 
     def scaled(self, t: int) -> "EvalContext":
-        return EvalContext(self.eps_scale * t, self.conj_mode)
+        return EvalContext(self.eps_scale * t)
 
 
 class SepFunction:
@@ -321,106 +322,42 @@ class LeadingMinor(SepFunction):
 
 
 class MinorInvariant(SepFunction):
-    """p_k(M) = sum over k-subsets S,T of |det((D M D)_{S,T})|^2.
+    """p_1(M) = sum_ij |(D M D)_ij|^2, the Hermitian form of D M D.
 
-    Entries of the conjugated factor come either from direct coefficientwise
-    conjugation or from the determinant-minor route through Q (valid exactly
-    on the group the invariant belongs to); "both" evaluates the two and
-    raises on disagreement, flagging arguments outside the group.
-
-    The direct route of p_1 on a series argument is the Hermitian
-    form sum_ij (DMD)_ij conj((DMD)_ij), run on the packed kernel: D is
-    packed once, D M D is two packed products, the conjugate is the same
-    entries with negated imaginary numerators, and the sum is one matmul
-    entry (series._dot), a packed value.  Its window rules are those of
-    the boxed sum of 1x1-minor products, so the value is bit-identical to
-    it.  k >= 2, exact and float arguments and the minor route run the boxed
-    loop over minors (a packed argument is unpacked for them, and their
-    value packed).
+    It runs on the packed kernel: D is packed once, D M D is two packed
+    products, the conjugate is the same entries with negated imaginary
+    numerators, and the sum is one matmul entry (series._dot), a packed
+    value.  An exact argument is packed (its entries lifted to constant
+    series) and gets that value's constant term.  The sep-file node "pk"
+    keeps its k and its form matrix q; a k other than 1 is refused.
     """
 
     kind = "pk"
 
     def __init__(self, k: int, d_mat: Mat, q_mat: Mat | None = None):
+        if k != 1:
+            raise SepFunctionError(f"pk node needs k = 1 (got k = {k!r})")
         self.k = k
         self.d_mat = d_mat
         self.q_mat = q_mat
-        self._d_conj = d_mat.conj()
-        self._d_real = self._d_conj == d_mat
-        self._d_packed = PackedSeriesMat.pack(d_mat) if k == 1 else None
+        self._d_packed = PackedSeriesMat.pack(d_mat)
 
     @property
     def degree(self):
-        # each |det_k|^2 is degree k in the entries and k in their conjugates;
-        # conjugates of group elements are degree-(n-1) minor polynomials
-        n = self.d_mat.rows
-        return self.k * n
+        # degree 1 in the entries and 1 in their conjugates; conjugates of
+        # group elements are degree-(n-1) minor polynomials
+        return self.d_mat.rows
 
-    def _conj_matrix_minor(self, m: Mat) -> Mat:
-        q = self.q_mat
-        if q is None:
-            raise SepFunctionError("minor-mode conjugation needs the form matrix Q")
-        qmq = q.matmul(m).matmul(q)
-        n = m.rows
-        out = Mat.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                minor = mat_minor(qmq, drop_rows=[i], drop_cols=[j])
-                out[i, j] = minor if (i + j) % 2 == 0 else -minor
-        return out
-
-    def _value(self, dmd: Mat, dmbard: Mat):
-        from itertools import combinations
-
-        n = dmd.rows
-        acc = None
-        for s_rows in combinations(range(n), self.k):
-            for t_cols in combinations(range(n), self.k):
-                det1 = mat_det(dmd.submatrix(s_rows, t_cols))
-                det2 = mat_det(dmbard.submatrix(s_rows, t_cols))
-                term = det1 * det2
-                acc = term if acc is None else acc + term
-        return acc
+    def _eval(self, m, ctx):
+        if isinstance(m, PackedSeriesMat):
+            return self._p1_packed(m)
+        return self._p1_packed(PackedSeriesMat.pack(m)).unpack_scalar().coeff(0)
 
     def _p1_packed(self, m: PackedSeriesMat) -> PackedSeriesMat:
-        """p_1 on the packed kernel (see the class docstring)."""
         dp = self._d_packed
         dmd = dp.matmul(m).matmul(dp)
         conj = map(_conj_entry, dmd.entries)
         return PackedSeriesMat(1, 1, dmd.den ** 2, [_dot(zip(dmd.entries, conj))])
-
-    def _eval(self, m, ctx):
-        mode = ctx.conj_mode
-        if isinstance(m, PackedSeriesMat):
-            if mode == "direct" and self._d_packed is not None:
-                return self._p1_packed(m)
-            return PackedSeriesMat.scalar(self._eval(m.unpack(), ctx))
-        d = self.d_mat
-        packed = self._d_packed is not None and m.has_series_entries()
-        if mode in ("minor", "both") or not packed:
-            dmd = _sandwich(d, m, d)
-        if mode in ("direct", "both"):
-            if packed:
-                direct = self._p1_packed(PackedSeriesMat.pack(m)).unpack_scalar()
-            else:
-                if self._d_real:
-                    dmbard = dmd.conj()  # real D: conj(D M D) = D conj(M) D
-                else:
-                    dmbard = _sandwich(self._d_conj, m.conj(), self._d_conj)
-                direct = self._value(dmd, dmbard)
-        if mode in ("minor", "both"):
-            viaminor = self._value(dmd, _sandwich(d, self._conj_matrix_minor(m), d))
-        if mode == "direct":
-            return direct
-        if mode == "minor":
-            return viaminor
-        same = (direct.eq_on_window(viaminor) if isinstance(direct, EpsLaurent)
-                else direct == viaminor)
-        if not same:
-            raise SepFunctionError(
-                "dual-path conjugation mismatch: argument is not in the group"
-            )
-        return direct
 
     def to_json(self):
         return {

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .matrices import PackedSeriesMat
+from .matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
 from .scalars import QQ, GaussRational, approx_eq
 from .sepfun import EvalContext, PolyApply, Product, SepFunction
 from .series import InsufficientOrderError
@@ -364,3 +364,30 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
     report.equal_pairs = equal_pairs
     report.unequal_pairs = unequal_pairs
     return report
+
+
+@dataclass
+class Eps2Report:
+    ok: bool
+    coeff0_ok: bool
+    coeff1_ok: bool
+    coeff2_ok: bool
+    expected_coeff2: object
+    got_coeff2: object
+
+
+def eps2_expansion_check(value_of, a: Mat, b: Mat, coeff0, expected2) -> Eps2Report:
+    """Exact check of an invariant's expansion on M = exp(eps a) exp(eps b)^-1.
+
+    value_of(M), with M known to eps^3, must be coeff0 + 0 eps +
+    expected2 eps^2 + O(eps^3).
+    """
+    m = mat_exp_trunc(a, 3).matmul(mat_inv_series(mat_exp_trunc(b, 3)))
+    val = value_of(m)
+    c0_ok = val.coeff(0) == GaussRational(coeff0)
+    c1_ok = val.coeff(1).is_zero()
+    got2 = val.coeff(2)
+    c2_ok = got2 == GaussRational(expected2)
+    return Eps2Report(ok=c0_ok and c1_ok and c2_ok, coeff0_ok=c0_ok,
+                      coeff1_ok=c1_ok, coeff2_ok=c2_ok,
+                      expected_coeff2=expected2, got_coeff2=got2)

@@ -26,7 +26,6 @@ specific t to reproduce the failure mode.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -44,7 +43,7 @@ from .sepfun import (
     lagrange_indicator,
 )
 from .series import EpsLaurent
-from .tpp import verify_dpp
+from .tpp import lattice_tuples, verify_dpp
 
 
 class SplitError(ValueError):
@@ -109,12 +108,19 @@ def _forms_from_psi_rows(row_re, row_im, rows, cols):
     )
 
 
-def left_inverse_forms(theta_columns, rows, cols, dx, dz):
-    """Exact left inverse of a full-column-rank real-linear map, as forms.
+def left_inverse_forms(fx: LinearMatMap, fz: LinearMatMap):
+    """Exact left inverse of theta(a, b) = fx(a) - fz(b), as forms.
 
-    theta_columns are real flattenings; returns (px_forms, pz_forms) reading
-    the X and Z coordinates respectively, plus the rank that was certified.
+    Returns (px_forms, pz_forms, rank): the forms reading the X and Z
+    coordinates, and the certified rank of theta, whose columns are the
+    real flattenings of fx's basis images and of fz's, negated.
     """
+    theta_columns = []
+    for sign, f in ((1, fx), (-1, fz)):
+        for u, v in zip(f.us, f.vs):
+            theta_columns.append([sign * x for x in _flatten_real(u)])
+            theta_columns.append([sign * x for x in _flatten_real(v)])
+    rows, cols, dx, dz = fx.us[0].rows, fx.us[0].cols, fx.dim, fz.dim
     ncols = len(theta_columns)
     theta_rows = [[col[r] for col in theta_columns] for r in range(len(theta_columns[0]))]
     rank = mat_rank(theta_rows)
@@ -155,15 +161,7 @@ def disjoint_lie_split(basis_x, basis_z):
     """
     fx = LinearMatMap.complex_linear(basis_x)
     fz = LinearMatMap.complex_linear(basis_z)
-    rows, cols = basis_x[0].rows, basis_x[0].cols
-    cols_list = []
-    for u, v in zip(fx.us, fx.vs):
-        cols_list.append(_flatten_real(u))
-        cols_list.append(_flatten_real(v))
-    for u, v in zip(fz.us, fz.vs):
-        cols_list.append([-x for x in _flatten_real(u)])
-        cols_list.append([-x for x in _flatten_real(v)])
-    px_forms, pz_forms, _ = left_inverse_forms(cols_list, rows, cols, fx.dim, fz.dim)
+    px_forms, pz_forms, _ = left_inverse_forms(fx, fz)
     return fx, fz, px_forms, pz_forms
 
 
@@ -294,14 +292,8 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
 
     # coordinate tuples (seeded sample when the grid exceeds the cap)
     def coord_tuples(values, d):
-        total = len(values) ** d
-        if total <= coord_cap:
-            return list(itertools.product(values, repeat=d)), False
-        rng = random.Random(seed)
-        seen = set()
-        while len(seen) < coord_cap:
-            seen.add(tuple(values[rng.randrange(len(values))] for _ in range(d)))
-        return sorted(seen, key=repr), True
+        tuples, sampled = lattice_tuples(values, d, coord_cap, seed)
+        return (sorted(tuples, key=repr) if sampled else tuples), sampled
 
     a_tuples, sampled_a = coord_tuples(inputs.coord_set_a, dx)
     b_tuples, sampled_b = coord_tuples(inputs.coord_set_b, dz)

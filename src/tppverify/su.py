@@ -31,29 +31,40 @@ rather than the full arithmetic grid: the grid with the true quantum has
 unnecessary, while the achievable set stays in the hundreds.  The grid node
 count 2 P^4 * c_max is still reported, as the degree bound that scales
 linearly in q.
+
+p_1 is the packed Hermitian form of sepfun.MinorInvariant.
+su_p1_cross_checked also reads it through the cofactors of Q M Q, which
+equal conj(M) only on the group, and su_eps2_check runs that cross-check
+on every pair it is given, so a non-group argument raises.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .groups import MatrixGroupOps
-from .matrices import Mat, mat_det, mat_exp_trunc, mat_inv_series
+from .matrices import Mat, mat_det, mat_exp_trunc, mat_minor
 from .scalars import GR_ZERO, GaussRational, QQ
 from .sepfun import (
     Affine,
     DivEps,
-    EvalContext,
     MinorInvariant,
     PolyApply,
+    SepFunctionError,
     lagrange_indicator,
 )
-from .sepverify import SepReport, verify_indicator_border, verify_separating_border
+from .sepverify import (
+    Eps2Report,
+    SepReport,
+    eps2_expansion_check,
+    verify_indicator_border,
+    verify_separating_border,
+)
+from .series import EpsLaurent
 from .split import (
     LinearMatMap,
     SplitInputs,
@@ -61,7 +72,7 @@ from .split import (
     audit_p0_invariance,
     left_inverse_forms,
 )
-from .tpp import TppInstance, verify_tpp_series
+from .tpp import TppInstance, lattice_tuples, verify_tpp_series
 
 
 class SuConstructionError(ValueError):
@@ -209,9 +220,32 @@ def su_p1_node(constr: SuConstruction) -> MinorInvariant:
     return MinorInvariant(1, constr.d_mat, constr.q_form)
 
 
-def su_trace_invariant(m: Mat, constr: SuConstruction, conj_mode: str = "direct"):
-    """Evaluate p_1 on m; conj_mode 'both' cross-checks the minor route."""
-    return su_p1_node(constr).eval(m, EvalContext(conj_mode=conj_mode))
+def su_trace_invariant(m: Mat, constr: SuConstruction):
+    """p_1 on m."""
+    return su_p1_node(constr).eval(m)
+
+
+def su_p1_cross_checked(constr: SuConstruction, m: Mat):
+    """p_1(m), cross-checked against p_1 read through the cofactors of Q m Q.
+
+    On the group (m* Q m = Q, det m = 1), conj(m) is the cofactor matrix of
+    Q m Q, so sum_ij (D m D)_ij (D cof(Q m Q) D)_ij equals p_1(m) (D is
+    real); off the group the two generally differ, and a mismatch raises
+    SepFunctionError.
+    """
+    value = su_trace_invariant(m, constr)
+    n, d, q = constr.n, constr.d_mat, constr.q_form
+    qmq = q.matmul(m).matmul(q)
+    cof = Mat(n, n, [mat_minor(qmq, drop_rows=[i], drop_cols=[j]) * (-1) ** (i + j)
+                     for i in range(n) for j in range(n)])
+    dmd = d.matmul(m).matmul(d)
+    via = None
+    for x, y in zip(dmd.data, d.matmul(cof).matmul(d).data):
+        via = x * y if via is None else via + x * y
+    same = value.eq_on_window(via) if isinstance(value, EpsLaurent) else value == via
+    if not same:
+        raise SepFunctionError("dual-path conjugation mismatch: argument is not in the group")
+    return value
 
 
 def su_lattice_entries(q: int):
@@ -237,18 +271,7 @@ def su_s_matrix(constr: SuConstruction, coords) -> Mat:
 def su_y_lattice(constr: SuConstruction, q: int, cap: int | None = None, seed: int = 0):
     """S-lattice elements with entries in the q-box; (coords list, sampled)."""
     vals, _ = su_lattice_entries(q)
-    d = constr.complex_dim
-    total = len(vals) ** d
-    sampled = cap is not None and total > cap
-    if sampled:
-        rng = random.Random(seed)
-        seen = set()
-        while len(seen) < cap:
-            seen.add(tuple(rng.randrange(len(vals)) for _ in range(d)))
-        coord_tuples = [tuple(vals[i] for i in t) for t in sorted(seen)]
-    else:
-        coord_tuples = list(itertools.product(vals, repeat=d))
-    return coord_tuples, sampled
+    return lattice_tuples(vals, constr.complex_dim, cap, seed)
 
 
 def _scaled_coords(coord_lists):
@@ -332,28 +355,11 @@ def su_c_value(constr: SuConstruction, a: Mat, b: Mat) -> CReport:
     )
 
 
-@dataclass
-class Eps2Report:
-    ok: bool
-    coeff0_ok: bool
-    coeff1_ok: bool
-    coeff2_ok: bool
-    expected_coeff2: object
-    got_coeff2: object
-
-
-def su_eps2_check(constr: SuConstruction, a: Mat, b: Mat, conj_mode: str = "direct") -> Eps2Report:
-    """Exact eps^2 identity for p_1 on M = exp(eps a) exp(eps b)^-1."""
-    m = mat_exp_trunc(a, 3).matmul(mat_inv_series(mat_exp_trunc(b, 3)))
-    val = su_trace_invariant(m, constr, conj_mode)
-    expected2 = -su_c_from_diff(constr, a - b)
-    c0_ok = val.coeff(0) == GaussRational(constr.trace_dd2)
-    c1_ok = val.coeff(1).is_zero()
-    got2 = val.coeff(2)
-    c2_ok = got2 == GaussRational(expected2)
-    return Eps2Report(ok=c0_ok and c1_ok and c2_ok, coeff0_ok=c0_ok,
-                      coeff1_ok=c1_ok, coeff2_ok=c2_ok,
-                      expected_coeff2=expected2, got_coeff2=got2)
+def su_eps2_check(constr: SuConstruction, a: Mat, b: Mat) -> Eps2Report:
+    """Exact eps^2 identity for p_1 on M = exp(eps a) exp(eps b)^-1, with
+    p_1 cross-checked through the cofactor route (su_p1_cross_checked)."""
+    return eps2_expansion_check(lambda m: su_p1_cross_checked(constr, m), a, b,
+                                constr.trace_dd2, -su_c_from_diff(constr, a - b))
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +479,7 @@ def su_theta_psi(constr: SuConstruction):
                       [dinv.matmul(v).matmul(dmat) for v in vs])
     fz = LinearMatMap([dmat.matmul(u).matmul(dinv) for u in us],
                       [dmat.matmul(v).matmul(dinv) for v in vs])
-    from .split import _flatten_real
-
-    cols = []
-    for u, v in zip(fx.us, fx.vs):
-        cols.append(_flatten_real(u))
-        cols.append(_flatten_real(v))
-    for u, v in zip(fz.us, fz.vs):
-        cols.append([-x for x in _flatten_real(u)])
-        cols.append([-x for x in _flatten_real(v)])
-    px_forms, pz_forms, rank = left_inverse_forms(cols, constr.n, constr.n, d, d)
+    px_forms, pz_forms, rank = left_inverse_forms(fx, fz)
     return fx, fz, px_forms, pz_forms, rank
 
 

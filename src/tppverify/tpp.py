@@ -20,9 +20,8 @@ instance, and the product is classified without unpacking it.
 
 First order.  When every element of the sets a check reads is
 I + eps A1 + O(eps^2) -- constant term exactly I, no stored negative power,
-no window starting above eps^0, and every entry's window ending at one edge
-h with 1 <= h < INF_ORDER (unit_first_order_edge, checked once on the packed
-elements) -- a tuple is first tried without its product.  Every such element
+and every entry's window ending at one edge h with 1 <= h < INF_ORDER
+(unit_first_order_edge, checked once on the packed elements) -- a tuple is first tried without its product.  Every such element
 has a packed inverse I - eps A1 + O(eps^2), so the eps^1 coefficient of
 x x'^-1 y y'^-1 z z'^-1 is
 (X1 - X1') + (Y1 - Y1') + (Z1 - Z1'), read from exact tables (for the DPP,
@@ -271,6 +270,20 @@ def _iter_tuples(sizes, how, budget, seed):
     return (tuple(rng.randrange(s) for s in sizes) for _ in range(budget))
 
 
+def lattice_tuples(values, d: int, cap: int | None = None, seed: int = 0):
+    """(tuples, sampled): every d-tuple over values when there are at most
+    cap of them (or cap is None), else cap distinct seeded draws, sorted by
+    their index tuples."""
+    values = list(values)
+    if cap is None or len(values) ** d <= cap:
+        return list(itertools.product(values, repeat=d)), False
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < cap:
+        seen.add(tuple(rng.randrange(len(values)) for _ in range(d)))
+    return [tuple(values[i] for i in t) for t in sorted(seen)], True
+
+
 def _classifier(inst: TppInstance, kind: str, order):
     """tup -> (is_identity, window edge), is_identity None when unknown.
 
@@ -305,9 +318,8 @@ def unit_first_order_edge(inst: TppInstance, sets):
     """The one window edge h of the family elements of sets, or None.
 
     h is returned when every element of the named sets ("x", "y", "z") has
-    constant term exactly I, stores no negative power, has no window starting
-    above eps^0, and has every entry's window end at the same h, with
-    1 <= h < INF_ORDER.  Such an element has a packed inverse, so a tuple
+    constant term exactly I, stores no negative power, and has every entry's
+    window end at the same h, with 1 <= h < INF_ORDER.  Such an element has a packed inverse, so a tuple
     settled without one hides no InstanceError.  Read once from the packed
     elements that the instance holds.
     """
@@ -317,8 +329,7 @@ def unit_first_order_edge(inst: TppInstance, sets):
     for which in sets:
         for idx in range(len(getattr(inst, which))):
             p = inst._packed_factor((which, idx, False))
-            if not p.has_unit_constant() or any(
-                    lo > 0 or (t and t[0][0] < 0) for lo, _, _, t in p.entries):
+            if not p.has_unit_constant() or any(t and t[0][0] < 0 for _, _, _, t in p.entries):
                 return None
             edges.update(h for _, h, _, _ in p.entries)
     if len(edges) != 1:

@@ -144,3 +144,49 @@ def oracle_matmul(a: Mat, b: Mat) -> Mat:
                 acc = acc + arow[t] * b.data[t * m + j]
             out.append(acc)
     return Mat(n, m, out)
+
+
+def oracle_det(m: Mat):
+    """Cofactor expansion along the first row, on the entries' own arithmetic."""
+    if m.rows == 1:
+        return m.data[0]
+    acc = None
+    for j in range(m.cols):
+        term = m[0, j] * oracle_det(m.submatrix(range(1, m.rows),
+                                                [c for c in range(m.cols) if c != j]))
+        term = -term if j % 2 else term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def oracle_cofactors(m: Mat) -> Mat:
+    """The matrix of signed (n-1)-minors of m, on OracleSeries entries."""
+    m = to_oracle(m)
+    n = m.rows
+    out = []
+    for i in range(n):
+        for j in range(n):
+            minor = oracle_det(m.submatrix([r for r in range(n) if r != i],
+                                           [c for c in range(n) if c != j]))
+            out.append(-minor if (i + j) % 2 else minor)
+    return Mat(n, n, out)
+
+
+def oracle_pk(k: int, d: Mat, m: Mat, conj_m: Mat | None = None):
+    """The boxed k-subset loop: sum over k-subsets S, T of
+    det((D M D)_{S,T}) det((D-bar C D-bar)_{S,T}), with C = conj(M) unless
+    conj_m is given (the cofactor route passes cof(Q M Q)).  On OracleSeries,
+    so an exact argument gives a constant series."""
+    from itertools import combinations
+
+    m = to_oracle(m)
+    dbar = d.conj()
+    dmd = oracle_matmul(oracle_matmul(d, m), d)
+    cbar = m.conj() if conj_m is None else to_oracle(conj_m)
+    dcd = oracle_matmul(oracle_matmul(dbar, cbar), dbar)
+    acc = None
+    for rows in combinations(range(m.rows), k):
+        for cols in combinations(range(m.cols), k):
+            term = oracle_det(dmd.submatrix(rows, cols)) * oracle_det(dcd.submatrix(rows, cols))
+            acc = term if acc is None else acc + term
+    return acc

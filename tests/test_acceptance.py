@@ -46,6 +46,7 @@ from tppverify.su import (
     su_build,
     su_c_value,
     su_eps2_check,
+    su_p1_cross_checked,
     su_s_matrix,
     su_trace_invariant,
     su_y_lattice,
@@ -196,9 +197,8 @@ def test_a7a_exact_identities(constr4, lattice_pairs):
     # dual-path conjugation agreement on construction elements
     for ca, _ in lattice_pairs[:5]:
         m = mat_exp_trunc(su_s_matrix(c, ca), 3)
-        direct = su_trace_invariant(m, c, "direct")
-        both = su_trace_invariant(m, c, "both")
-        ok = ok and direct.eq_on_window(both)
+        direct = su_trace_invariant(m, c)
+        ok = ok and direct.eq_on_window(su_p1_cross_checked(c, m))
     assert _line("A7a", ok, "D*QD=Q, det D=1, eps^2 identity on 20 pairs, "
                  "conjugate-as-minor dual path exact", t0)
 

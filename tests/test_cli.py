@@ -246,8 +246,9 @@ BAD_INSTANCES.update({
 
 ENTRY = {"kind": "entry", "i": 0, "j": 0}
 
-# A valid instance, and sep files for it with node kinds and a polynomial form
-# that sep-verify does not accept, or with nothing to verify.
+# A valid instance, and sep files for it with node kinds, a pk node with k = 2
+# and a polynomial form that sep-verify does not accept, or with nothing to
+# verify.
 SEP_FILES = {
     "z2.json": {"schema": 1, "mode": "table", "x": [0], "y": [0], "z": [0],
                 "group": {"type": "table", "table": [[0, 1], [1, 0]], "identity": 0}},
@@ -257,6 +258,7 @@ SEP_FILES = {
     "eps-shift.json": {"family": {"0,0": {"kind": "mat_eps_shift", "k": -1, "child": ENTRY}}},
     "coeffs.json": {"family": {"0,0": {"kind": "poly", "child": ENTRY,
                                        "poly": {"form": "coeffs", "coeffs": ["0", "1"]}}}},
+    "pk2.json": {"family": {"0,0": {"kind": "pk", "k": 2, "d": {"entries": [["1"]]}}}},
     "empty.json": {"family": {}},
     "no-j.json": {"family": {"0,0": {"kind": "product",
                                      "children": [{"kind": "entry", "i": 0}]}}},
@@ -338,6 +340,7 @@ def sep_verify(sepfile):
                  id="sep-mat-eps-shift"),
     pytest.param(sep_verify("coeffs.json"), "unknown polynomial form 'coeffs'",
                  id="sep-poly-coeffs"),
+    pytest.param(sep_verify("pk2.json"), "pk node needs k = 1 (got k = 2)", id="sep-pk-k2"),
     pytest.param(sep_verify("empty.json"), "family is empty", id="sep-empty-family"),
     pytest.param(sep_verify("no-j.json"), "entry node is missing key 'j'", id="sep-no-key"),
 ])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tppverify.groups import MatrixGroupOps
-from tppverify.matrices import Mat
+from tppverify.matrices import Mat, mat_inv_series
 from tppverify.scalars import QQ, GaussRational
 from tppverify.series import INF_ORDER, EpsLaurent
 from tppverify.tpp import (
@@ -133,8 +133,8 @@ def plant(draw, kind, n, h, sets):
             m, n - 1, 0, EpsLaurent({e: c for e, c in s.coeffs.items() if e <= hi},
                                     lo=0, hi=hi))
     elif case == "lo1":
-        # an off-diagonal window starting at eps^1: the packed inverse refuses
-        # it, so the chain's InstanceError must not be skipped
+        # an off-diagonal window starting at eps^1: its eps^0 coefficient is a
+        # known zero, so the element stays I + O(eps) and keeps its inverse
         m = sets[target][-1]
         s = m[0, n - 1]
         sets[target][-1] = with_entry(
@@ -175,7 +175,7 @@ def test_first_order_tpp_matches_the_packed_chain(drawn, order):
     if case == "z-is-x":
         assert got[0] == "inconclusive"
     edge = unit_first_order_edge(inst, "xyz")
-    assert (edge is not None) == (case in ("none", "z-is-x")), case
+    assert (edge is not None) == (case in ("none", "z-is-x", "lo1")), case
     if edge is not None and order >= 1:
         # the chain runs exactly on the tuples whose first-order sum is zero
         zero = [t for t in itertools.product(*(range(len(getattr(inst, w)))
@@ -233,18 +233,31 @@ def unit_2x2(a, b, lo=0, hi=2, corner=0):
 
 
 @pytest.mark.parametrize("x1", [
-    # an off-diagonal window starting at eps^1, which the packed inverse refuses
+    # an off-diagonal window starting at eps^1: only a known zero at eps^0,
+    # so x[1] has an inverse and the first-order gate holds
     unit_2x2(2, 1, lo=1),
     # unlimited windows: M - I is not nilpotent, so the packed inverse refuses
     unit_2x2(2, 1, hi=INF_ORDER, corner=1),
 ])
 def test_sampled_run_keeps_the_inverse_refusal(x1):
-    # every other element is unipotent, so only x[1] has no inverse; no tuple
-    # may be settled without an inverse that the chain would refuse
+    # every other element is unipotent, so only x[1] can lack an inverse; no
+    # tuple may be settled without an inverse that the chain would refuse
     hi = max(s.hi for s in x1.data)
     x, y, z = ([unit_2x2(0, b, hi=hi), other] for b, other in (
         (3, x1), (5, unit_2x2(0, 7, hi=hi)), (11, unit_2x2(0, 13, hi=hi))))
     inst = TppInstance(MatrixGroupOps(2), x, y, z, "family")
+    if hi < INF_ORDER:
+        # (1 + 2 eps)^-1 = 1 - 2 eps + 4 eps^2 on [0, 2]; the corner is
+        # -eps / (1 + 2 eps) = -eps + 2 eps^2
+        inv = mat_inv_series(x1)
+        assert [(s.coeffs, s.hi) for s in inv.data] == [
+            ({0: 1, 1: -2, 2: 4}, 2), ({1: -1, 2: 2}, 2), ({}, 2), ({0: 1}, 2)]
+        assert unit_first_order_edge(inst, "xyz") == 2
+        oracle = TppInstance(MatrixGroupOps(2), x, y, z, "family")
+        for order in range(4):
+            rep = verify_tpp_series(inst, order, mode="exhaustive")
+            assert report_outcome(rep) == chain_outcome(oracle, "tpp", order)
+        return
     assert unit_first_order_edge(inst, "xyz") is None
     for mode in ("exhaustive", "sampled"):
         with pytest.raises(InstanceError, match=r"x\[1\] has no inverse"):

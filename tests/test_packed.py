@@ -9,8 +9,8 @@ windows included, and InsufficientOrderError must be raised in exactly the
 same cases.  The packed series determinant is held to the cofactor DP run on
 oracle series (matrices._det_expansion), and LinearForm's series evaluation
 to the boxed sum of coefficient times real or imaginary part, in the same
-way, and the packed p_1 of MinorInvariant to the boxed k = 1 loop over
-1x1 minors.
+way, and the packed p_1 of MinorInvariant to the boxed k-subset loop at
+k = 1 (series_oracle.oracle_pk).
 
 The boxed paths that the packed kernel replaced live on here as oracles only:
 the Neumann inverse, UniPoly's Taylor expansion and evaluation,
@@ -59,7 +59,7 @@ from tppverify.tpp import (
     verify_tpp_series,
 )
 
-from series_oracle import OracleSeries, oracle_matmul, to_oracle, triple
+from series_oracle import OracleSeries, oracle_matmul, oracle_pk, to_oracle, triple
 
 
 def boxed_series_deviation(prod: Mat, order: int):
@@ -535,23 +535,6 @@ def test_linear_form_windows_of_zero_parts():
 
 # -- p_1 (MinorInvariant, k = 1) on series arguments ------------------------------
 
-def boxed_p1(d: Mat, m: Mat):
-    """Oracle: the boxed k = 1 loop, sum over (i, j) of (DMD)_ij conj((DMD)_ij).
-
-    The conjugated factor is D-bar M-bar D-bar, as the boxed loop builds it
-    for a non-real D.
-    """
-    m = to_oracle(m)
-    dmd = oracle_matmul(oracle_matmul(d, m), d)
-    dbar = d.conj()
-    dmbard = oracle_matmul(oracle_matmul(dbar, m.conj()), dbar)
-    acc = None
-    for a, b in zip(dmd.data, dmbard.data):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
-
-
 @st.composite
 def p1_and_argument(draw):
     n = draw(st.integers(1, 4))
@@ -568,13 +551,13 @@ def p1_and_argument(draw):
 @given(p1_and_argument())
 def test_packed_p1_matches_boxed_loop(dm):
     d, m = dm
-    want = outcome(boxed_p1, d, m)
+    want = outcome(oracle_pk, 1, d, m)
     got = outcome(MinorInvariant(1, d).eval, m, EvalContext())
     if want is InsufficientOrderError:
         assert got is InsufficientOrderError
         return
     if not m.has_series_entries():
-        # an exact argument runs the boxed exact loop: the constant term
+        # an exact argument is packed and read at eps^0: the constant term
         assert want.hi == INF_ORDER and set(want.coeffs) <= {0}
         assert got == want.coeff(0)
         return
@@ -587,8 +570,9 @@ def test_packed_p1_matches_boxed_loop(dm):
 
 
 def test_packed_p1_on_su_arguments():
-    # the y_i^-1 y_j arguments of the su-exhaustive p0 contract, both conj modes
-    from tppverify.su import su_build, su_p1_node, su_s_matrix, su_y_lattice
+    # the y_i^-1 y_j arguments of the su-exhaustive p0 contract, and the
+    # cofactor-route cross-check, which agrees on these group elements
+    from tppverify.su import su_build, su_p1_cross_checked, su_p1_node, su_s_matrix, su_y_lattice
 
     constr = su_build(4)
     coords, _ = su_y_lattice(constr, 2, cap=6, seed=0)
@@ -599,10 +583,10 @@ def test_packed_p1_on_su_arguments():
         for yj in ys:
             m = inv.matmul(yj)
             got = node.eval(m, EvalContext())
-            want = boxed_p1(constr.d_mat, m)
+            want = oracle_pk(1, constr.d_mat, m)
             assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi)
-            both = node.eval(m, EvalContext(conj_mode="both"))
-            assert (both.coeffs, both.lo, both.hi) == (got.coeffs, got.lo, got.hi)
+            checked = su_p1_cross_checked(constr, m)
+            assert (checked.coeffs, checked.lo, checked.hi) == (got.coeffs, got.lo, got.hi)
 
 
 # -- entrywise packed operations against EpsLaurent --------------------------------
@@ -666,14 +650,12 @@ def boxed_inv_series(m: Mat) -> Mat:
 
     A stored negative power or an unlimited window is accepted only when a
     power of N = C M - I is exactly zero (every entry zero with an unlimited
-    window) within n terms.
+    window) within n terms.  A window starting above eps^0 is accepted: its
+    eps^0 coefficient is a known zero.
     """
     n = m.rows
     m = to_oracle(m)
-    lo = max(x.lo for x in m.data)
     hi = min(x.hi for x in m.data)
-    if lo > 0:
-        raise ExactArithmeticError("series matrix inverse needs valuation-0 entries")
     c0 = m.map(lambda x: x.coeff(0))
     c0_inv_s = to_oracle(mat_inv_exact(c0))
     ident = to_oracle(Mat.identity(n))

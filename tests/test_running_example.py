@@ -11,7 +11,7 @@ from tppverify.running_example import (
     build_running_sep_family,
     build_unitriangular_sets,
     lpm_expansion_check,
-    lpm_sum_series,
+    lpm_sum_node,
     running_border_p0,
     skew_symmetric_lattice,
     verify_column_agreement,
@@ -38,6 +38,26 @@ def test_unitriangular_counts_and_dets():
 def test_unitriangular_sampling_cap():
     xq, zq, sampled = build_unitriangular_sets(4, 3, cap=10, seed=1)
     assert sampled and len(xq) == 10
+
+
+def test_seeded_lattice_samples_are_pinned():
+    # the samplers share tpp.lattice_tuples: one randrange per coordinate,
+    # distinct index tuples, sorted; a change to the draws or their order
+    # would change every sampled instance and report
+    from tppverify.su import su_build, su_y_lattice
+
+    xq, _, sampled = build_unitriangular_sets(3, 3, cap=4, seed=1)
+    assert sampled
+    assert [tuple(int(m[i, j]) for i in range(3) for j in range(i)) for m in xq] == [
+        (1, 3, 1), (2, 1, 1), (2, 1, 2), (2, 2, 3)]
+    mats, sampled = skew_symmetric_lattice(3, 4, cap=4, seed=2)
+    assert sampled
+    assert [tuple(int(m[i, j]) for i in range(3) for j in range(i + 1, 3)) for m in mats] == [
+        (-2, -2, -2), (0, -1, 0), (0, 2, -1), (2, -2, 2)]
+    coords, sampled = su_y_lattice(su_build(4), 2, cap=3, seed=3)
+    assert sampled
+    assert [tuple(map(str, c)) for c in coords] == [
+        ("(-1+1i)", "(0+1i)"), ("(0-1i)", "(1+1i)"), ("1", "-1")]
 
 
 def test_orthogonal_family_wq_properties():
@@ -163,7 +183,7 @@ def test_lpm_sum_float_oracle():
     a = Mat.from_rows([[0, 2, -1], [-2, 0, 1], [1, -1, 0]])
     b = Mat.from_rows([[0, 1, 1], [-1, 0, -2], [-1, 2, 0]])
     m = mat_exp_trunc(a, 3).matmul(mat_inv_series(mat_exp_trunc(b, 3)))
-    series_val = lpm_sum_series(m)
+    series_val = lpm_sum_node(3).eval(m)
     from scipy.linalg import expm
 
     af = to_float(a)

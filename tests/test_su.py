@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tppverify.matrices import Mat, mat_det, mat_exp_trunc
 from tppverify.scalars import GaussRational, QQ
-from tppverify.sepfun import SepFunctionError
+from tppverify.sepfun import MinorInvariant, SepFunctionError
 from tppverify.series import EpsLaurent
 from tppverify.su import (
     SuConstructionError,
@@ -20,11 +20,14 @@ from tppverify.su import (
     su_eps2_check,
     su_lattice_entries,
     su_p0,
+    su_p1_cross_checked,
     su_s_matrix,
     su_theta_psi,
     su_trace_invariant,
     su_y_lattice,
 )
+
+from series_oracle import oracle_cofactors, oracle_pk
 
 
 CONSTR = {n: su_build(n) for n in (4, 6)}
@@ -138,26 +141,25 @@ def test_dual_path_conjugation_on_group_elements(constr4):
     rng = random.Random(3)
     coords = [GaussRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
     m = mat_exp_trunc(su_s_matrix(constr4, coords), 3)
-    # "both" raises on mismatch; on a group element the two paths agree
-    direct = su_trace_invariant(m, constr4, conj_mode="direct")
-    both = su_trace_invariant(m, constr4, conj_mode="both")
-    assert direct.eq_on_window(both)
+    # the cross-check raises on mismatch; on a group element the two routes agree
+    direct = su_trace_invariant(m, constr4)
+    checked = su_p1_cross_checked(constr4, m)
+    assert direct.eq_on_window(checked)
 
 
 def test_p2_invariant_dual_path_and_invariance(constr4):
-    # the k=2 minor invariant: dual-path equality and X/Z-invariance on window
-    from tppverify.sepfun import EvalContext, MinorInvariant
-    from tppverify.series import EpsLaurent
-
+    # p_2 is a test oracle only: the pk node refuses k = 2; on the oracle
+    # loop, direct and cofactor-route conjugation agree on a group element,
+    # and p_2 is X/Z-invariant on the window
     c = constr4
-    p2 = MinorInvariant(2, c.d_mat, c.q_form)
-    assert p2.degree == 2 * 4
+    with pytest.raises(SepFunctionError, match="k = 1"):
+        MinorInvariant(2, c.d_mat, c.q_form)
     rng = random.Random(12)
     coords = [GaussRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
     m = mat_exp_trunc(su_s_matrix(c, coords), 3)
-    direct = p2.eval(m, EvalContext(conj_mode="direct"))
-    both = p2.eval(m, EvalContext(conj_mode="both"))
-    assert direct.eq_on_window(both)
+    direct = oracle_pk(2, c.d_mat, m)
+    qmq = c.q_form.matmul(m).matmul(c.q_form)
+    assert direct.eq_on_window(oracle_pk(2, c.d_mat, m, oracle_cofactors(qmq)))
     # invariance under construction-type sandwiches
     coords2 = [GaussRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
     d_series = c.d_mat.map(lambda v: EpsLaurent.const(v))
@@ -166,8 +168,8 @@ def test_p2_invariant_dual_path_and_invariance(constr4):
     m_rand = Mat.from_rows([[GaussRational(rng.randint(-2, 2), rng.randint(-2, 2))
                              for _ in range(4)] for _ in range(4)])
     m_series = m_rand.map(lambda v: EpsLaurent.const(v))
-    lhs = p2.eval(x.matmul(m_series), EvalContext())
-    rhs = p2.eval(m_series, EvalContext())
+    lhs = oracle_pk(2, c.d_mat, x.matmul(m_series))
+    rhs = oracle_pk(2, c.d_mat, m_series)
     assert lhs.eq_on_window(rhs)
 
 
@@ -183,8 +185,8 @@ def test_su_assemble_q4_smoke():
 def test_dual_path_flags_non_group_matrix(constr4):
     bad = Mat.identity(4).map(lambda v: GaussRational(v))
     bad[0, 1] = GaussRational(1)  # upper-triangular bump: not in the group
-    with pytest.raises(SepFunctionError):
-        su_trace_invariant(bad, constr4, conj_mode="both")
+    with pytest.raises(SepFunctionError, match="not in the group"):
+        su_p1_cross_checked(constr4, bad)
 
 
 def test_eps2_identity_trivial_and_random(constr4):
