@@ -220,8 +220,7 @@ def _run_sep_verify(args):
         rep = verify_separating_border(family, inst, order=order,
                                        sample_budget=args.sample_budget, seed=args.seed)
     else:
-        rep = verify_separating(family, inst,
-                                tol=args.tol if inst.mode == "exact" else None)
+        rep = verify_separating(family, inst)
     return rep.verdict, {"report": rep.to_json()}, [], None
 
 

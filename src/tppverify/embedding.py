@@ -76,6 +76,17 @@ class GroupAlgebraElement:
         return "GA(" + ", ".join(f"{g}:{c!r}" for g, c in sorted(self.coeffs.items())) + ")"
 
 
+def _embed_bar(m: Mat, left, right, g) -> GroupAlgebraElement:
+    """sum m[i, j] (left_i right_j^-1) in the group algebra."""
+    coeffs = {}
+    for i, u in enumerate(left):
+        for j, v in enumerate(right):
+            key = g.mul(u, g.inv(v))
+            s = coeffs.get(key)
+            coeffs[key] = m[i, j] if s is None else s + m[i, j]
+    return GroupAlgebraElement(coeffs)
+
+
 @dataclass
 class EmbedReport:
     matched: bool
@@ -97,28 +108,8 @@ def embed_group_algebra(a: Mat, b: Mat, inst: TppInstance):
     if a.rows != nx or a.cols != ny or b.rows != ny or b.cols != nz:
         raise EmbeddingError("matrix shapes must be |X| x |Y| and |Y| x |Z|")
     g = inst.group
-    a_bar = GroupAlgebraElement()
-    for i in range(nx):
-        for j in range(ny):
-            key = g.mul(inst.x[i], g.inv(inst.y[j]))
-            c = a[i, j]
-            s = a_bar.coeffs.get(key)
-            s = c if s is None else s + c
-            if is_zero_scalar(s):
-                a_bar.coeffs.pop(key, None)
-            else:
-                a_bar.coeffs[key] = s
-    b_bar = GroupAlgebraElement()
-    for j in range(ny):
-        for k in range(nz):
-            key = g.mul(inst.y[j], g.inv(inst.z[k]))
-            c = b[j, k]
-            s = b_bar.coeffs.get(key)
-            s = c if s is None else s + c
-            if is_zero_scalar(s):
-                b_bar.coeffs.pop(key, None)
-            else:
-                b_bar.coeffs[key] = s
+    a_bar = _embed_bar(a, inst.x, inst.y, g)
+    b_bar = _embed_bar(b, inst.y, inst.z, g)
     prod = a_bar.mul(b_bar, g.mul)
 
     # x z^-1 must be collision-free across (x, z) pairs
@@ -243,6 +234,19 @@ def evaluate_rep_function(coeff_mats, reps, g, field):
     return acc
 
 
+def _rho_bar(m: Mat, left, right, g, rep, field) -> Mat:
+    """rho(sum m[i, j] (left_i right_j^-1)) = sum m[i, j] rho(left_i right_j^-1)."""
+    out = Mat.zeros(rep.dim, rep.dim, zero=field.zero)
+    for i, u in enumerate(left):
+        for j, v in enumerate(right):
+            rm = rep.mat(g.mul(u, g.inv(v)))
+            c = field.coerce(m[i, j])
+            for p in range(rep.dim):
+                for q in range(rep.dim):
+                    out[p, q] = out[p, q] + c * field.coerce(rm[p, q])
+    return out
+
+
 @dataclass
 class RealizeReport:
     verdict: str
@@ -297,30 +301,8 @@ def realize_algorithm(inst: TppInstance, reps, field, sep_coeffs=None,
         b = Mat.from_rows([[GaussRational(rng.randint(-entry_range, entry_range))
                             for _ in range(nz)] for _ in range(ny)])
         ab = a.matmul(b)
-        # rho_bar(A_bar) = sum_{x,y} A[x,y] rho(x y^-1)
-        rho_a = []
-        rho_b = []
-        for rep in reps:
-            ma = Mat.zeros(rep.dim, rep.dim, zero=field.zero)
-            for i in range(nx):
-                for j in range(ny):
-                    key = g.mul(inst.x[i], g.inv(inst.y[j]))
-                    rm = rep.mat(key)
-                    c = field.coerce(a[i, j])
-                    for p in range(rep.dim):
-                        for q2 in range(rep.dim):
-                            ma[p, q2] = ma[p, q2] + c * field.coerce(rm[p, q2])
-            mb = Mat.zeros(rep.dim, rep.dim, zero=field.zero)
-            for j in range(ny):
-                for k in range(nz):
-                    key = g.mul(inst.y[j], g.inv(inst.z[k]))
-                    rm = rep.mat(key)
-                    c = field.coerce(b[j, k])
-                    for p in range(rep.dim):
-                        for q2 in range(rep.dim):
-                            mb[p, q2] = mb[p, q2] + c * field.coerce(rm[p, q2])
-            rho_a.append(ma)
-            rho_b.append(mb)
+        rho_a = [_rho_bar(a, inst.x, inst.y, g, rep, field) for rep in reps]
+        rho_b = [_rho_bar(b, inst.y, inst.z, g, rep, field) for rep in reps]
         prods = [ra.matmul(rb) for ra, rb in zip(rho_a, rho_b)]
         for i in range(nx):
             for k in range(nz):

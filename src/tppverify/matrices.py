@@ -1,10 +1,11 @@
 """Dense matrices generic over the package's scalar kinds.
 
 Entries may be ints, rationals, GaussRational, EpsLaurent, CycloNum, or
-float complex.  Determinants use fraction-free (Bareiss) elimination for
-exact division-friendly scalars, and otherwise a cofactor expansion by DP
-over column subsets (n <= 10): packed for series matrices, boxed for float
-and complex ones.
+float complex.  Exact inverses, solves, ranks and the determinant of a
+matrix without series entries all run one Gauss-Jordan row reduction over a
+field (row_reduce), integers lifted to QQ first.  A series matrix's
+determinant is a cofactor expansion by DP over column subsets (n <= 10) on
+the packed kernel.
 
 A matrix with a series entry is multiplied, and its determinant taken, on
 the packed kernel: PackedSeriesMat keeps one common denominator and maps the
@@ -47,8 +48,6 @@ from .scalars import (
     QQ_ZERO,
     conj_scalar,
     is_zero_scalar,
-    one_like,
-    zero_like,
 )
 from .series import (
     INF_ORDER,
@@ -442,10 +441,10 @@ _COFACTOR_LIMIT = 10
 
 
 def mat_det(m: Mat):
-    """Exact determinant (Bareiss for exact scalars, cofactor DP otherwise).
+    """Exact determinant: the cofactor DP on the packed kernel for series
+    matrices (see the module docstring), the row reduction otherwise.
 
-    A 1x1 matrix returns its entry object unchanged.  Series matrices run
-    the DP on the packed kernel (see the module docstring).
+    A 1x1 matrix returns its entry object unchanged.
     """
     if not m.is_square:
         raise ExactArithmeticError("determinant of non-square matrix")
@@ -453,43 +452,10 @@ def mat_det(m: Mat):
         return m.data[0]
     if m.has_series_entries():
         return PackedSeriesMat.pack(m).det().unpack_scalar()
-    if any(isinstance(x, complex) for x in m.data):
-        return _det_expansion(m)
-    return _det_bareiss(m)
-
-
-def _det_bareiss(m: Mat):
-    n = m.rows
-    if n == 1:
-        return m.data[0]
-    a = [[x for x in m.row(i)] for i in range(n)]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if is_zero_scalar(a[k][k]):
-            for r in range(k + 1, n):
-                if not is_zero_scalar(a[r][k]):
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return zero_like(a[k][k])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else _exact_div(num, prev)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ExactArithmeticError("non-exact integer division in Bareiss")
-        return q
-    return a / b
+    rows, pivots, values, sign = row_reduce(m.to_rows(), m.cols)
+    if len(pivots) < m.rows:
+        return rows[0][0] * 0
+    return sign * math.prod(values)
 
 
 def _cofactor_dp(n: int, data: list, combine):
@@ -522,23 +488,6 @@ def _cofactor_dp(n: int, data: list, combine):
     return states[(1 << n) - 1]
 
 
-def _det_expansion(m: Mat):
-    """Cofactor DP on boxed values (floats and complex numbers): any ring
-    with *, + and unary - will do."""
-    data = m.data
-
-    def combine(terms):
-        acc = None
-        for sub, k, negate in terms:
-            term = sub * data[k]
-            if negate:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
-
-    return _cofactor_dp(m.rows, data, combine)
-
-
 def mat_minor(m: Mat, keep_rows=None, keep_cols=None, drop_rows=None, drop_cols=None):
     """Determinant of the submatrix selected by kept or dropped index sets."""
     if keep_rows is None:
@@ -568,40 +517,8 @@ def lpm(m, j: int):
 
 
 # ---------------------------------------------------------------------------
-# Exact inverses and series machinery
+# Series machinery
 # ---------------------------------------------------------------------------
-
-def mat_inv_exact(m: Mat) -> "Mat":
-    """Inverse of a matrix with exact field entries (Gauss-Jordan)."""
-    if not m.is_square:
-        raise ExactArithmeticError("inverse of non-square matrix")
-    if m.has_series_entries():
-        raise ExactArithmeticError("mat_inv_exact expects exact entries (see mat_inv_series)")
-    n = m.rows
-    a = [list(m.row(i)) for i in range(n)]
-    one = one_like(m.data[0])
-    zero = zero_like(m.data[0])
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not is_zero_scalar(a[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise ExactArithmeticError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for r in range(n):
-            if r != col and not is_zero_scalar(a[r][col]):
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Mat.from_rows(inv)
-
 
 def mat_to_series(m: Mat) -> "Mat":
     """Lift exact entries to constant series (no-op on series entries)."""
@@ -651,8 +568,58 @@ def mat_inv_series(m: Mat) -> "Mat":
 
 
 # ---------------------------------------------------------------------------
-# Generic exact linear algebra over a field
+# Exact linear algebra over a field: one Gauss-Jordan row reduction
 # ---------------------------------------------------------------------------
+
+# int / int is a float and mpz / mpz an mpfr: integers are lifted to QQ
+_INTEGERS = (int, type(QQ_ZERO.numerator))
+
+
+def row_reduce(rows: list, width: int):
+    """Gauss-Jordan reduction over a field, pivoting in the first width
+    columns; the columns after them (right-hand sides) ride along.
+
+    Integer entries are lifted to QQ first.  Returns (rows, pivots, values,
+    sign): the reduced rows, the pivot columns, the pivot values divided out
+    and the sign of the row swaps, so a square matrix of full rank has
+    determinant sign * prod(values).
+    """
+    a = [[QQ(x) if isinstance(x, _INTEGERS) else x for x in row] for row in rows]
+    pivots, values, sign = [], [], 1
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if not is_zero_scalar(a[i][c])), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        d = a[r][c]
+        a[r] = [x / d for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and not is_zero_scalar(row[c]):
+                f = row[c]
+                a[i] = [x - f * y for x, y in zip(row, a[r])]
+        pivots.append(c)
+        values.append(d)
+    return a, pivots, values, sign
+
+
+def mat_inv_exact(m: Mat) -> "Mat":
+    """Inverse of a matrix with exact field entries: [M | I] row reduced."""
+    if not m.is_square:
+        raise ExactArithmeticError("inverse of non-square matrix")
+    if m.has_series_entries():
+        raise ExactArithmeticError("mat_inv_exact expects exact entries (see mat_inv_series)")
+    n = m.rows
+    zero = m.data[0] * 0
+    one = zero + 1
+    rows, pivots, _, _ = row_reduce(
+        [m.row(i) + [one if i == j else zero for j in range(n)] for i in range(n)], n)
+    if len(pivots) < n:
+        raise ExactArithmeticError("singular matrix")
+    return Mat.from_rows([row[n:] for row in rows])
+
 
 def solve_linear(a_rows: list, b_rows: list):
     """Solve A x = b exactly over a field; A given as rows, b as row vectors.
@@ -661,70 +628,21 @@ def solve_linear(a_rows: list, b_rows: list):
     per column of A, or (None, reason) if the system is infeasible.  Free
     variables are set to zero.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    nrhs = len(b_rows[0]) if b_rows else 0
-    a = [list(r) for r in a_rows]
-    b = [list(r) for r in b_rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if not is_zero_scalar(a[rr][c]):
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        b[r], b[piv] = b[piv], b[r]
-        d = a[r][c]
-        a[r] = [x / d for x in a[r]]
-        b[r] = [x / d for x in b[r]]
-        for rr in range(nrows):
-            if rr != r and not is_zero_scalar(a[rr][c]):
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
-                b[rr] = [x - f * y for x, y in zip(b[rr], b[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # check consistency of zero rows
-    for rr in range(r, nrows):
-        if any(not is_zero_scalar(x) for x in b[rr]):
-            return None, f"inconsistent system (row {rr})"
-    zero = zero_like(a_rows[0][0])
-    sol = [[zero] * nrhs for _ in range(ncols)]
-    for k, c in enumerate(pivots):
-        sol[c] = b[k]
+    ncols = len(a_rows[0])
+    rows, pivots, _, _ = row_reduce([list(a) + list(b) for a, b in zip(a_rows, b_rows)],
+                                    ncols)
+    for r in range(len(pivots), len(rows)):
+        if any(not is_zero_scalar(x) for x in rows[r][ncols:]):
+            return None, f"inconsistent system (row {r})"
+    zero = rows[0][0] * 0
+    sol = [[zero] * (len(rows[0]) - ncols) for _ in range(ncols)]
+    for row, c in zip(rows, pivots):
+        sol[c] = row[ncols:]
     return sol, None
 
 
 def mat_rank(a_rows: list) -> int:
     """Exact rank over a field."""
-    nrows = len(a_rows)
-    if nrows == 0:
+    if not a_rows:
         return 0
-    ncols = len(a_rows[0])
-    a = [list(r) for r in a_rows]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if not is_zero_scalar(a[rr][c]):
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        d = a[r][c]
-        a[r] = [x / d for x in a[r]]
-        for rr in range(nrows):
-            if rr != r and not is_zero_scalar(a[rr][c]):
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(row_reduce(a_rows, len(a_rows[0]))[1])

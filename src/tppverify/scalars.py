@@ -5,8 +5,8 @@ All exact computation in this package runs on top of the rational backend
 fractions.Fraction otherwise.  Both keep values reduced to lowest terms with
 a positive denominator.
 
-Float-complex values are plain Python ``complex``; they are only allowed in
-explicitly tolerance-tagged operations (default tolerance 1e-9).
+Float-complex values are plain Python ``complex``; no exact check compares
+them, and the float paths of running_example and su take their own tolerance.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ except ImportError:  # gmpy2 is optional: pip install tppverify[fast]
 
 QQ_ZERO = QQ(0)
 QQ_ONE = QQ(1)
-
-DEFAULT_TOL = 1e-9
 
 
 class ExactArithmeticError(ValueError):
@@ -212,41 +210,9 @@ def conj_scalar(x):
 
 
 def is_zero_scalar(x) -> bool:
-    if isinstance(x, (int, type(QQ_ZERO))):
-        return x == 0
-    if isinstance(x, complex):
+    if isinstance(x, (int, type(QQ_ZERO), complex)):
         return x == 0
     return x.is_zero()
-
-
-def zero_like(x):
-    """Additive identity in the same scalar kind as x."""
-    if isinstance(x, int):
-        return 0
-    if isinstance(x, type(QQ_ZERO)):
-        return QQ_ZERO
-    if isinstance(x, GaussRational):
-        return GR_ZERO
-    if isinstance(x, complex):
-        return 0j
-    return x.zero_like()
-
-
-def one_like(x):
-    if isinstance(x, int):
-        return 1
-    if isinstance(x, type(QQ_ZERO)):
-        return QQ_ONE
-    if isinstance(x, GaussRational):
-        return GR_ONE
-    if isinstance(x, complex):
-        return 1 + 0j
-    return x.one_like()
-
-
-def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Tolerance-tagged float comparison (absolute)."""
-    return abs(complex(a) - complex(b)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +427,6 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def zero_like(self):
-        return self.field.zero
-
-    def one_like(self):
-        return self.field.one
 
     def __eq__(self, other):
         o = self._bin(other)

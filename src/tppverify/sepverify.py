@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from .matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
-from .scalars import QQ, GaussRational, approx_eq
+from .scalars import QQ, GaussRational
 from .sepfun import EvalContext, PolyApply, Product, SepFunction
 from .series import InsufficientOrderError
 from .tpp import TppInstance, quotient_product_set, unit_first_order_edge
@@ -171,12 +171,11 @@ def _require_family(family):
         raise ValueError("the separating family is empty: nothing to verify")
 
 
-def verify_separating(family, inst: TppInstance, tol: float | None = None) -> SepReport:
+def verify_separating(family, inst: TppInstance) -> SepReport:
     """Exact-mode check: f_{x,z} is 1 at x z^-1 and 0 on the rest of the quotient.
 
-    family maps (ix, iz) index pairs to SepFunctions or callables.  With tol
-    set, values are compared numerically (for float-valued constructions);
-    otherwise comparison is exact.
+    family maps (ix, iz) index pairs to SepFunctions or callables; exact and
+    table instances hold exact values, so every value is compared exactly.
     """
     _require_family(family)
     quotient = quotient_product_set(inst)
@@ -191,11 +190,7 @@ def verify_separating(family, inst: TppInstance, tol: float | None = None) -> Se
             expected = 1 if q_elt == key else 0
             val = _eval_family_fn(fn, q_elt)
             report.checked += 1
-            if tol is None:
-                ok = val == expected or val == GaussRational(expected)
-            else:
-                ok = approx_eq(val, expected, tol)
-            if not ok:
+            if not (val == expected or val == GaussRational(expected)):
                 report.record("fail", {
                     "xz": (ix, iz),
                     "quotient_provenance": provenance[0],

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from .groups import MatrixGroupOps
-from .matrices import Mat, PackedSeriesMat, mat_rank, mat_inv_exact, mat_exp_trunc
+from .matrices import Mat, PackedSeriesMat, mat_exp_trunc, row_reduce
 from .scalars import GaussRational, QQ, GR_ZERO
 from .sepfun import (
     Affine,
@@ -122,28 +122,17 @@ def left_inverse_forms(fx: LinearMatMap, fz: LinearMatMap):
             theta_columns.append([sign * x for x in _flatten_real(v)])
     rows, cols, dx, dz = fx.us[0].rows, fx.us[0].cols, fx.dim, fz.dim
     ncols = len(theta_columns)
-    theta_rows = [[col[r] for col in theta_columns] for r in range(len(theta_columns[0]))]
-    rank = mat_rank(theta_rows)
+    # psi = (Theta^T Theta)^-1 Theta^T, exact over the rationals: one row
+    # reduction of [Theta^T Theta | Theta^T]; Theta^T Theta has Theta's rank
+    gram_rows = [[sum(a * b for a, b in zip(ci, cj)) for cj in theta_columns] + ci
+                 for ci in theta_columns]
+    reduced, pivots, _, _ = row_reduce(gram_rows, ncols)
+    rank = len(pivots)
     if rank != ncols:
         raise SplitError(
             f"tangent spaces intersect: rank {rank} < {ncols} (left inverse impossible)"
         )
-    # psi = (Theta^T Theta)^-1 Theta^T, exact over the rationals
-    gram = [[sum(a * b for a, b in zip(theta_columns[i], theta_columns[j]))
-             for j in range(ncols)] for i in range(ncols)]
-    gram_inv = mat_inv_exact(Mat.from_rows(gram))
-    nreal = len(theta_columns[0])
-    psi_rows = []
-    for i in range(ncols):
-        row = [QQ(0)] * nreal
-        for j in range(ncols):
-            gij = gram_inv[i, j]
-            if gij != 0:
-                col = theta_columns[j]
-                for r in range(nreal):
-                    if col[r] != 0:
-                        row[r] += gij * col[r]
-        psi_rows.append(row)
+    psi_rows = [row[ncols:] for row in reduced]
     px_forms = [_forms_from_psi_rows(psi_rows[2 * s], psi_rows[2 * s + 1], rows, cols)
                 for s in range(dx)]
     pz_forms = [_forms_from_psi_rows(psi_rows[2 * dx + 2 * s], psi_rows[2 * dx + 2 * s + 1],

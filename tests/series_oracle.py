@@ -12,7 +12,7 @@ Results are compared with triple(x) = (coeffs, lo, hi), which works on
 EpsLaurent and OracleSeries alike.
 """
 
-from tppverify.matrices import Mat
+from tppverify.matrices import Mat, _cofactor_dp
 from tppverify.scalars import GR_ZERO, GaussRational, as_qq
 from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError
 
@@ -157,6 +157,28 @@ def oracle_det(m: Mat):
         term = -term if j % 2 else term
         acc = term if acc is None else acc + term
     return acc
+
+
+def oracle_det_dp(m: Mat):
+    """The cofactor DP of PackedSeriesMat.det on the entries' own arithmetic.
+
+    It runs matrices._cofactor_dp, so the products are grouped as in the
+    packed determinant and on series entries the windows agree too;
+    oracle_det's first-row expansion groups them differently, and its
+    windows can differ.  What it checks is the packed combine step.
+    """
+    data = m.data
+
+    def combine(terms):
+        acc = None
+        for sub, k, negate in terms:
+            term = sub * data[k]
+            if negate:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc
+
+    return _cofactor_dp(m.rows, data, combine)
 
 
 def oracle_cofactors(m: Mat) -> Mat:

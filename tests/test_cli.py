@@ -498,6 +498,25 @@ def _has_witness(obj) -> bool:
     return False
 
 
+def test_sep_verify_exact_compares_exactly(tmp_path, capsys):
+    # a value 1e-12 off the expected 1 is a failure, whatever --tol says
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 1},
+        "x": [[["1"]]], "y": [[["1"]]], "z": [[["1"]]]}))
+    sep_path = tmp_path / "sep.json"
+    sep_path.write_text(json.dumps({"family": {"0,0": {
+        "kind": "affine", "a": "0", "b": "1000000000001/1000000000000",
+        "child": {"kind": "entry", "i": 0, "j": 0}}}}))
+    code, out = run_cli(["sep-verify", "--instance", str(inst_path),
+                         "--sepfile", str(sep_path), "--no-timestamp"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "fail"
+    [failure] = report["details"]["report"]["failures"]
+    assert failure["got"] == "1000000000001/1000000000000"
+    assert failure["expected"] == 1
+
+
 def _table_instance(k, x, y, z):
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
     return {"schema": 1, "mode": "table", "x": x, "y": y, "z": z,

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tppverify.scalars import GaussRational, QQ
+from tppverify.scalars import ExactArithmeticError, GaussRational, QQ
 from tppverify.matrices import (
     Mat,
     lpm,
@@ -13,8 +14,8 @@ from tppverify.matrices import (
     mat_minor,
     mat_rank,
     solve_linear,
-    _det_expansion,
 )
+from series_oracle import oracle_det, oracle_det_dp
 
 def rand_qq_mat(n, rng, lo=-5, hi=5):
     return Mat.from_rows([[QQ(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)])
@@ -39,11 +40,11 @@ def test_det_multiplicativity_random():
         assert mat_det(a.matmul(b)) == mat_det(a) * mat_det(b)
 
 
-def test_bareiss_vs_cofactor_cross_oracle():
+def test_row_reduction_det_vs_cofactor_dp():
     rng = random.Random(5)
     for _ in range(15):
         m = rand_qq_mat(4, rng)
-        assert mat_det(m) == _det_expansion(m)
+        assert mat_det(m) == oracle_det_dp(m)
 
 
 def test_lpm_unitriangular_sandwich():
@@ -165,3 +166,74 @@ def test_solve_linear_and_rank():
     assert sol[0][0] + 2 * sol[1][0] == QQ(1)
     sol, reason = solve_linear(a, [[QQ(1)], [QQ(3)]])
     assert sol is None and "inconsistent" in reason
+
+
+# -- the row reduction behind mat_det, mat_inv_exact, solve_linear, mat_rank --
+
+BACKEND_INT = type(QQ(0).numerator)     # int, or mpz under gmpy2
+
+ENTRY_KINDS = {
+    "int": lambda re, im: re,
+    "backend int": lambda re, im: BACKEND_INT(re),
+    "QQ": lambda re, im: QQ(re, 2),
+    "Gauss": lambda re, im: GaussRational(QQ(re, 3), im),
+}
+
+
+@st.composite
+def field_matrices(draw, rows, cols, kind):
+    """rows x cols entries of one kind, small so that singular matrices are
+    common; sometimes a row is a multiple of another."""
+    make = ENTRY_KINDS[kind]
+    data = [make(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+            for _ in range(rows * cols)]
+    m = Mat(rows, cols, data)
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        for k in range(cols):
+            m[i, k] = m[j, k] * c
+    return m
+
+
+@st.composite
+def linear_systems(draw):
+    kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cols = rows
+    return (draw(field_matrices(rows, cols, kind)),
+            draw(field_matrices(rows, draw(st.integers(1, 2)), kind)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_row_reduction_callers_are_exact(system):
+    a, b = system
+    n = a.rows
+    rank = mat_rank(a.to_rows())
+    assert rank == mat_rank(a.transpose().to_rows()) <= min(a.rows, a.cols)
+    if a.is_square:
+        det = mat_det(a)
+        assert det == oracle_det(a)
+        assert (rank == n) == (det != 0)
+        if rank == n:
+            inv = mat_inv_exact(a)
+            assert a.matmul(inv) == Mat.identity(n) == inv.matmul(a)
+        else:
+            with pytest.raises(ExactArithmeticError, match="singular matrix"):
+                mat_inv_exact(a)
+    sol, reason = solve_linear(a.to_rows(), b.to_rows())
+    ab = [ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())]
+    if mat_rank(ab) > rank:
+        assert sol is None and reason.startswith("inconsistent system")
+    else:
+        assert reason is None
+        assert a.matmul(Mat.from_rows(sol)) == b
+
+
+def test_integer_matrices_are_reduced_over_the_rationals():
+    assert mat_inv_exact(Mat.from_rows([[2, 0], [0, 1]])) == Mat.from_rows(
+        [[QQ(1, 2), 0], [0, 1]])
+    assert mat_rank([[2, 1], [4, 2]]) == 1
+    assert mat_det(Mat.from_rows([[0, 2], [3, 4]])) == -6

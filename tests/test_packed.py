@@ -6,11 +6,11 @@ EpsLaurent's own arithmetic runs on that kernel.  oracle_matmul is the
 generic Mat.matmul inner loop on OracleSeries entries (a sum of series
 products).  Every entry of a packed product must equal it bit for bit,
 windows included, and InsufficientOrderError must be raised in exactly the
-same cases.  The packed series determinant is held to the cofactor DP run on
-oracle series (matrices._det_expansion), and LinearForm's series evaluation
-to the boxed sum of coefficient times real or imaginary part, in the same
-way, and the packed p_1 of MinorInvariant to the boxed k-subset loop at
-k = 1 (series_oracle.oracle_pk).
+same cases.  The packed series determinant is held to the cofactor DP run
+on oracle series (series_oracle.oracle_det_dp), and LinearForm's series
+evaluation to the boxed sum of coefficient times real or imaginary part, in
+the same way, and the packed p_1 of MinorInvariant to the boxed k-subset
+loop at k = 1 (series_oracle.oracle_pk).
 
 The boxed paths that the packed kernel replaced live on here as oracles only:
 the Neumann inverse, UniPoly's Taylor expansion and evaluation,
@@ -29,7 +29,6 @@ from tppverify.groups import MatrixGroupOps
 from tppverify.matrices import (
     Mat,
     PackedSeriesMat,
-    _det_expansion,
     lpm,
     mat_det,
     mat_exp_trunc,
@@ -59,7 +58,14 @@ from tppverify.tpp import (
     verify_tpp_series,
 )
 
-from series_oracle import OracleSeries, oracle_matmul, oracle_pk, to_oracle, triple
+from series_oracle import (
+    OracleSeries,
+    oracle_det_dp,
+    oracle_matmul,
+    oracle_pk,
+    to_oracle,
+    triple,
+)
 
 
 def boxed_series_deviation(prod: Mat, order: int):
@@ -199,7 +205,7 @@ def det_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(det_matrices())
 def test_packed_det_matches_boxed_dp(m):
-    want = outcome(_det_expansion, to_oracle(m))
+    want = outcome(oracle_det_dp, to_oracle(m))
     got = outcome(mat_det, m)
     if want is InsufficientOrderError:
         assert got is InsufficientOrderError
@@ -221,7 +227,7 @@ def test_packed_det_raises_on_empty_term_window():
     m = Mat(2, 2, [EpsLaurent({}, lo=0, hi=INF_ORDER - 1), EpsLaurent.const(1),
                    EpsLaurent.const(1), EpsLaurent.eps(2)])
     with pytest.raises(InsufficientOrderError):
-        _det_expansion(to_oracle(m))
+        oracle_det_dp(to_oracle(m))
     with pytest.raises(InsufficientOrderError):
         mat_det(m)
 
