@@ -389,6 +389,10 @@ def _run_su_verify(args):
 def _run_split_assemble(args):
     if args.q < 2:
         raise UsageError(f"--q must be at least 2 (got {args.q})")
+    if args.mode != "auto":
+        raise UsageError(f"--mode {args.mode} is not supported by split-assemble "
+                         "(only auto: exhaustive up to --sample-budget tuples, "
+                         "sampled beyond it)")
     rep = su_assemble(args.n, args.q, sample_budget=args.sample_budget,
                       seed=args.seed, order=args.order, t=args.t,
                       y_cap=args.y_cap)

@@ -24,8 +24,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .matrices import Mat, mat_exp_trunc
 from .scalars import QQ
 from .sepfun import (
@@ -95,6 +93,8 @@ class OrthogonalFamily:
 
 def _unit_vector_bucket(dim: int, entry_max: int):
     """Most popular squared-length bucket of integer vectors in [0, entry_max]^dim."""
+    import numpy as np
+
     vecs = np.array(list(itertools.product(range(entry_max + 1), repeat=dim)), dtype=np.int64)
     vecs = vecs[np.any(vecs != 0, axis=1)]
     if len(vecs) == 0:
@@ -114,6 +114,8 @@ def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
     mapped into the orthogonal complement of the previous columns by a
     deterministic completion that depends only on those columns.
     """
+    import numpy as np
+
     if n < 2 or q < 2:
         raise ValueError("need n >= 2 and q >= 2")
     entry_max = entry_range_mult * q
@@ -148,6 +150,8 @@ def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
 
 
 def _assemble_orthogonal(n: int, idx, buckets, lengths) -> np.ndarray:
+    import numpy as np
+
     cols = []
     for j in range(n):
         dim = n - j
@@ -166,6 +170,8 @@ def _complement_basis(prefix: np.ndarray, n: int) -> np.ndarray:
     Gram-Schmidt over the standard basis in fixed order; depends only on the
     prefix, so equal prefixes get equal isometries.
     """
+    import numpy as np
+
     have = [prefix[:, k] for k in range(prefix.shape[1])]
     out = []
     for j in range(n):
@@ -191,6 +197,8 @@ class ColumnAgreementReport:
 def verify_column_agreement(fam: OrthogonalFamily, tol: float = 1e-9) -> ColumnAgreementReport:
     """For pairs agreeing in their first i columns (by chosen indices), the
     (i+1, i+1) entry of y^T y' must be within tol of some element of W_q."""
+    import numpy as np
+
     wq = np.array(fam.wq_floats)
     report = ColumnAgreementReport("pass", 0)
     for a in range(len(fam.members)):
@@ -223,6 +231,8 @@ def verify_tpp_numeric(x_list, y_list, z_list, tol: float = 1e-9) -> TppReport:
     x/z entries may be exact matrices (converted to float); y entries are
     float orthogonal matrices whose inverses are taken as transposes.
     """
+    import numpy as np
+
     def to_np(m):
         if isinstance(m, np.ndarray):
             return m

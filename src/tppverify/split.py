@@ -26,16 +26,16 @@ specific t to reproduce the failure mode.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .groups import MatrixGroupOps
 from .matrices import Mat, PackedSeriesMat, mat_exp_trunc, row_reduce
-from .scalars import GaussRational, QQ, GR_ZERO
+from .scalars import GaussRational, GR_ZERO
 from .sepfun import (
     Affine,
     DivEps,
     LinearForm,
+    MinorInvariant,
     PolyApply,
     Product,
     Reparam,
@@ -176,51 +176,85 @@ class SplitInputs:
         if len(self.coord_set_a) != self.q or len(self.coord_set_b) != self.q:
             raise SplitError("coordinate sets must have exactly q values")
 
-    def spot_check_inverses(self, trials: int = 50, seed: int = 0):
-        """pX(fX(a) - fZ(b)) = a and pZ(...) = b on random exact coordinates."""
-        rng = random.Random(seed)
-        for _ in range(trials):
-            a = [GaussRational(QQ(rng.randint(-9, 9), rng.randint(1, 4)),
-                               QQ(rng.randint(-9, 9), rng.randint(1, 4)))
-                 for _ in range(self.fx.dim)]
-            b = [GaussRational(QQ(rng.randint(-9, 9), rng.randint(1, 4)),
-                               QQ(rng.randint(-9, 9), rng.randint(1, 4)))
-                 for _ in range(self.fz.dim)]
-            v = self.fx.apply(a) - self.fz.apply(b)
-            got_a = [form.eval(v) for form in self.px_forms]
-            got_b = [form.eval(v) for form in self.pz_forms]
-            if got_a != a or got_b != b:
-                raise SplitError("left-inverse spot check failed: p_X/p_Z do not invert")
+    def check_left_inverse(self):
+        """Prove psi . theta = I: every form reads its unit coordinate exactly.
+
+        theta(a, b) = fX(a) - fZ(b) and the forms are real-linear, so psi .
+        theta = I follows from its value on the 2(dX + dZ) real basis
+        vectors: the images of 1 and i in every coordinate of fX and of -fZ.
+        """
+        forms = self.px_forms + self.pz_forms
+        images = [m for pair in zip(self.fx.us, self.fx.vs) for m in pair]
+        images += [-m for pair in zip(self.fz.us, self.fz.vs) for m in pair]
+        for k, image in enumerate(images):
+            want = [GR_ZERO] * len(forms)
+            want[k // 2] = GaussRational(0, 1) if k % 2 else GaussRational(1)
+            if [form.eval(image) for form in forms] != want:
+                raise SplitError(
+                    f"left-inverse check failed: p_X/p_Z do not invert theta on "
+                    f"real basis vector {k}"
+                )
 
 
-def audit_p0_invariance(p0: SepFunction, xfams, zfams, trials: int = 50,
-                        seed: int = 0, entry_range: int = 3) -> int:
-    """Randomized invariance audit: p0(x M z) = p0(M) exactly on the window.
+def _p0_conjugator(p0: SepFunction) -> Mat:
+    """D from p0 = PolyApply(r, DivEps(2, Affine(a, b, p_1 with D)))."""
+    node = p0
+    for kind in (PolyApply, DivEps, Affine):
+        if type(node) is not kind or (kind is DivEps and node.k != 2):
+            break
+        node = node.child
+    else:
+        if type(node) is MinorInvariant:
+            return node.d_mat
+    raise SplitError("p0 invariance certificate needs p0 = r((b + a p_1(M)) / eps^2) "
+                     "with p_1 a MinorInvariant node")
 
-    Samples random exact matrices M and family pairs (x, z); raises on the
-    first violation, returns the number of checks performed.
+
+def _preserves(form: PackedSeriesMat, left: Mat, right: Mat) -> int:
+    """The window edge h of an element, given with its conjugate transpose as
+    left and right; refused unless left form right = form through eps^h."""
+    lp, rp = PackedSeriesMat.pack(left), PackedSeriesMat.pack(right)
+    if any(t and t[0][0] < 0 for _, _, _, t in lp.entries):
+        raise SplitError("p0 invariance certificate: an element stores a negative eps power")
+    h = min(hi for _, hi, _, _ in lp.entries)
+    if h < 2:
+        raise SplitError(f"p0 invariance certificate: window edge {h} < 2")
+    prod = lp.matmul(form).matmul(rp)
+    if any(hi < h for _, hi, _, _ in prod.entries) or not prod.truncate(h).eq_on_window(form):
+        raise SplitError("p0 invariance certificate: an element does not preserve the form")
+    return h
+
+
+def audit_p0_invariance(p0: SepFunction, xfams, zfams) -> str:
+    """Certify p0(x M z) = p0(M) on the window for every x in xfams, z in zfams.
+
+    p0 must be r((b + a p_1(M)) / eps^2) with p_1(M) = Tr(D* M* D* D M D)
+    = Tr(M* H M H'), H = D*D and H' = DD*; D is read from p0's own
+    MinorInvariant node.  So p_1(x M z) = Tr(M* (x* H x) M (z H' z*)),
+    and the certificate is x* H x = H and z H' z* = H', checked exactly on
+    each element's window [0, h] with packed products.  The constant
+    p0 = 1 (an empty Product) reads no entry of M and is invariant outright.
+    Returns the certificate's report note; any failure raises SplitError.
+
+    Window lemma.  If x* H x - H = O(eps^(h+1)), z H' z* - H' =
+    O(eps^(h+1)) and M has no negative powers, then p_1(x M z) - p_1(M) =
+    O(eps^(h+1)).  After DivEps(2) the argument of r is known through
+    eps^(h-2) and changes only from eps^(h-1) on, so when h >= 2 its eps^0
+    and negative coefficients, the ones check_border_value reads, are known
+    and unchanged, and r, which reads only the known window, gives the same
+    value on it.  Hence the refusals: an element with a stored negative
+    power, or with h < 2.
     """
-    rng = random.Random(seed)
-    n = xfams[0].rows
-    checked = 0
-    for _ in range(trials):
-        x = xfams[rng.randrange(len(xfams))]
-        z = zfams[rng.randrange(len(zfams))]
-        m = Mat.from_rows([[GaussRational(rng.randint(-entry_range, entry_range),
-                                          rng.randint(-entry_range, entry_range))
-                            for _ in range(n)] for _ in range(n)])
-        m_series = m.map(lambda v: EpsLaurent.const(v))
-        lhs = p0.eval(x.matmul(m_series).matmul(z))
-        rhs = p0.eval(m_series)
-        lhs_s = lhs if isinstance(lhs, EpsLaurent) else EpsLaurent.const(lhs)
-        rhs_s = rhs if isinstance(rhs, EpsLaurent) else EpsLaurent.const(rhs)
-        if not lhs_s.eq_on_window(rhs_s):
-            raise SplitError(
-                f"p0 invariance audit failed at trial {checked}: "
-                f"p0(xMz) != p0(M) on the common window"
-            )
-        checked += 1
-    return checked
+    if type(p0) is Product and not p0.children:
+        return "p0 invariance certificate: p0 is the constant 1"
+    d = _p0_conjugator(p0)
+    d_star = d.conj_transpose()
+    left = PackedSeriesMat.pack(d_star.matmul(d))
+    right = PackedSeriesMat.pack(d.matmul(d_star))
+    edge = min([_preserves(left, x.conj_transpose(), x) for x in xfams]
+               + [_preserves(right, z, z.conj_transpose()) for z in zfams])
+    return (f"p0 invariance certificate: x* (D*D) x = D*D on {len(xfams)} X', "
+            f"z (DD*) z* = DD* on {len(zfams)} Z' (window edge {edge})")
 
 
 @dataclass
@@ -268,7 +302,7 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
                    t: int | None = None, coord_cap: int = 4096,
                    seed: int = 0, run_dpp_check: bool = True) -> SplitOutput:
     """Build X', Z', the reparametrized middle families, and all p_{x,z}."""
-    inputs.spot_check_inverses(trials=20, seed=seed)
+    inputs.check_left_inverse()
     dx, dz = inputs.fx.dim, inputs.fz.dim
     q = inputs.q
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -303,6 +305,15 @@ def sep_verify(sepfile):
     pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
                   "--sample-budget", "0"],
                  "--sample-budget must be at least 1", id="split-assemble-budget0"),
+    # split-assemble runs one mode (auto); any other value is refused, not ignored
+    pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
+                  "--mode", "exhaustive"],
+                 "--mode exhaustive is not supported by split-assemble",
+                 id="split-assemble-mode-exhaustive"),
+    pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
+                  "--mode", "sampled"],
+                 "--mode sampled is not supported by split-assemble",
+                 id="split-assemble-mode-sampled"),
     # instance files that cannot be loaded (written by the test, see BAD_INSTANCES)
     pytest.param(["tpp-verify", "--instance", "no-group.json"],
                  "unknown group descriptor None", id="instance-no-group"),
@@ -443,7 +454,8 @@ GOLDEN_SPLIT = {"command": "split-assemble",
              "notes": ["middle families are I + O(eps); reparametrization skipped (t = "
                        "1)",
                        "DPP series check: pass (256 tuples)",
-                       "p0 invariance audit: 50 random sandwiches exact"],
+                       "p0 invariance certificate: x* (D*D) x = D*D on 4 X', z (DD*) "
+                       "z* = DD* on 4 Z' (window edge 3)"],
              "order": 3,
              "p0": {"c_max": "6891313/2592",
                     "deg_r": 43,
@@ -483,6 +495,27 @@ def test_split_assemble_golden_report(capsys):
     code, out = run_cli(GOLDEN_SPLIT_ARGV, capsys)
     assert code == 0
     assert out == canonical_json(GOLDEN_SPLIT)
+
+
+# numpy serves only the float paths; a pytest plugin may have loaded it in
+# this process, so each check runs in a fresh interpreter
+NUMPY_FREE = {
+    "import": "import tppverify.cli",
+    "split-assemble": "from tppverify.cli import main; rc = main(['split-assemble', "
+                      "'--n', '4', '--q', '2', '--y-cap', '2', '--sample-budget', '16', "
+                      "'--no-timestamp', '--output', os.devnull]); assert rc == 0, rc",
+}
+
+
+@pytest.mark.parametrize("code", list(NUMPY_FREE.values()), ids=list(NUMPY_FREE))
+def test_numpy_not_loaded(code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    script = f"import os, sys; {code}; sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- exit-code contract over small argument ranges -------------------------------

@@ -60,6 +60,27 @@ def test_disjoint_split_triangular_bases():
         assert [f.eval(v) for f in pz] == b
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_left_inverse_check_accepts_disjoint_split(n):
+    basis_x = [emat(n, i, j) for i in range(n) for j in range(i)]
+    basis_z = [emat(n, j, i) for i in range(n) for j in range(i)]
+    fx, fz, px, pz = disjoint_lie_split(basis_x, basis_z)
+    SplitInputs(fx, fz, px, pz, Product([]), [ident_family(n)], q=2).check_left_inverse()
+
+
+def test_left_inverse_check_refuses_one_unit_off():
+    # pz reads b = -Re v[0,1] - i Im v[0,1]; its ii coefficient at (0, 1) is
+    # -1 over the denominator 1, read only on the image of i under -fZ, the
+    # last real basis vector
+    fx, fz, px, pz = disjoint_lie_split([emat(2, 1, 0)], [emat(2, 0, 1)])
+    ii = Mat(2, 2, list(pz[0].ii.data))
+    assert ii[0, 1] == -1
+    ii[0, 1] += 1
+    bad = LinearForm(pz[0].rr, pz[0].ri, pz[0].ir, ii)
+    with pytest.raises(SplitError, match="real basis vector 3"):
+        SplitInputs(fx, fz, px, [bad], Product([]), [ident_family(2)], q=2).check_left_inverse()
+
+
 def test_disjoint_split_rejects_intersection():
     with pytest.raises(SplitError):
         disjoint_lie_split([emat(2, 0, 1)], [emat(2, 0, 1)])

@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tppverify.matrices import Mat, mat_det, mat_exp_trunc
-from tppverify.scalars import GaussRational, QQ
-from tppverify.sepfun import MinorInvariant, SepFunctionError
-from tppverify.series import EpsLaurent
+from tppverify.scalars import GaussRational, QQ, as_qq
+from tppverify.sepfun import (
+    Affine,
+    DivEps,
+    Entry,
+    LinearForm,
+    MinorInvariant,
+    PolyApply,
+    Product,
+    SepFunctionError,
+    lagrange_indicator,
+)
+from tppverify.series import EpsLaurent, series
+from tppverify.split import SplitError, SplitInputs, assemble_split, audit_p0_invariance
 from tppverify.su import (
     SuConstructionError,
     kvn_inequality_check,
@@ -306,23 +317,123 @@ def test_kvn_inequality_monte_carlo():
     assert rep.identity_gap <= 1e-9
 
 
-def test_p0_invariance_audit(constr4):
-    from tppverify.split import audit_p0_invariance, SplitError
-    from tppverify.sepfun import Entry, PolyApply, lagrange_indicator
+def sandwich_oracle(p0, xfams, zfams, trials: int, seed: int = 0,
+                    entry_range: int = 3) -> int:
+    """p0(x M z) = p0(M) on the common window for random exact M and (x, z).
 
-    coords, _ = su_y_lattice(constr4, 2, cap=8, seed=11)
-    yfams = [mat_exp_trunc(su_s_matrix(constr4, c), 3) for c in coords]
+    The sampled oracle of split.audit_p0_invariance: returns the number of
+    trials, raises SplitError at the first violation.
+    """
+    rng = random.Random(seed)
+    n = xfams[0].rows
+    for trial in range(trials):
+        x = xfams[rng.randrange(len(xfams))]
+        z = zfams[rng.randrange(len(zfams))]
+        m = Mat.from_rows([[GaussRational(rng.randint(-entry_range, entry_range),
+                                          rng.randint(-entry_range, entry_range))
+                            for _ in range(n)] for _ in range(n)])
+        m_series = m.map(EpsLaurent.const)
+        lhs = p0.eval(x.matmul(m_series).matmul(z))
+        rhs = p0.eval(m_series)
+        lhs_s = lhs if isinstance(lhs, EpsLaurent) else EpsLaurent.const(lhs)
+        rhs_s = rhs if isinstance(rhs, EpsLaurent) else EpsLaurent.const(rhs)
+        if not lhs_s.eq_on_window(rhs_s):
+            raise SplitError(f"sandwich oracle: p0(xMz) != p0(M) on the window at trial {trial}")
+    return trials
+
+
+def su_split_families(n, q, y_cap, seed, order=3):
+    """(p0, X', Z') as su_assemble builds them, without the verifiers."""
+    constr = CONSTR[n]
+    coords, sampled = su_y_lattice(constr, q, cap=y_cap, seed=seed)
+    fx, fz, px, pz, _ = su_theta_psi(constr)
+    yfams = [mat_exp_trunc(su_s_matrix(constr, c), order) for c in coords]
+    p0, _ = su_p0(constr, q, check_pairs=0, coords=coords if sampled else None)
+    out = assemble_split(SplitInputs(fx, fz, px, pz, p0, yfams, q), order=order,
+                         seed=seed, run_dpp_check=False)
+    return p0, out.xfams, out.zfams
+
+
+def test_p0_invariance_audit(constr4):
+    # the sampled oracle: p0 passes, and a non-invariant candidate fails
     p0, _ = su_p0(constr4, 2, check_pairs=0, yfams=None)
     fx, fz, _, _, _ = su_theta_psi(constr4)
     xfams = [mat_exp_trunc(fx.apply([GaussRational(a), GaussRational(b)]), 3)
              for a in (0, 1) for b in (0, 1)]
     zfams = [mat_exp_trunc(fz.apply([GaussRational(a), GaussRational(b)]), 3)
              for a in (0, 1) for b in (0, 1)]
-    assert audit_p0_invariance(p0, xfams, zfams, trials=12, seed=1) == 12
-    # a non-invariant candidate fails the audit
+    assert sandwich_oracle(p0, xfams, zfams, trials=12, seed=1) == 12
     bad = PolyApply(lagrange_indicator(0, [0, 1]), Entry(0, 1))
     with pytest.raises(SplitError):
-        audit_p0_invariance(bad, xfams, zfams, trials=20, seed=1)
+        sandwich_oracle(bad, xfams, zfams, trials=20, seed=1)
+
+
+@pytest.mark.parametrize("y_cap, seed", [(2, 0), (128, 1)], ids=["su-exhaustive", "su-sampled"])
+def test_invariance_certificate_agrees_with_sandwich_oracle(y_cap, seed):
+    p0, xfams, zfams = su_split_families(4, 2, y_cap, seed)
+    assert len(xfams) == len(zfams) == 4
+    assert audit_p0_invariance(p0, xfams, zfams).endswith(" on 4 Z' (window edge 3)")
+    assert sandwich_oracle(p0, xfams, zfams, trials=50, seed=seed) == 50
+
+
+def _negative_power(m):
+    """m with eps^-1 added to its (0, 1) entry."""
+    out = Mat(m.rows, m.cols, list(m.data))
+    out[0, 1] = out[0, 1] + series({-1: 1})
+    return out
+
+
+def _exp_e00():
+    """exp(eps E_00): x* H x = H + eps (E_00 H + H E_00) + ..., and H_00 > 0."""
+    e = Mat.zeros(4, 4)
+    e[0, 0] = 1
+    return mat_exp_trunc(e, 3)
+
+
+def _with_d(constr, d):
+    """su_p0's chain with D replaced by d."""
+    return PolyApply(lagrange_indicator(0, [0, 1]),
+                     DivEps(2, Affine(-1, constr.trace_dd2, MinorInvariant(1, d, constr.q_form))))
+
+
+# each plant maps (construction, p0, X', Z') at the su-exhaustive arguments,
+# built at the given order, to the refused certificate input
+@pytest.mark.parametrize("order, plant, message", [
+    (3, lambda c, p0, xs, zs: (p0, xs[:-1] + [_exp_e00()], zs), "does not preserve the form"),
+    (3, lambda c, p0, xs, zs: (p0, xs, zs[:-1] + [zs[-1].map(lambda v: v * 2)]),
+     "does not preserve the form"),
+    (1, lambda c, p0, xs, zs: (p0, xs, zs), "window edge 1 < 2"),
+    (3, lambda c, p0, xs, zs: (p0, [_negative_power(xs[1])] + xs[1:], zs), "negative eps power"),
+    (3, lambda c, p0, xs, zs: (_with_d(c, c.d_inv), xs, zs), "does not preserve the form"),
+    (3, lambda c, p0, xs, zs: (PolyApply(lagrange_indicator(0, [0, 1]), Entry(0, 1)), xs, zs),
+     "needs p0 = r"),
+], ids=["x-breaks-eps1", "z-scaled", "window-edge-1", "negative-power", "other-D",
+        "not-p1-chain"])
+def test_invariance_certificate_refuses(order, plant, message):
+    p0, xfams, zfams = plant(CONSTR[4], *su_split_families(4, 2, 2, 0, order=order))
+    with pytest.raises(SplitError, match=message):
+        audit_p0_invariance(p0, xfams, zfams)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_left_inverse_check_accepts_su_split(n):
+    fx, fz, px, pz, _ = su_theta_psi(CONSTR[n])
+    SplitInputs(fx, fz, px, pz, Product([]), [], 2).check_left_inverse()
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_left_inverse_check_refuses_one_unit_off(constr4, side):
+    fx, fz, px, pz, _ = su_theta_psi(constr4)
+    forms = px if side == "x" else pz
+    form = forms[0]
+    den = math.lcm(*(as_qq(c).denominator
+                     for m in (form.rr, form.ri, form.ir, form.ii) for c in m.data))
+    k = next(k for k, c in enumerate(form.rr.data) if c)
+    rr = Mat(form.rr.rows, form.rr.cols, list(form.rr.data))
+    rr.data[k] = as_qq(rr.data[k]) + QQ(1, den)
+    forms[0] = LinearForm(rr, form.ri, form.ir, form.ii)
+    with pytest.raises(SplitError, match="left-inverse check failed"):
+        SplitInputs(fx, fz, px, pz, Product([]), [], 2).check_left_inverse()
 
 
 def test_su_assemble_smoke():
