@@ -33,6 +33,7 @@ from .running_example import (
     build_orthogonal_family,
     build_running_sep_family,
     build_unitriangular_sets,
+    exact_matrix,
     running_border_p0,
     verify_column_agreement,
     verify_tpp_numeric,
@@ -307,9 +308,8 @@ def _run_running_example(args):
     y = fam.members[0][1]
     xf = np.array([[float(v) for v in x.row(i)] for i in range(args.n)])
     zf = np.array([[float(v) for v in z.row(i)] for i in range(args.n)])
-    m_diag = Mat.from_rows([[complex(v) for v in row]
-                            for row in (xf @ (y.T @ y) @ zf).tolist()])
-    diag_val = abs(sep.eval(m_diag) - 1)
+    m_diag = exact_matrix(xf @ (y.T @ y) @ zf)
+    diag_val = abs(complex(sep.eval(m_diag)) - 1)
     sep_ok = diag_val <= 1e-6
     verdict = "pass" if (col_rep.verdict == "pass" and tpp.verdict == "pass"
                          and sep_ok) else "fail"

@@ -268,8 +268,17 @@ def verify_tpp_numeric(x_list, y_list, z_list, tol: float = 1e-9) -> TppReport:
     return TppReport("pass", tuples_checked=checked)
 
 
+def exact_matrix(a) -> Mat:
+    """The float array a as a Mat of the exact rationals its entries hold.
+
+    QQ(float) is exact, so a separating polynomial evaluated on the result
+    adds no rounding of its own to that of the float product.
+    """
+    return Mat.from_rows([[QQ(v) for v in row] for row in a.tolist()])
+
+
 # ---------------------------------------------------------------------------
-# Separating polynomials (exact construction, float evaluation)
+# Separating polynomials
 # ---------------------------------------------------------------------------
 
 def peel_matrices(x: Mat, z: Mat):

@@ -7,20 +7,22 @@ forms, univariate polynomial application, products, sums, scalar affine
 maps, division by eps^k, and reparametrization eps -> eps^t.  _NODE_KINDS maps
 each JSON "kind" to its class.
 
-Each node has one evaluation rule, written in the ring operations of the
-values it combines, so the same tree evaluates on exact rationals, Gaussian
-rationals and truncated Laurent series.  Float complex arguments are
-accepted where a node's rule needs no exact arithmetic (entries, sandwiches,
-polynomials, products and sums).  Tracked degree is an upper bound on the
-true total degree in the matrix entries (eps excluded), exact for products
-and sums of the primitives used here.
+Values inside the tree are of one kind, PackedSeriesMat: each node's
+_eval takes the packed argument and returns a packed 1x1 value, and each
+node has one rule, written in the packed kernel's ring operations (matmul,
+add, shift).  Tracked degree is an upper bound on the true total degree in
+the matrix entries (eps excluded), exact for products and sums of the
+primitives used here.
 
-Series arguments are evaluated on the packed kernel (matrices.PackedSeriesMat):
-a packed argument gives a packed value, a 1x1 PackedSeriesMat, which stays
-packed through every node; a Mat with series entries is packed once and its
-value unpacked once (SepFunction.eval).  Exact and float arguments keep
-their boxed rules, except that p_1 and the linear forms pack an exact
-argument and read their value at eps^0.
+SepFunction.eval is the one place where other kinds are converted:
+  - a PackedSeriesMat is evaluated as it is, and the value stays packed;
+  - a Mat is packed once, its exact entries lifted to constant series with
+    an unlimited window.  For a Mat with series entries the value is
+    unpacked once, an EpsLaurent.  For an exact Mat the value is its exact
+    constant term, a GaussRational; a value whose window starts below eps^0
+    is refused, since only division by eps puts it there;
+  - a Mat with a float or complex entry is refused: float matrices are
+    converted to exact ones where they are made.
 
 Univariate polynomials are kept in product form scale * prod (x - root) and
 applied to series via their exact Taylor expansion around the argument's
@@ -42,7 +44,6 @@ from .matrices import Mat, PackedSeriesMat, lpm as mat_lpm, mat_det  # noqa: F40
 from .scalars import GaussRational, as_qq, qq_str
 from .series import (
     INF_ORDER,
-    EpsLaurent,
     InsufficientOrderError,
     _conj_entry,
     _const_entry,
@@ -81,19 +82,6 @@ class UniPoly:
         return len(self.roots)
 
     # -- evaluation ---------------------------------------------------------
-    def eval_exact(self, x):
-        x = GaussRational.from_any(x)
-        acc = self.scale
-        for r in self.roots:
-            acc = acc * (x - r)
-        return acc
-
-    def eval_float(self, x: complex) -> complex:
-        acc = complex(self.scale)
-        for r in self.roots:
-            acc *= x - complex(r)
-        return acc
-
     def taylor(self, c, order: int):
         """Taylor coefficients of p(c + h) in h up to h^order, on integers.
 
@@ -134,20 +122,16 @@ class UniPoly:
         self._taylor_cache[c] = out
         return out
 
-    def eval_series(self, x):
-        """p(x) for a series x: a packed 1x1 value, or a boxed EpsLaurent.
+    def eval_series(self, x: PackedSeriesMat) -> PackedSeriesMat:
+        """p(x) for a packed 1x1 x.
 
-        The rules are those of the boxed expansion: h = x - c with c the
-        constant term (an unknown one raises), all degree powers of h when h
-        has a negative power, else as many as x's window reaches; the sum
-        const(t_0) + sum t_k h^k of series products, and a nonconstant p
+        With c the constant term of x (an unknown one raises) and h = x - c,
+        p(x) = t_0 + sum_k t_k h^k, the t_k from taylor, summed as series
+        products over every power of h when h has a negative power, else over
+        as many as x's window reaches.  On an unlimited window with h zero,
+        x is the exact constant c and p(x) = t_0.  A nonconstant p is
         truncated to x's own window.
         """
-        if isinstance(x, EpsLaurent):
-            return self._eval_packed(PackedSeriesMat.scalar(x)).unpack_scalar()
-        return self._eval_packed(x)
-
-    def _eval_packed(self, x: PackedSeriesMat) -> PackedSeriesMat:
         lo, hi, _, terms = x.entries[0]
         if hi < 0:
             raise InsufficientOrderError(f"coefficient at eps^0 unknown (window [{lo},{hi}])")
@@ -159,8 +143,10 @@ class UniPoly:
         h = _entry(min(lo, 0), hi, h_terms)
         if h_terms and h_terms[0][0] < 0:
             needed = self.degree
+        elif hi < INF_ORDER:
+            needed = min(self.degree, hi)
         else:
-            needed = min(self.degree, hi if hi < 10 ** 8 else self.degree)
+            needed = self.degree if h_terms else 0
         nums, t_den = self.taylor((c_re // g, c_im // g, den // g), needed)
         # every t_k h^k over t_den * den^needed: t_k carries den^(needed - k)
         pairs = []
@@ -180,13 +166,6 @@ class UniPoly:
         if self.degree >= 1:
             val = val.truncate(hi)
         return val.reduced()
-
-    def __call__(self, x):
-        if isinstance(x, (EpsLaurent, PackedSeriesMat)):
-            return self.eval_series(x)
-        if isinstance(x, complex):
-            return self.eval_float(x)
-        return self.eval_exact(x)
 
     def to_json(self):
         return {"form": "roots",
@@ -223,6 +202,11 @@ def lagrange_indicator(point, points) -> UniPoly:
 # Expression tree
 # ---------------------------------------------------------------------------
 
+# the packed constants 1 and 0: the empty product and sum, and lpm_0
+_ONE = PackedSeriesMat.identity(1)
+_ZERO = PackedSeriesMat(1, 1, 1, [_const_entry(0, 0)])
+
+
 class EvalContext:
     """Evaluation context: the eps scaling that reparametrization sets."""
 
@@ -238,8 +222,8 @@ class EvalContext:
 class SepFunction:
     """Base class; subclasses implement _eval(M, ctx) and degree.
 
-    _eval receives a PackedSeriesMat or an exact or float Mat; children are
-    evaluated through eval, so an instance's eval can be wrapped.
+    _eval takes a PackedSeriesMat and returns a packed 1x1 value; children
+    are evaluated through eval, so an instance's eval can be wrapped.
     """
 
     kind = "abstract"
@@ -249,19 +233,23 @@ class SepFunction:
         raise NotImplementedError
 
     def eval(self, m, ctx: EvalContext | None = None):
-        """The value at m: packed for a packed m, boxed for a series Mat
-        (packed once, its value unpacked once), a scalar otherwise."""
+        """The value at m: packed for a packed m, an EpsLaurent for a series
+        Mat, the exact constant term for an exact Mat (module docstring)."""
         ctx = ctx or EvalContext()
-        if type(m) is Mat and m.has_series_entries():
-            value = self._eval(PackedSeriesMat.pack(m), ctx)
-            return value.unpack_scalar() if isinstance(value, PackedSeriesMat) else value
-        return self._eval(m, ctx)
+        if isinstance(m, PackedSeriesMat):
+            return self._eval(m, ctx)
+        if any(isinstance(x, (float, complex)) for x in m.data):
+            raise SepFunctionError("float entries are refused: "
+                                   "convert the matrix to exact rationals first")
+        value = self._eval(PackedSeriesMat.pack(m), ctx)
+        if m.has_series_entries():
+            return value.unpack_scalar()
+        if value.entries[0][0] < 0:
+            raise SepFunctionError("division by eps needs a series argument")
+        return value.unpack_scalar().coeff(0)
 
-    def _eval(self, m, ctx: EvalContext):
+    def _eval(self, m: PackedSeriesMat, ctx: EvalContext) -> PackedSeriesMat:
         raise NotImplementedError
-
-    def __call__(self, m: Mat, ctx: EvalContext | None = None):
-        return self.eval(m, ctx or EvalContext())
 
     def to_json(self):
         raise NotImplementedError
@@ -290,7 +278,7 @@ class Entry(SepFunction):
         return 1
 
     def _eval(self, m, ctx):
-        return m.entry(self.i, self.j) if isinstance(m, PackedSeriesMat) else m[self.i, self.j]
+        return m.entry(self.i, self.j)
 
     def to_json(self):
         return {"kind": self.kind, "i": self.i, "j": self.j}
@@ -311,7 +299,7 @@ class LeadingMinor(SepFunction):
         return self.j
 
     def _eval(self, m, ctx):
-        return mat_lpm(m, self.j)
+        return mat_lpm(m, self.j) if self.j else _ONE
 
     def to_json(self):
         return {"kind": self.kind, "j": self.j}
@@ -327,8 +315,7 @@ class MinorInvariant(SepFunction):
     It runs on the packed kernel: D is packed once, D M D is two packed
     products, the conjugate is the same entries with negated imaginary
     numerators, and the sum is one matmul entry (series._dot), a packed
-    value.  An exact argument is packed (its entries lifted to constant
-    series) and gets that value's constant term.  The sep-file node "pk"
+    value.  The sep-file node "pk"
     keeps its k and its form matrix q; a k other than 1 is refused.
     """
 
@@ -349,11 +336,6 @@ class MinorInvariant(SepFunction):
         return self.d_mat.rows
 
     def _eval(self, m, ctx):
-        if isinstance(m, PackedSeriesMat):
-            return self._p1_packed(m)
-        return self._p1_packed(PackedSeriesMat.pack(m)).unpack_scalar().coeff(0)
-
-    def _p1_packed(self, m: PackedSeriesMat) -> PackedSeriesMat:
         dp = self._d_packed
         dmd = dp.matmul(m).matmul(dp)
         conj = map(_conj_entry, dmd.entries)
@@ -373,19 +355,6 @@ class MinorInvariant(SepFunction):
                    _mat_unjson(obj["q"]) if obj.get("q") else None)
 
 
-def _sandwich(l_mat, m, r_mat):
-    lm = _coerce_const_mat(l_mat, m)
-    rm = _coerce_const_mat(r_mat, m)
-    return lm.matmul(m).matmul(rm)
-
-
-def _coerce_const_mat(c: Mat, like: Mat) -> Mat:
-    """c with complex entries when like holds floats, else c itself."""
-    if any(isinstance(x, (float, complex)) for x in like.data):
-        return c.map(complex)
-    return c
-
-
 class Sandwich(SepFunction):
     """Evaluate the child at L @ M @ R for constant exact matrices L, R."""
 
@@ -395,19 +364,15 @@ class Sandwich(SepFunction):
         self.l_mat = l_mat
         self.r_mat = r_mat
         self.child = child
-        self._packed = None
+        self._l_packed = PackedSeriesMat.pack(l_mat)
+        self._r_packed = PackedSeriesMat.pack(r_mat)
 
     @property
     def degree(self):
         return self.child.degree
 
     def _eval(self, m, ctx):
-        if isinstance(m, PackedSeriesMat):
-            if self._packed is None:
-                self._packed = (PackedSeriesMat.pack(self.l_mat), PackedSeriesMat.pack(self.r_mat))
-            l_p, r_p = self._packed
-            return self.child.eval(l_p.matmul(m).matmul(r_p), ctx)
-        return self.child.eval(_sandwich(self.l_mat, m, self.r_mat), ctx)
+        return self.child.eval(self._l_packed.matmul(m).matmul(self._r_packed), ctx)
 
     def to_json(self):
         return {"kind": self.kind, "l": _mat_json(self.l_mat),
@@ -425,9 +390,7 @@ class LinearForm(SepFunction):
     value(M) = sum_jk [ rr[j,k] Re M[j,k] + ri[j,k] Im M[j,k] ]
              + i * sum_jk [ ir[j,k] Re M[j,k] + ii[j,k] Im M[j,k] ]
     with exact rational coefficient matrices.  eps is real, so Re and Im act
-    on series coefficientwise.  Evaluation always runs on the packed integer
-    path and gives a packed value; an exact argument is packed (its entries
-    lifted to constant series) and gets that value's constant term.
+    on series coefficientwise.  Evaluation runs on the packed integers.
     """
 
     kind = "linear_form"
@@ -451,12 +414,7 @@ class LinearForm(SepFunction):
     def degree(self):
         return 1
 
-    def _eval(self, m, ctx):
-        if isinstance(m, PackedSeriesMat):
-            return self._eval_packed(m)
-        return self._eval_packed(PackedSeriesMat.pack(m)).unpack_scalar().coeff(0)
-
-    def _eval_packed(self, entries: PackedSeriesMat) -> PackedSeriesMat:
+    def _eval(self, entries, ctx):
         """The boxed sum of coef_r * Re(x) + coef_i * Im(x), on integers.
 
         Each term's window is that of a product with an exact nonzero
@@ -517,7 +475,7 @@ class PolyApply(SepFunction):
         return self.poly.degree * self.child.degree
 
     def _eval(self, m, ctx):
-        return self.poly(self.child.eval(m, ctx))
+        return self.poly.eval_series(self.child.eval(m, ctx))
 
     def to_json(self):
         return {"kind": self.kind, "poly": self.poly.to_json(), "child": self.child.to_json()}
@@ -542,8 +500,8 @@ class Product(SepFunction):
         """The left-to-right product of values, and 1 when there are none."""
         acc = None
         for v in values:
-            acc = v if acc is None else _mul(acc, v)
-        return acc if acc is not None else GaussRational(1)
+            acc = v if acc is None else acc.matmul(v)
+        return acc if acc is not None else _ONE
 
     def _eval(self, m, ctx):
         return self.combine(c.eval(m, ctx) for c in self.children)
@@ -570,8 +528,8 @@ class SumNode(SepFunction):
         acc = None
         for c in self.children:
             v = c.eval(m, ctx)
-            acc = v if acc is None else _add(acc, v)
-        return acc if acc is not None else GaussRational(0)
+            acc = v if acc is None else acc.add(v)
+        return acc if acc is not None else _ZERO
 
     def to_json(self):
         return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
@@ -590,7 +548,10 @@ class Affine(SepFunction):
         self.a = GaussRational.from_any(a)
         self.b = GaussRational.from_any(b)
         self.child = child
-        self._packed = PackedSeriesMat.scalar(self.a), PackedSeriesMat.scalar(self.b)
+        # a series product, even by 1, narrows lo to the valuation; a = 1
+        # keeps the child's window as it is
+        self._a_packed = None if self.a == 1 else PackedSeriesMat.scalar(self.a)
+        self._b_packed = PackedSeriesMat.scalar(self.b)
 
     @property
     def degree(self):
@@ -598,10 +559,9 @@ class Affine(SepFunction):
 
     def _eval(self, m, ctx):
         v = self.child.eval(m, ctx)
-        a, b = self._packed if isinstance(v, PackedSeriesMat) else (self.a, self.b)
-        # a series product, even by 1, narrows lo to the valuation; a = 1
-        # keeps the child's window as it is
-        return _add(v if self.a == 1 else _mul(a, v), b)
+        if self._a_packed is not None:
+            v = self._a_packed.matmul(v)
+        return v.add(self._b_packed)
 
     def to_json(self):
         return {"kind": self.kind, "a": self.a.to_json(), "b": self.b.to_json(),
@@ -614,7 +574,7 @@ class Affine(SepFunction):
 
 
 class DivEps(SepFunction):
-    """Divide the (series) child value by eps^k; scales under reparametrization."""
+    """Divide the child value by eps^k; scales under reparametrization."""
 
     kind = "div_eps"
 
@@ -627,10 +587,7 @@ class DivEps(SepFunction):
         return self.child.degree
 
     def _eval(self, m, ctx):
-        v = self.child.eval(m, ctx)
-        if not isinstance(v, PackedSeriesMat):
-            raise SepFunctionError("division by eps needs a series argument")
-        return v.shift(-self.k * ctx.eps_scale)
+        return self.child.eval(m, ctx).shift(-self.k * ctx.eps_scale)
 
     def to_json(self):
         return {"kind": self.kind, "k": self.k, "child": self.child.to_json()}
@@ -669,24 +626,6 @@ class Reparam(SepFunction):
     @classmethod
     def _from_json(cls, obj):
         return cls(obj["t"], SepFunction.from_json(obj["child"]))
-
-
-def _mul(a, b):
-    """a * b, as a packed product when either value is packed."""
-    if isinstance(a, PackedSeriesMat) or isinstance(b, PackedSeriesMat):
-        return _as_packed(a).matmul(_as_packed(b))
-    return a * b
-
-
-def _add(a, b):
-    """a + b, as a packed sum when either value is packed."""
-    if isinstance(a, PackedSeriesMat) or isinstance(b, PackedSeriesMat):
-        return _as_packed(a).add(_as_packed(b))
-    return a + b
-
-
-def _as_packed(x) -> PackedSeriesMat:
-    return x if isinstance(x, PackedSeriesMat) else PackedSeriesMat.scalar(x)
 
 
 def _mat_json(m: Mat):

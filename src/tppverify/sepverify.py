@@ -161,7 +161,7 @@ class _NodeMemo:
         if type(node) is Product:
             return Product.combine(self.eval(c, m, mid) for c in node.children)
         if type(node) is PolyApply and id(node.child) in self.shared:
-            return node.poly(self.eval(node.child, m, mid))
+            return node.poly.eval_series(self.eval(node.child, m, mid))
         return node.eval(m, self.ctx)
 
 

@@ -9,7 +9,8 @@ scalars (int, QQ, GaussRational) lift to constant series with an unlimited
 window, as in EpsLaurent.
 
 Results are compared with triple(x) = (coeffs, lo, hi), which works on
-EpsLaurent and OracleSeries alike.
+EpsLaurent and OracleSeries alike.  oracle_poly_exact evaluates a UniPoly at
+an exact point by its product form.
 """
 
 from tppverify.matrices import Mat, _cofactor_dp
@@ -192,6 +193,15 @@ def oracle_cofactors(m: Mat) -> Mat:
                                            [c for c in range(n) if c != j]))
             out.append(-minor if (i + j) % 2 else minor)
     return Mat(n, n, out)
+
+
+def oracle_poly_exact(poly, x) -> GaussRational:
+    """poly at an exact x by its product form, scale * prod (x - root)."""
+    x = GaussRational.from_any(x)
+    acc = poly.scale
+    for r in poly.roots:
+        acc = acc * (x - r)
+    return acc
 
 
 def oracle_pk(k: int, d: Mat, m: Mat, conj_m: Mat | None = None):

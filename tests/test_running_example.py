@@ -10,6 +10,7 @@ from tppverify.running_example import (
     build_orthogonal_family,
     build_running_sep_family,
     build_unitriangular_sets,
+    exact_matrix,
     lpm_expansion_check,
     lpm_sum_node,
     running_border_p0,
@@ -17,7 +18,7 @@ from tppverify.running_example import (
     verify_column_agreement,
     verify_tpp_numeric,
 )
-from tppverify.sepfun import Affine, Entry
+from tppverify.sepfun import Affine, Entry, PolyApply
 from tppverify.sepverify import check_border_value, verify_indicator_border
 
 
@@ -116,26 +117,23 @@ def test_sep_family_contract_float():
     p = build_running_sep_family(n, q, x, z, fam.wq)
     y = fam.members[1][1]
     m_diag = to_float(x) @ (y.T @ y) @ to_float(z)
-    mv = Mat.from_rows([[complex(v) for v in row] for row in m_diag.tolist()])
-    assert abs(p.eval(mv) - 1) < 1e-6
+    assert abs(complex(p.eval(exact_matrix(m_diag))) - 1) < 1e-6
     # x mismatch in the first column: the per-entry indicator factor vanishes
     x_bad = next(m for m in xq if m[1, 0] != x[1, 0])
     m_bad = to_float(x_bad) @ (y.T @ y) @ to_float(z)
-    mv_bad = Mat.from_rows([[complex(v) for v in row] for row in m_bad.tolist()])
-    assert abs(p.eval(mv_bad)) < 1e-6
+    assert abs(complex(p.eval(exact_matrix(m_bad)))) < 1e-6
     # distinct orthogonal parts: the W_q indicator factor vanishes.  The
     # top-left entry of y^T y2 is an exact W_q member, where the indicator is
-    # exactly zero; in floats the dense Lagrange nodes amplify the 1e-16
-    # input error, so the product only gets a loose envelope.
+    # exactly zero; at the float-rounded product the dense Lagrange nodes
+    # amplify the 1e-16 input error, so the product only gets a loose envelope.
     from tppverify.sepfun import lagrange_indicator
 
     y2 = fam.members[2][1]
     r_poly = lagrange_indicator(1, fam.wq)
     w_exact = next(w for w in fam.wq if abs(float(w) - (y.T @ y2)[0, 0]) < 1e-12)
-    assert r_poly.eval_exact(w_exact).is_zero()
+    assert PolyApply(r_poly, Entry(0, 0)).eval(Mat(1, 1, [w_exact])).is_zero()
     m_y = to_float(x) @ (y.T @ y2) @ to_float(z)
-    mv_y = Mat.from_rows([[complex(v) for v in row] for row in m_y.tolist()])
-    assert abs(p.eval(mv_y)) < 1e-3
+    assert abs(complex(p.eval(exact_matrix(m_y)))) < 1e-3
 
 
 def test_sep_family_degree_budget():

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tppverify.matrices import Mat, mat_exp_trunc
+from tppverify.matrices import Mat, PackedSeriesMat, mat_exp_trunc
 from tppverify.scalars import GaussRational, QQ
 from tppverify.sepfun import (
     Affine,
@@ -19,13 +20,23 @@ from tppverify.sepfun import (
     UniPoly,
     lagrange_indicator,
 )
-from tppverify.series import InsufficientOrderError, series
+from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError, series
 
-from series_oracle import OracleSeries
+from series_oracle import OracleSeries, oracle_poly_exact
 
 
 def trace_node(n):
     return SumNode([Entry(i, i) for i in range(n)])
+
+
+def at(p, x):
+    """p at an exact x, through the expression tree's exact edge."""
+    return PolyApply(p, Entry(0, 0)).eval(Mat(1, 1, [x]))
+
+
+def series_at(p, x):
+    """p at a series x: packed, evaluated, and unpacked."""
+    return p.eval_series(PackedSeriesMat.scalar(x)).unpack_scalar()
 
 
 def test_lagrange_three_points():
@@ -33,22 +44,22 @@ def test_lagrange_three_points():
     # (z-1)(z-2)/2: check the exact roots and scale
     assert p.roots == [GaussRational(1), GaussRational(2)]
     assert p.scale == GaussRational(QQ(1, 2))
-    assert p.eval_exact(0) == GaussRational(1)
-    assert p.eval_exact(1).is_zero()
-    assert p.eval_exact(2).is_zero()
+    assert at(p, 0) == GaussRational(1)
+    assert at(p, 1).is_zero()
+    assert at(p, 2).is_zero()
 
 
 def test_lagrange_singleton_constant():
     p = lagrange_indicator(7, [7])
     assert p.degree == 0
-    assert p.eval_exact(123) == GaussRational(1)
+    assert at(p, 123) == GaussRational(1)
 
 
 def test_lagrange_all_nodes_q5():
     pts = list(range(5))
     p = lagrange_indicator(1, pts)
     for v in pts:
-        assert p.eval_exact(v) == GaussRational(1 if v == 1 else 0)
+        assert at(p, v) == GaussRational(1 if v == 1 else 0)
 
 
 def test_lagrange_duplicate_points_error():
@@ -67,7 +78,7 @@ def test_taylor_vs_product_form_oracle():
         p = lagrange_indicator(point, nodes)
         x = series({0: rng.choice(nodes), 1: rng.randint(-3, 3),
                     2: rng.randint(-3, 3)}, hi=3)
-        via_taylor = p.eval_series(x)
+        via_taylor = series_at(p, x)
         acc = OracleSeries.of(p.scale)
         for r in p.roots:
             acc = acc * (OracleSeries.of(x) - r)
@@ -77,7 +88,7 @@ def test_taylor_vs_product_form_oracle():
 def test_unipoly_series_window_capped():
     p = UniPoly(roots=[-1])  # 1 + x
     x = series({0: 2}, hi=1)
-    out = p.eval_series(x)
+    out = series_at(p, x)
     assert out.coeff(0) == GaussRational(3)
     assert out.hi == 1  # must not claim knowledge beyond the argument window
 
@@ -86,7 +97,7 @@ def test_unipoly_unknown_constant_fails_loudly():
     p = UniPoly(roots=[0])
     x = series({-1: 1}, lo=-1, hi=-1)
     with pytest.raises(InsufficientOrderError):
-        p.eval_series(x)
+        series_at(p, x)
 
 
 def test_expression_degree_tracking():
@@ -140,13 +151,54 @@ def test_div_eps_requires_series():
         DivEps(1, Entry(0, 0)).eval(m)
 
 
-def test_float_evaluation_path():
+def test_poly_of_zero_div_eps_at_exact_argument():
+    # (M[0,0] - 1)/eps is exactly 0 at M = [[1]]: a polynomial of it is p(0),
+    # while the quotient itself, or one of a nonzero value, is still refused
+    m = Mat.from_rows([[GaussRational(1)]])
+    zero = DivEps(1, Affine(1, -1, Entry(0, 0)))
+    assert PolyApply(lagrange_indicator(0, [0, 1, 2]), zero).eval(m) == GaussRational(1)
+    assert PolyApply(UniPoly([3], 2), zero).eval(m) == GaussRational(-6)
+    with pytest.raises(SepFunctionError, match="division by eps needs a series argument"):
+        zero.eval(m)
+    with pytest.raises(SepFunctionError, match="division by eps needs a series argument"):
+        PolyApply(UniPoly([3], 2), DivEps(1, Entry(0, 0))).eval(m)
+
+
+def test_float_argument_refused():
     m = Mat.from_rows([[complex(2.0), complex(0)], [complex(0), complex(0.5)]])
     p = lagrange_indicator(1, [1, 2])
-    node = PolyApply(p, Entry(0, 0))
-    assert abs(node.eval(m)) < 1e-12
-    node1 = PolyApply(p, Entry(1, 1))
-    assert abs(node1.eval(m) - p.eval_float(complex(0.5))) < 1e-12
+    for node in (PolyApply(p, Entry(0, 0)), PolyApply(p, Entry(1, 1)), Product([])):
+        with pytest.raises(SepFunctionError, match="float entries are refused"):
+            node.eval(m)
+    with pytest.raises(SepFunctionError, match="float entries are refused"):
+        Entry(0, 0).eval(Mat.from_rows([[GaussRational(1), 0.5]]))
+
+
+rationals = st.builds(QQ, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+gauss = st.builds(GaussRational, rationals, st.one_of(st.just(0), rationals))
+# gl-border's indicator: 1 at 0 and 0 at the other half-integers k/2, k <= 160
+GL_GRID = [QQ(k, 2) for k in range(161)]
+GL_INDICATOR = lagrange_indicator(0, GL_GRID)
+small_polys = st.builds(UniPoly, st.lists(gauss, max_size=6), gauss)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_polys, st.just(GL_INDICATOR)),
+       st.one_of(gauss, st.sampled_from(GL_GRID)), gauss)
+def test_exact_evaluation_matches_product_form(p, x, d):
+    want = oracle_poly_exact(p, x)
+    assert at(p, x) == want
+    if p is GL_INDICATOR and x in GL_GRID:
+        assert want == GaussRational(1 if x == 0 else 0)
+    if p is GL_INDICATOR:
+        return
+    # x + d eps known exactly (an unlimited window): h = d eps is not zero, so
+    # every power of h counts
+    s = EpsLaurent({0: x, 1: d}, lo=0, hi=INF_ORDER)
+    acc = OracleSeries.of(p.scale)
+    for r in p.roots:
+        acc = acc * (OracleSeries.of(s) - r)
+    assert acc.eq_on_window(OracleSeries.of(series_at(p, s)))
 
 
 def test_serialization_roundtrip():
