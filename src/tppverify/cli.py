@@ -78,12 +78,20 @@ class UsageError(Exception):
     """Config error detected inside a driver; mapped to the usage exit code."""
 
 
-def _common_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p.add_argument("--sample-budget", type=int, default=10 ** 4)
+# Flags that steer a run; each subcommand registers only those its driver reads.
+_RUN_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "tol": {"type": float, "default": 1e-9},
+    "order": {"type": int, "default": None},
+    "mode": {"choices": ["auto", "exhaustive", "sampled"], "default": "auto"},
+    "sample-budget": {"type": int, "default": 10 ** 4},
+}
+
+
+def _flags(p, *run_flags):
+    """The named run flags, and the output flags that every subcommand takes."""
+    for name in run_flags:
+        p.add_argument(f"--{name}", **_RUN_FLAGS[name])
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--no-timestamp", action="store_true",
@@ -97,7 +105,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("repdim", help="representation dimension table and bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("omega", help="exponent bound calculators")
     p.add_argument("--size-x", type=float)
@@ -109,21 +117,21 @@ def build_parser() -> _Parser:
     p.add_argument("--log-s-xyz", type=float, help="log base s of |X||Y||Z| (degree form)")
     p.add_argument("--s", type=int)
     p.add_argument("--n", type=int)
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("tpp-verify", help="verify the TPP on an instance file")
     p.add_argument("--instance", required=True)
-    _common_flags(p)
+    _flags(p, "seed", "order", "mode", "sample-budget")
 
     p = sub.add_parser("sep-verify", help="verify separating functions on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--sepfile", required=True)
-    _common_flags(p)
+    _flags(p, "seed", "order", "sample-budget")
 
     p = sub.add_parser("embed-demo", help="finite-group embedding + verified multiply")
     p.add_argument("--group-order", type=int, default=5)
     p.add_argument("--trials", type=int, default=20)
-    _common_flags(p)
+    _flags(p, "seed")
 
     p = sub.add_parser("running-example", help="unitriangular/orthogonal construction")
     p.add_argument("--n", type=int, required=True)
@@ -131,18 +139,18 @@ def build_parser() -> _Parser:
     p.add_argument("--border", action="store_true")
     p.add_argument("--y-count", type=int, default=4)
     p.add_argument("--set-cap", type=int, default=64)
-    _common_flags(p)
+    _flags(p, "seed", "tol", "sample-budget")
 
     p = sub.add_parser("su-construct", help="build the split-form construction data")
     p.add_argument("--n", type=int, required=True)
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("su-verify", help="identity checks for the split-form construction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--pairs", type=int, default=100)
-    _common_flags(p)
+    _flags(p, "seed", "tol")
 
     p = sub.add_parser("split-assemble", help="end-to-end split assembly + verification")
     p.add_argument("--n", type=int, required=True)
@@ -152,7 +160,7 @@ def build_parser() -> _Parser:
                    help="force the reparametrization exponent")
     p.add_argument("--emit-instance", default=None,
                    help="write the assembled X', Y', Z' as a family instance file")
-    _common_flags(p)
+    _flags(p, "seed", "order", "sample-budget")
 
     return parser
 
@@ -193,19 +201,28 @@ def _run_omega(args):
     return verdict, details, deviations, None
 
 
+def _sample_budget(args) -> int:
+    """--sample-budget: a sampled run with no samples would pass without
+    checking anything, so it must be at least 1."""
+    if args.sample_budget < 1:
+        raise UsageError(f"--sample-budget must be at least 1 (got {args.sample_budget})")
+    return args.sample_budget
+
+
 def _run_tpp_verify(args):
+    budget = _sample_budget(args)
     inst = load_instance(args.instance)
     if inst.mode == "family":
         order = args.order if args.order is not None else 3
         rep = verify_tpp_series(inst, order=order, mode=args.mode,
-                                sample_budget=args.sample_budget, seed=args.seed)
+                                sample_budget=budget, seed=args.seed)
     else:
-        rep = verify_tpp(inst, mode=args.mode, sample_budget=args.sample_budget,
-                         seed=args.seed)
+        rep = verify_tpp(inst, mode=args.mode, sample_budget=budget, seed=args.seed)
     return rep.verdict, {"report": rep.to_json(), "sizes": inst.sizes()}, [], None
 
 
 def _run_sep_verify(args):
+    budget = _sample_budget(args)
     inst = load_instance(args.instance)
     with open(args.sepfile, "r", encoding="utf-8") as fh:
         sep_obj = json.load(fh)
@@ -219,7 +236,7 @@ def _run_sep_verify(args):
     if inst.mode == "family":
         order = args.order if args.order is not None else 3
         rep = verify_separating_border(family, inst, order=order,
-                                       sample_budget=args.sample_budget, seed=args.seed)
+                                       sample_budget=budget, seed=args.seed)
     else:
         rep = verify_separating(family, inst)
     return rep.verdict, {"report": rep.to_json()}, [], None
@@ -266,6 +283,7 @@ def _run_embed_demo(args):
 
 
 def _run_running_example(args):
+    budget = _sample_budget(args)
     if args.n < 2:
         raise UsageError(f"--n must be at least 2 (got {args.n})")
     # below 2 the orthogonal family cannot be built, and the border lattice
@@ -281,7 +299,7 @@ def _run_running_example(args):
     if args.border:
         p0, yfams, rep = running_border_p0(args.n, args.q, yfam_cap=args.set_cap,
                                            seed=args.seed,
-                                           check_pairs=min(args.sample_budget, 500))
+                                           check_pairs=min(budget, 500))
         verdict = rep.contract.verdict if rep.contract else "pass"
         details = {
             "grid_size": rep.grid_size,
@@ -387,13 +405,10 @@ def _run_su_verify(args):
 
 
 def _run_split_assemble(args):
+    budget = _sample_budget(args)
     if args.q < 2:
         raise UsageError(f"--q must be at least 2 (got {args.q})")
-    if args.mode != "auto":
-        raise UsageError(f"--mode {args.mode} is not supported by split-assemble "
-                         "(only auto: exhaustive up to --sample-budget tuples, "
-                         "sampled beyond it)")
-    rep = su_assemble(args.n, args.q, sample_budget=args.sample_budget,
+    rep = su_assemble(args.n, args.q, sample_budget=budget,
                       seed=args.seed, order=args.order, t=args.t,
                       y_cap=args.y_cap)
     if args.emit_instance:
@@ -442,9 +457,6 @@ def _project_text(report):
 
 def _run(args) -> int:
     """Run one parsed command, write its report, return the verdict's exit code."""
-    # a sampled run with no samples would pass without checking anything
-    if args.sample_budget < 1:
-        raise UsageError(f"--sample-budget must be at least 1 (got {args.sample_budget})")
     verdict, details, deviations, rows = _DRIVERS[args.subcommand](args)
     report = {
         "schema": 1,

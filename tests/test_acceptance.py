@@ -297,7 +297,7 @@ SPLIT_ARGS = ["split-assemble", "--n", "4", "--q", "2", "--sample-budget", "1000
               "--seed", "1234", "--no-timestamp", "--format", "json"]
 # sha256 of the whole A9 report: a fast path may change how a verdict is
 # reached, never a byte of what is reported
-A9_REPORT_SHA256 = "96c56d1eaf75c629daa9e7288b3dd640c2c4a9533cf985b45da4d60d97ee7e7d"
+A9_REPORT_SHA256 = "4e5c8ae8618ceb62a855272f12dc5d74320cb1693def5ceecad9eda5d6ea68ee"
 
 
 @pytest.fixture(scope="module")

@@ -305,14 +305,15 @@ def sep_verify(sepfile):
     pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
                   "--sample-budget", "0"],
                  "--sample-budget must be at least 1", id="split-assemble-budget0"),
-    # split-assemble runs one mode (auto); any other value is refused, not ignored
+    # split-assemble runs one mode (auto) and registers no --mode: argparse
+    # refuses the flag, so it is never ignored
     pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
                   "--mode", "exhaustive"],
-                 "--mode exhaustive is not supported by split-assemble",
+                 "unrecognized arguments: --mode exhaustive",
                  id="split-assemble-mode-exhaustive"),
     pytest.param(["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
                   "--mode", "sampled"],
-                 "--mode sampled is not supported by split-assemble",
+                 "unrecognized arguments: --mode sampled",
                  id="split-assemble-mode-sampled"),
     # instance files that cannot be loaded (written by the test, see BAD_INSTANCES)
     pytest.param(["tpp-verify", "--instance", "no-group.json"],
@@ -354,17 +355,52 @@ def sep_verify(sepfile):
     pytest.param(sep_verify("pk2.json"), "pk node needs k = 1 (got k = 2)", id="sep-pk-k2"),
     pytest.param(sep_verify("empty.json"), "family is empty", id="sep-empty-family"),
     pytest.param(sep_verify("no-j.json"), "entry node is missing key 'j'", id="sep-no-key"),
+    # sep-verify compares exactly and reads no tolerance
+    pytest.param(sep_verify("const.json") + ["--tol", "1e-3"],
+                 "unrecognized arguments: --tol 1e-3", id="sep-verify-tol"),
 ])
 def test_split_assemble_rejects_small_q(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, obj in {**BAD_INSTANCES, **SEP_FILES}.items():
         (tmp_path / name).write_text(json.dumps(obj))
-    code = main(argv + ["--no-timestamp"])
+    try:
+        code = main(argv + ["--no-timestamp"])
+    except SystemExit as exc:           # argparse rejects a flag before main runs
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+# The run flags each subcommand's driver reads; the output flags are on every one.
+RUN_FLAGS_READ = {
+    "repdim": set(),
+    "omega": set(),
+    "tpp-verify": {"--seed", "--order", "--mode", "--sample-budget"},
+    "sep-verify": {"--seed", "--order", "--sample-budget"},
+    "embed-demo": {"--seed"},
+    "running-example": {"--seed", "--tol", "--sample-budget"},
+    "su-construct": set(),
+    "su-verify": {"--seed", "--tol"},
+    "split-assemble": {"--seed", "--order", "--sample-budget"},
+}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads(capsys):
+    [subparsers] = [a for a in cli.build_parser()._actions if a.choices]
+    assert set(subparsers.choices) == set(RUN_FLAGS_READ)
+    for name, parser in subparsers.choices.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert {"--output", "--format", "--no-timestamp"} <= flags, name
+        run = flags & {"--seed", "--tol", "--order", "--mode", "--sample-budget"}
+        assert run == RUN_FLAGS_READ[name], name
+    # a flag that no driver would read is refused, never silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["su-construct", "--n", "4", "--seed", "3"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
@@ -382,7 +418,8 @@ def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
 
 
 def test_report_schema_fields(capsys):
-    code, out = run_cli(["su-construct", "--n", "4", "--no-timestamp"], capsys)
+    # embed-demo reads --seed, so its config echo carries the default
+    code, out = run_cli(["embed-demo", "--no-timestamp"], capsys)
     rep = json.loads(out)
     for key in ("schema", "tool", "command", "config", "verdict", "deviations",
                 "details"):
@@ -414,7 +451,6 @@ GOLDEN_SPLIT_ARGV = ["split-assemble", "--n", "4", "--q", "2", "--y-cap", "2",
                      "--sample-budget", "1024", "--seed", "0", "--no-timestamp"]
 GOLDEN_SPLIT = {"command": "split-assemble",
  "config": {"emit_instance": None,
-            "mode": "auto",
             "n": 4,
             "no_timestamp": True,
             "order": None,
@@ -423,7 +459,6 @@ GOLDEN_SPLIT = {"command": "split-assemble",
             "seed": 0,
             "subcommand": "split-assemble",
             "t": None,
-            "tol": 1e-09,
             "y_cap": 2},
  "details": {"cardinalities": {"X": 4,
                                "X_target": 4,
