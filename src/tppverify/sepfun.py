@@ -22,7 +22,8 @@ SepFunction.eval is the one place where other kinds are converted:
     constant term, a GaussRational; a value whose window starts below eps^0
     is refused, since only division by eps puts it there;
   - a Mat with a float or complex entry is refused: float matrices are
-    converted to exact ones where they are made.
+    converted to exact ones where they are made.  Any other argument, such
+    as a table group element, is refused.
 
 Univariate polynomials are kept in product form scale * prod (x - root) and
 applied to series via their exact Taylor expansion around the argument's
@@ -238,6 +239,8 @@ class SepFunction:
         ctx = ctx or EvalContext()
         if isinstance(m, PackedSeriesMat):
             return self._eval(m, ctx)
+        if not isinstance(m, Mat):
+            raise SepFunctionError(f"a separating function takes a matrix, not {type(m).__name__}")
         if any(isinstance(x, (float, complex)) for x in m.data):
             raise SepFunctionError("float entries are refused: "
                                    "convert the matrix to exact rationals first")

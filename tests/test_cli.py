@@ -248,9 +248,10 @@ BAD_INSTANCES.update({
 
 ENTRY = {"kind": "entry", "i": 0, "j": 0}
 
-# A valid instance, and sep files for it with node kinds, a pk node with k = 2
-# and a polynomial form that sep-verify does not accept, or with nothing to
-# verify.
+# A valid table instance, and sep files for it with node kinds, a pk node with
+# k = 2 and a polynomial form that sep-verify does not accept, with nothing to
+# verify, or a valid tree, which reads matrix entries that a table element
+# does not have.
 SEP_FILES = {
     "z2.json": {"schema": 1, "mode": "table", "x": [0], "y": [0], "z": [0],
                 "group": {"type": "table", "table": [[0, 1], [1, 0]], "identity": 0}},
@@ -262,6 +263,7 @@ SEP_FILES = {
                                        "poly": {"form": "coeffs", "coeffs": ["0", "1"]}}}},
     "pk2.json": {"family": {"0,0": {"kind": "pk", "k": 2, "d": {"entries": [["1"]]}}}},
     "empty.json": {"family": {}},
+    "one.json": {"family": {"0,0": {"kind": "product", "children": []}}},
     "no-j.json": {"family": {"0,0": {"kind": "product",
                                      "children": [{"kind": "entry", "i": 0}]}}},
 }
@@ -355,6 +357,9 @@ def sep_verify(sepfile):
     pytest.param(sep_verify("pk2.json"), "pk node needs k = 1 (got k = 2)", id="sep-pk-k2"),
     pytest.param(sep_verify("empty.json"), "family is empty", id="sep-empty-family"),
     pytest.param(sep_verify("no-j.json"), "entry node is missing key 'j'", id="sep-no-key"),
+    # a tree reads matrix entries, and a table element has none
+    pytest.param(sep_verify("one.json"), "a separating function takes a matrix, not int",
+                 id="sep-table-element"),
     # sep-verify compares exactly and reads no tolerance
     pytest.param(sep_verify("const.json") + ["--tol", "1e-3"],
                  "unrecognized arguments: --tol 1e-3", id="sep-verify-tol"),
