@@ -209,11 +209,19 @@ def _sample_budget(args) -> int:
     return args.sample_budget
 
 
+def _family_order(args, inst) -> int:
+    """--order (default 3), which only family instances read."""
+    if inst.mode != "family" and args.order is not None:
+        raise UsageError("--order is read only on family instances "
+                         f"(this instance is {inst.mode})")
+    return 3 if args.order is None else args.order
+
+
 def _run_tpp_verify(args):
     budget = _sample_budget(args)
     inst = load_instance(args.instance)
+    order = _family_order(args, inst)
     if inst.mode == "family":
-        order = args.order if args.order is not None else 3
         rep = verify_tpp_series(inst, order=order, mode=args.mode,
                                 sample_budget=budget, seed=args.seed)
     else:
@@ -224,6 +232,7 @@ def _run_tpp_verify(args):
 def _run_sep_verify(args):
     budget = _sample_budget(args)
     inst = load_instance(args.instance)
+    order = _family_order(args, inst)
     with open(args.sepfile, "r", encoding="utf-8") as fh:
         sep_obj = json.load(fh)
     family = {}
@@ -234,7 +243,6 @@ def _run_sep_verify(args):
             raise SepFunctionError(f"family key {key!r} is not 'ix,iz'") from None
         family[(ix, iz)] = SepFunction.from_json(tree)
     if inst.mode == "family":
-        order = args.order if args.order is not None else 3
         rep = verify_separating_border(family, inst, order=order,
                                        sample_budget=budget, seed=args.seed)
     else:

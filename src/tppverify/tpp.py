@@ -21,10 +21,10 @@ instance, and the product is classified without unpacking it.
 First order.  When every element of the sets a check reads is
 I + eps A1 + O(eps^2) -- constant term exactly I, no stored negative power,
 and every entry's window ending at one edge h with 1 <= h < INF_ORDER
-(unit_first_order_edge, checked once on the packed elements) -- a tuple is first tried without its product.  Every such element
-has a packed inverse I - eps A1 + O(eps^2), so the eps^1 coefficient of
-x x'^-1 y y'^-1 z z'^-1 is
-(X1 - X1') + (Y1 - Y1') + (Z1 - Z1'), read from exact tables (for the DPP,
+(unit_first_order_edge, read from the element facts) -- a tuple is first
+tried without its product.  Every such element has a packed inverse
+I - eps A1 + O(eps^2), so the eps^1 coefficient of x x'^-1 y y'^-1 z z'^-1
+is (X1 - X1') + (Y1 - Y1') + (Z1 - Z1'), read from exact tables (for the DPP,
 -X1 + X1' - Z1 + Z1').  A nonzero sum is the e = 1 deviation that
 _series_deviation finds on the chain, at the window edge min(order, h): a
 product of unit-constant factors keeps constant term I and valuation >= 0,
@@ -32,6 +32,21 @@ and each of its entries ends at its factors' smallest edge, since the term
 with the diagonal entry 1 reaches exactly that edge and every other term
 reaches at least as far.  A zero sum (every all-equal tuple, and collisions
 such as Z' = X') falls back to the packed chain.
+
+Zeroth order.  When some element a check reads has a constant term other
+than I, and every element it reads stores no negative power, has every
+entry edge >= max(order, 0), has a finite window on some entry or only eps^0
+terms (so the chain cannot refuse its inverse) and has an invertible
+constant term (its packed inverse, which the chain reuses, is formed first),
+a tuple is first tried on the exact product of its factors' constant terms.
+Lemma: with every valuation >= 0 and every edge >= order, that product is
+the chain's eps^0 coefficient, and every chain entry's edge is at least the
+smallest element edge (a product term's edge is at least its factors'
+smaller one; an inverse is truncated to its element's smallest edge).  So a
+product other than I is the deviation that _series_deviation flags with
+used = order: the tuple is settled as (False, order) with no series product
+or inverse, and reports are unchanged.  A product of I (every all-equal
+tuple, and collisions) runs the packed chain.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .matrices import Mat, PackedSeriesMat, mat_inv_exact
@@ -111,6 +127,7 @@ class TppInstance:
         self.mode = mode
         self._inv_cache = {}
         self._packed = {}
+        self._facts = None
         self._check_elements()
 
     # -- load-time checks ---------------------------------------------------
@@ -206,6 +223,13 @@ class TppInstance:
             self._packed[key] = p
         return p
 
+    def element_facts(self, which: str) -> list:
+        """ElementFacts of each family element of X, Y or Z, memoized."""
+        if self._facts is None:
+            self._facts = {w: [_element_facts(self._packed_factor((w, idx, False)))
+                               for idx in range(len(getattr(self, w)))] for w in "xyz"}
+        return self._facts[which]
+
     def is_identity(self, g) -> bool:
         if self.mode == "table":
             return g == self.group.identity
@@ -221,6 +245,19 @@ class TppInstance:
 
 def _no_inverse(which, idx, exc) -> InstanceError:
     return InstanceError(f"{which}[{idx}] has no inverse: {exc}")
+
+
+# Per family element, read in one scan (TppInstance.element_facts): constant
+# term known and exactly I, a stored negative power, the smallest and largest
+# entry window edge, and every stored term at eps^0.
+ElementFacts = namedtuple("ElementFacts", "unit negative low high constant")
+
+
+def _element_facts(p: PackedSeriesMat) -> ElementFacts:
+    edges = [h for _, h, _, _ in p.entries]
+    exponents = [e for _, _, _, t in p.entries for e, _, _ in t]
+    return ElementFacts(p.has_unit_constant(), min(exponents, default=0) < 0,
+                        min(edges), max(edges), not any(exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +328,8 @@ def _classifier(inst: TppInstance, kind: str, order):
     proved to differ from I by a nonzero coefficient in its window, and never
     proved equal to I: the coefficients beyond the window are unknown.  When
     every element the check reads is I + eps A1 + O(eps^2) under one window
-    edge h, a nonzero first-order sum settles the tuple without its product;
-    a zero sum falls back to the packed chain.
+    edge h, a nonzero first-order sum settles the tuple without its product,
+    else a constant product other than I may; the rest run the packed chain.
     """
     if inst.mode != "family":
         return lambda tup: (inst.is_identity(inst.product(_factors(kind, tup))), None)
@@ -302,7 +339,9 @@ def _classifier(inst: TppInstance, kind: str, order):
         return (False if deviates else None), used
 
     h = unit_first_order_edge(inst, {which for which, _, _ in _FACTORS[kind]})
-    if h is None or order < 1:
+    if h is None:
+        return _constant_term_classifier(inst, kind, order, chain) or chain
+    if order < 1:
         return chain
     edge = min(order, h)
     tables = _first_order_tables(inst, kind)
@@ -319,23 +358,71 @@ def unit_first_order_edge(inst: TppInstance, sets):
 
     h is returned when every element of the named sets ("x", "y", "z") has
     constant term exactly I, stores no negative power, and has every entry's
-    window end at the same h, with 1 <= h < INF_ORDER.  Such an element has a packed inverse, so a tuple
-    settled without one hides no InstanceError.  Read once from the packed
-    elements that the instance holds.
+    window end at the same h, with 1 <= h < INF_ORDER.  Such an element has
+    a packed inverse, so a tuple settled without one hides no InstanceError.
+    Read from the instance's element facts.
     """
     if inst.mode != "family":
         return None
-    edges = set()
-    for which in sets:
-        for idx in range(len(getattr(inst, which))):
-            p = inst._packed_factor((which, idx, False))
-            if not p.has_unit_constant() or any(t and t[0][0] < 0 for _, _, _, t in p.entries):
-                return None
-            edges.update(h for _, h, _, _ in p.entries)
+    facts = [f for which in sets for f in inst.element_facts(which)]
+    if not all(f.unit and not f.negative for f in facts):
+        return None
+    edges = {f.low for f in facts} | {f.high for f in facts}
     if len(edges) != 1:
         return None
     (h,) = edges
     return h if 1 <= h < INF_ORDER else None
+
+
+def _constant_term_classifier(inst: TppInstance, kind: str, order, chain):
+    """The zeroth-order classifier, or None when the gate fails.  A factor
+    pair (a, a') is the block c0(a) c0(a')^-1 (c0(a)^-1 c0(a') for the DPP),
+    built once per index pair, or I for equal indices or two unit constants.
+    The head blocks' product is compared with the last block's inverse (its
+    indices swapped) by the value of the eps^0 numerators."""
+    sets = [which for which, _, _ in _FACTORS[kind][0::2]]
+    facts = [f for which in sets for f in inst.element_facts(which)]
+    if all(f.unit for f in facts) or not all(
+            not f.negative and f.low >= max(order, 0) and (f.low < INF_ORDER or f.constant)
+            for f in facts):
+        return None
+    try:
+        # (c0, c0^-1) of each element, None for a constant term of exactly I:
+        # the eps^0 terms of the packed element and of the chain's own inverse
+        consts = {which: [None if f.unit else tuple(inst._packed_factor((which, i, inverse))
+                                                    .truncate(0) for inverse in (False, True))
+                          for i, f in enumerate(inst.element_facts(which))] for which in sets}
+    except InstanceError:       # a singular constant term: the chain reports it
+        return None
+    first = int(_FACTORS[kind][0][2])     # 1: a pair's first element is inverted
+    identity = (None, _product([PackedSeriesMat.identity(inst.group.dim)])[1])
+    blocks = {}
+
+    def block(which, i, j):
+        if (which, i, j) not in blocks:
+            ms = [] if i == j else [c[k] for c, k in ((consts[which][i], first),
+                                                      (consts[which][j], 1 - first)) if c]
+            blocks[which, i, j] = _product(ms) if ms else identity
+        return blocks[which, i, j]
+
+    def classify(tup):
+        head = [block(which, tup[2 * p], tup[2 * p + 1]) for p, which in enumerate(sets[:-1])]
+        head = [b for b in head if b[0] is not None] or [identity]
+        lhs = head[0][1] if len(head) == 1 else _product([m for m, _ in head])[1]
+        if lhs != block(sets[-1], tup[-1], tup[-2])[1]:
+            return False, order
+        return chain(tup)
+    return classify
+
+
+def _product(ms):
+    """(product, value key) of packed matrices with eps^0 terms only; the key,
+    the numerators in lowest terms, ignores how zero entries are stored."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = out.matmul(m)
+    r = out.reduced()
+    return out, (r.den, tuple(t for _, _, _, t in r.entries))
 
 
 def _first_order_tables(inst: TppInstance, kind: str):

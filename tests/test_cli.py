@@ -266,6 +266,7 @@ SEP_FILES = {
     "one.json": {"family": {"0,0": {"kind": "product", "children": []}}},
     "no-j.json": {"family": {"0,0": {"kind": "product",
                                      "children": [{"kind": "entry", "i": 0}]}}},
+    "exact-1.json": _matrix_instance("exact", 1, [[["1"]]], [[["1"]]], [[["1"]]]),
 }
 
 
@@ -363,6 +364,20 @@ def sep_verify(sepfile):
     # sep-verify compares exactly and reads no tolerance
     pytest.param(sep_verify("const.json") + ["--tol", "1e-3"],
                  "unrecognized arguments: --tol 1e-3", id="sep-verify-tol"),
+    # --order is read on family instances only; an exact or table run refuses it
+    pytest.param(["tpp-verify", "--instance", "z2.json", "--order", "2"],
+                 "--order is read only on family instances (this instance is table)",
+                 id="tpp-verify-order-table"),
+    pytest.param(["tpp-verify", "--instance", "exact-1.json", "--order", "2"],
+                 "--order is read only on family instances (this instance is exact)",
+                 id="tpp-verify-order-exact"),
+    pytest.param(["sep-verify", "--instance", "exact-1.json", "--sepfile", "one.json",
+                  "--order", "2"],
+                 "--order is read only on family instances (this instance is exact)",
+                 id="sep-verify-order-exact"),
+    pytest.param(sep_verify("one.json") + ["--order", "2"],
+                 "--order is read only on family instances (this instance is table)",
+                 id="sep-verify-order-table"),
 ])
 def test_split_assemble_rejects_small_q(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

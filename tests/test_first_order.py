@@ -1,23 +1,28 @@
-"""First-order settlement of TPP and DPP tuples against the packed chain.
+"""First- and zeroth-order settlement of TPP and DPP tuples against the
+packed chain.
 
 When every element a check reads is I + eps A1 + O(eps^2) under one window
 edge, tpp._verify settles a tuple whose first-order sum is nonzero without
-multiplying it out.  The oracle here is the loop it replaces: every tuple's
-packed product, classified by _series_deviation.
+multiplying it out; when the elements pass the zeroth-order gate, it settles
+a tuple whose constant product is not I.  The oracle here is the loop both
+replace: every tuple's packed product, classified by _series_deviation.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tppverify import tpp
 from tppverify.groups import MatrixGroupOps
-from tppverify.matrices import Mat, mat_inv_series
+from tppverify.matrices import Mat, mat_exp_trunc, mat_inv_exact, mat_inv_series, mat_to_series
 from tppverify.scalars import QQ, GaussRational
 from tppverify.series import INF_ORDER, EpsLaurent
 from tppverify.tpp import (
     InstanceError,
     TppInstance,
+    _constant_term_classifier,
     _identity_for,
     _series_deviation,
     unit_first_order_edge,
@@ -238,6 +243,13 @@ def unit_2x2(a, b, lo=0, hi=2, corner=0):
     unit_2x2(2, 1, lo=1),
     # unlimited windows: M - I is not nilpotent, so the packed inverse refuses
     unit_2x2(2, 1, hi=INF_ORDER, corner=1),
+    # the same with the constant term diag(2, 1): C^-1 M - I is not nilpotent
+    # either; the zeroth-order rung forms this inverse before it settles any
+    # tuple, and leaves the refusal to the chain
+    Mat.from_rows([[EpsLaurent({0: 2, 1: 2}, lo=0, hi=INF_ORDER),
+                    EpsLaurent({1: 1}, lo=0, hi=INF_ORDER)],
+                   [EpsLaurent({}, lo=0, hi=INF_ORDER),
+                    EpsLaurent({0: 1, 1: 1}, lo=0, hi=INF_ORDER)]]),
 ])
 def test_sampled_run_keeps_the_inverse_refusal(x1):
     # every other element is unipotent, so only x[1] can lack an inverse; no
@@ -259,6 +271,198 @@ def test_sampled_run_keeps_the_inverse_refusal(x1):
             assert report_outcome(rep) == chain_outcome(oracle, "tpp", order)
         return
     assert unit_first_order_edge(inst, "xyz") is None
-    for mode in ("exhaustive", "sampled"):
+    # seed 5 draws the tuple (1, 1, 0, 1, 0, 0); seed 4 reads x[1]^-1 only in
+    # tuples with x != x', whose constant block differs from I when x[1]'s
+    # constant term does
+    for mode, seed in (("exhaustive", 5), ("sampled", 5), ("sampled", 4)):
         with pytest.raises(InstanceError, match=r"x\[1\] has no inverse"):
-            verify_tpp_series(inst, 2, mode=mode, sample_budget=3, seed=5)
+            verify_tpp_series(inst, 2, mode=mode, sample_budget=3, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Zeroth order: constant terms other than I
+# ---------------------------------------------------------------------------
+
+def constant_term(m):
+    return Mat(m.rows, m.cols, [s.coeff(0) for s in m.data])
+
+
+def exact_identity(n):
+    return Mat.identity(n, one=GaussRational(1), zero=GaussRational(0))
+
+
+def is_identity(m):
+    return m == exact_identity(m.rows)
+
+
+def constant_product_is_identity(inst, kind, tup):
+    """Oracle: the boxed product of the factors' constant terms (an inverse
+    factor contributes c0^-1) equals I."""
+    out = exact_identity(inst.group.dim)
+    for (which, inverse), idx in zip(TEMPLATES[kind], tup):
+        c0 = constant_term(inst.element(which, idx))
+        out = out.matmul(mat_inv_exact(c0) if inverse else c0)
+    return is_identity(out)
+
+
+def constant_matrix(draw, n, shape):
+    """An invertible integer matrix: lower or upper unitriangular, or L D U
+    with a nonzero diagonal D."""
+    ints = st.integers(-2, 2)
+    lower = Mat.from_rows([[draw(ints) if j < i else int(i == j) for j in range(n)]
+                           for i in range(n)])
+    if shape == "lower":
+        return lower
+    upper = Mat.from_rows([[draw(ints) if j > i else int(i == j) for j in range(n)]
+                           for i in range(n)])
+    if shape == "upper":
+        return upper
+    diag = Mat.diag([draw(st.sampled_from([1, 2, -1, 3])) for _ in range(n)])
+    return lower.matmul(diag).matmul(upper)
+
+
+def constant_element(draw, n, h, shape):
+    """C exp(eps A) on the window [0, h] with Gaussian A, or the exact C."""
+    c = constant_matrix(draw, n, shape)
+    if draw(st.integers(0, 3)) == 0:
+        return mat_to_series(c)
+    a = Mat(n, n, [draw(gauss) for _ in range(n * n)])
+    return c.matmul(mat_exp_trunc(a, h))
+
+
+@st.composite
+def constant_instances(draw, kind):
+    """X, Y, Z with constant terms other than I, and planted unequal tuples
+    whose constant product is I."""
+    n = draw(st.sampled_from([2, 3]))
+    h = draw(st.integers(1, 3))
+    shapes = {"x": "lower", "y": "any", "z": "upper"}
+    if draw(st.booleans()):
+        shapes = {w: "any" for w in "xyz"}
+    sets = {w: [constant_element(draw, n, h, shapes[w]) for _ in range(2)] for w in "xyz"}
+    case = draw(st.sampled_from(["none", "same-constant", "z-is-x", "unit-y"]))
+    if case == "same-constant":
+        # x[2] shares x[0]'s constant term: (0, 2, ...) is I at eps^0
+        a = Mat(n, n, [draw(nonzero) for _ in range(n * n)])
+        sets["x"].append(constant_term(sets["x"][0]).matmul(mat_exp_trunc(a, h)))
+    elif case == "z-is-x":
+        # (i, i', y, y, i', i) multiplies to I at eps^0 through non-I blocks
+        sets["z"] = list(sets["x"])
+    elif case == "unit-y":
+        sets["y"] = [mat_exp_trunc(Mat(n, n, [draw(gauss) for _ in range(n * n)]), h)
+                     for _ in range(2)]
+    return n, h, sets, case
+
+
+def assert_chain_runs_on_identity_constants(inst, kind, calls, got):
+    """The chain runs exactly on the tuples whose constant product is I."""
+    ident = [t for t in itertools.product(*(range(len(getattr(inst, w)))
+                                            for w, _ in TEMPLATES[kind]))
+             if constant_product_is_identity(inst, kind, t)]
+    assert [tuple(idx for _, idx, _ in c) for c in calls] == ident[:len(calls)]
+    if got[0] != "fail":
+        assert len(calls) == len(ident)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_instances("tpp"), st.integers(0, 4))
+def test_constant_term_tpp_matches_the_packed_chain(drawn, order):
+    n, h, sets, case = drawn
+    try:
+        inst = TppInstance(MatrixGroupOps(n), sets["x"], sets["y"], sets["z"], "family")
+        oracle = TppInstance(MatrixGroupOps(n), sets["x"], sets["y"], sets["z"], "family")
+    except InstanceError:
+        assume(False)
+    calls = checked_products(inst)
+    got = outcome(lambda: report_outcome(verify_tpp_series(inst, order, mode="exhaustive")))
+    assert got == outcome(chain_outcome, oracle, "tpp", order)
+    elements = sets["x"] + sets["y"] + sets["z"]
+    gate = (order <= min(s.hi for m in elements for s in m.data)
+            and any(not is_identity(constant_term(m)) for m in elements))
+    assert (_constant_term_classifier(inst, "tpp", order, None) is not None) == gate
+    if gate:
+        assert_chain_runs_on_identity_constants(inst, "tpp", calls, got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_instances("dpp"))
+def test_constant_term_dpp_matches_the_packed_chain(drawn):
+    n, h, sets, case = drawn
+    x, z = sets["x"], sets["z"]
+    try:
+        inst = TppInstance(MatrixGroupOps(n), x, [_identity_for(None, "family", x)], z,
+                           "family")
+        oracle = TppInstance(MatrixGroupOps(n), x, [_identity_for(None, "family", x)], z,
+                             "family")
+    except InstanceError:
+        assume(False)
+    order = min(s.hi for m in x + z for s in m.data)
+    calls = checked_products(inst)
+    got = outcome(lambda: report_outcome(tpp._verify(inst, "dpp", order, "exhaustive", 1, 0)))
+    assert got == outcome(chain_outcome, oracle, "dpp", order)
+    assert got == outcome(lambda: report_outcome(
+        verify_dpp(x, z, MatrixGroupOps(n), "family", mode="exhaustive")))
+    if any(not is_identity(constant_term(m)) for m in x + z):
+        assert_chain_runs_on_identity_constants(inst, "dpp", calls, got)
+
+
+def test_constant_blocks_compare_by_value():
+    # c0 = diag(2, 1): the block c0(x[0]) c0(x[1])^-1 is I over the
+    # denominator 2, and its off-diagonal zeros are products of zero entries,
+    # stored with another window than I's zeros; only its value is I
+    def elt(a):
+        return Mat.diag([2, 1]).matmul(mat_exp_trunc(Mat.from_rows([[0, a], [0, 0]]), 2))
+    x = [elt(1), elt(3)]
+    z = [mat_to_series(Mat.from_rows([[1, 5], [0, 1]])), mat_to_series(Mat.diag([1, 1]))]
+    inst = TppInstance(MatrixGroupOps(2), x, [mat_exp_trunc(Mat.diag([0, 0]), 2)], z, "family")
+    calls = checked_products(inst)
+    rep = verify_tpp_series(inst, order=2, mode="exhaustive")
+    assert (rep.verdict, rep.order_used, rep.tuples_checked) == ("pass", 2, 16)
+    assert [tuple(idx for _, idx, _ in c) for c in calls] == [
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), (0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1),
+        (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 1, 1)]
+
+
+def non_unit_2x2(c, a, hi=3, negative=None):
+    """[[c + a eps, eps], [0, 1 + eps]] known to eps^hi, with the term
+    negative eps^-1 added to the eps entry when negative is given."""
+    off = {1: 1} if negative is None else {-1: negative, 1: 1}
+    return Mat.from_rows([
+        [EpsLaurent({0: c, 1: a}, lo=0, hi=hi), EpsLaurent(off, lo=min(0, *off), hi=hi)],
+        [EpsLaurent({}, lo=0, hi=hi), EpsLaurent({0: 1, 1: 1}, lo=0, hi=hi)]])
+
+
+@pytest.mark.parametrize("x1, order, error", [
+    pytest.param(non_unit_2x2(2, 1, negative=1), 2, None, id="negative-power"),
+    pytest.param(non_unit_2x2(2, 1, hi=1), 2, None, id="edge-below-order"),
+    pytest.param(non_unit_2x2(2, 1), 4, None, id="order-above-edges"),
+    pytest.param(non_unit_2x2(0, 1), 2, r"x\[1\] has no inverse: singular matrix",
+                 id="singular-constant"),
+    # a unit constant on unlimited windows, M - I not nilpotent: the packed
+    # inverse refuses it
+    pytest.param(unit_2x2(2, 1, hi=INF_ORDER, corner=1), 2,
+                 r"x\[1\] has no inverse: series matrix inverse of an unlimited window",
+                 id="unit-unlimited-window"),
+    # an edge below eps^0 at a negative order: the inverse cannot be formed
+    pytest.param(with_entry(non_unit_2x2(2, 1), 0, 1, EpsLaurent({}, lo=-1, hi=-1)), -1,
+                 r"x\[1\] has no inverse: coefficient at eps\^0 unknown",
+                 id="edge-below-zero"),
+])
+def test_zeroth_order_gate_refusals(x1, order, error, monkeypatch):
+    # every other element has a constant term other than I and passes the gate
+    x, y, z = ([non_unit_2x2(3, b), other] for b, other in (
+        (5, x1), (7, non_unit_2x2(5, 11)), (13, non_unit_2x2(7, 17))))
+    inst = TppInstance(MatrixGroupOps(2), x, y, z, "family")
+    assert _constant_term_classifier(inst, "tpp", order, None) is None
+    # seed 4 draws x[1] only as x' in tuples with x != x'
+    def reports(inst):
+        return {mode: outcome(lambda: verify_tpp_series(inst, order, mode=mode, sample_budget=3,
+                                                        seed=4).to_json())
+                for mode in ("exhaustive", "sampled")}
+    got = reports(inst)
+    # today's path: the packed chain on every tuple
+    monkeypatch.setattr(tpp, "_constant_term_classifier", lambda *args: None)
+    assert got == reports(TppInstance(MatrixGroupOps(2), x, y, z, "family"))
+    if error is not None:
+        for text in got.values():
+            assert isinstance(text, str) and re.search(error, text), text
