@@ -21,7 +21,9 @@ The determinant of a series matrix runs the cofactor DP on the packed
 kernel: each new DP state is one _dot over a row, the signed sum of
 state * entry terms (a sign is a negated entry).  Every state of row i is
 over den^(i+1), so the determinant is a 1x1 packed matrix over den^n.  A 1x1
-matrix returns its entry object unchanged.
+matrix returns its entry object unchanged.  The same DP's state after row
+j - 1 at the mask of the first j columns is the leading principal minor
+lpm_j, so one DP per packed matrix gives every lpm_j, kept with the matrix.
 
 The inverse of a series matrix is the Neumann series run on the packed
 kernel: with C the exact inverse of the constant term and N = C M - I,
@@ -30,7 +32,9 @@ hi terms, and truncated to the smallest hi of M; the result is reduced.  The
 bound needs N to have valuation >= 1 and hi to be finite: a matrix that
 stores a negative power of eps, or whose window is unlimited, is refused
 unless a power of N is exactly zero.  A constant term of exactly I (every
-su and running-example Y family) skips C and its products.
+su and running-example Y family) skips C and its products.  An exact
+constant (only eps^0 terms, every window unlimited, as the GL example's X_q
+and Z_q) has N = 0, so its inverse is C^-1 itself, with no Neumann term.
 
 Chains of products (the TPP/DPP products, the Y inverses and the separation
 arguments) stay packed from factor to verdict; mat_det, lpm, mat_exp_trunc
@@ -237,7 +241,8 @@ class PackedSeriesMat:
     """A series matrix over one common denominator: entries[i * cols + j] is
     the packed entry (lo, hi, val, terms) of series.py over den."""
 
-    __slots__ = ("rows", "cols", "den", "entries")
+    # _minors: leading_minors(), set on first use
+    __slots__ = ("rows", "cols", "den", "entries", "_minors")
 
     def __init__(self, rows: int, cols: int, den: int, entries: list):
         self.rows = rows
@@ -349,24 +354,37 @@ class PackedSeriesMat:
         determinant is a 1x1 matrix over den^n.  A 1x1 matrix is its own
         determinant.
         """
-        n = self.rows
-        if n != self.cols:
+        if self.rows != self.cols:
             raise ExactArithmeticError("determinant of non-square matrix")
-        if n == 1:
-            return self
-        entries = self.entries
-        negated = {}            # entry index -> negated entry, made on first use
+        return self if self.rows == 1 else self.leading_minors()[-1]
 
-        def signed(k):
-            x = negated.get(k)
-            if x is None:
-                x = negated[k] = _neg_entry(entries[k])
-            return x
+    def leading_minors(self) -> list:
+        """[lpm_1, ..., lpm_k] of the leading k x k block, k = min(rows, cols).
 
-        def combine(terms):
-            return _dot([(sub, signed(k) if negate else entries[k]) for sub, k, negate in terms])
+        One cofactor DP gives them all: its state after row j - 1 at the
+        mask of the first j columns is lpm_j, over den^j.  The list is kept
+        with the matrix, so every leading minor of one argument costs one DP.
+        """
+        minors = getattr(self, "_minors", None)
+        if minors is None:
+            k = min(self.rows, self.cols)
+            entries = self.entries if k == self.cols else self.submatrix(range(k), range(k)).entries
+            negated = {}            # entry index -> negated entry, made on first use
 
-        return PackedSeriesMat(1, 1, self.den ** n, [_cofactor_dp(n, entries, combine)])
+            def signed(idx):
+                x = negated.get(idx)
+                if x is None:
+                    x = negated[idx] = _neg_entry(entries[idx])
+                return x
+
+            def combine(terms):
+                return _dot([(sub, signed(idx) if negate else entries[idx])
+                             for sub, idx, negate in terms])
+
+            minors = self._minors = [
+                PackedSeriesMat(1, 1, self.den ** (j + 1), [state])
+                for j, state in enumerate(_leading_states(k, entries, combine))]
+        return minors
 
     def has_unit_constant(self) -> bool:
         """The constant term is known and exactly I, read from the numerators."""
@@ -387,7 +405,8 @@ class PackedSeriesMat:
         is sound only if a power of N is exactly zero (N nilpotent, so at
         most n terms); otherwise the inverse is refused.  A constant term of
         exactly I needs no C: N = M - I, and only the lo narrowing that the
-        products by C = I would make is kept.
+        products by C = I would make is kept.  An exact constant has N = 0:
+        its inverse is C^-1, zero entries as the product I C^-1 leaves them.
         """
         n = self.rows
         if n != self.cols:
@@ -397,16 +416,19 @@ class PackedSeriesMat:
             if h < 0:
                 raise InsufficientOrderError(
                     f"coefficient at eps^0 unknown (window [{lo},{h}])")
+        if hi >= INF_ORDER and not any(e for _, _, _, t in self.entries for e, _, _ in t):
+            # an exact constant: the sum stops at its first term, so M^-1 is
+            # C^-1 with the zero entries that product leaves, on [INF, INF]
+            inv = self._constant_inverse()
+            zero = (INF_ORDER, INF_ORDER, INF_ORDER, ())
+            return PackedSeriesMat(n, n, inv.den,
+                                   [x if x[3] else zero for x in inv.entries]).reduced()
         ident = PackedSeriesMat.identity(n)
         if self.has_unit_constant():
             c0_inv = None
             nmat = self.add(ident.neg())
         else:
-            c0 = []
-            for _, _, _, t in self.entries:
-                re, im = next(((re, im) for e, re, im in t if e == 0), (0, 0))
-                c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
-            c0_inv = PackedSeriesMat.pack(mat_inv_exact(Mat(n, n, c0)))
+            c0_inv = self._constant_inverse()
             nmat = c0_inv.matmul(self).add(ident.neg())
         negative = any(t and t[0][0] < 0 for _, _, _, t in self.entries)
         must_vanish = negative or hi >= INF_ORDER
@@ -427,6 +449,14 @@ class PackedSeriesMat:
         else:
             acc = acc.matmul(c0_inv)
         return acc.truncate(hi).reduced()
+
+    def _constant_inverse(self) -> "PackedSeriesMat":
+        """C^-1, C the eps^0 coefficients, packed from the exact inverse."""
+        c0 = []
+        for _, _, _, t in self.entries:
+            re, im = next(((re, im) for e, re, im in t if e == 0), (0, 0))
+            c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
+        return PackedSeriesMat.pack(mat_inv_exact(Mat(self.rows, self.rows, c0)))
 
     def unpack_scalar(self):
         """The boxed entry of a 1x1 packed matrix."""
@@ -466,9 +496,16 @@ def _cofactor_dp(n: int, data: list, combine):
     states are its entries; each later state is combine(terms), with terms
     the (state, entry index, negate) triples of one row in a fixed order.
     """
+    return _leading_states(n, data, combine)[-1]
+
+
+def _leading_states(n: int, data: list, combine) -> list:
+    """The states of _cofactor_dp at the masks (1 << j) - 1, j = 1..n: the
+    leading principal minors, lpm_j read after row j - 1."""
     if n > _COFACTOR_LIMIT:
         raise ExactArithmeticError(f"cofactor determinant limited to n <= {_COFACTOR_LIMIT}")
     states = {1 << j: data[j] for j in range(n)}
+    leading = [data[0]]
     for i in range(1, n):
         terms = {}
         for mask, sub in states.items():
@@ -485,7 +522,8 @@ def _cofactor_dp(n: int, data: list, combine):
                 else:
                     terms[key] = [t]
         states = {key: combine(ts) for key, ts in terms.items()}
-    return states[(1 << n) - 1]
+        leading.append(states[(1 << (i + 1)) - 1])
+    return leading
 
 
 def mat_minor(m: Mat, keep_rows=None, keep_cols=None, drop_rows=None, drop_cols=None):
@@ -506,12 +544,20 @@ def mat_minor(m: Mat, keep_rows=None, keep_cols=None, drop_rows=None, drop_cols=
 def lpm(m, j: int):
     """j-th leading principal minor: det of the upper-left j x j block.
 
-    A packed matrix gives the packed determinant of its block.
+    A packed matrix gives the packed value from its one leading-minor DP
+    (PackedSeriesMat.leading_minors), bit for bit the block's det().  Should
+    that DP fail outside the block (an empty term window, or a matrix past
+    the cofactor limit), the block's own DP decides, as it always did.
     """
     if j < 0 or j > min(m.rows, m.cols):
         raise ExactArithmeticError(f"lpm index {j} out of range")
     if j == 0:
         return 1
+    if isinstance(m, PackedSeriesMat):
+        try:
+            return m.leading_minors()[j - 1]
+        except (InsufficientOrderError, ExactArithmeticError):
+            pass
     block = m.submatrix(range(j), range(j))
     return block.det() if isinstance(block, PackedSeriesMat) else mat_det(block)
 

@@ -631,6 +631,33 @@ class Reparam(SepFunction):
         return cls(obj["t"], SepFunction.from_json(obj["child"]))
 
 
+def demand(fn: SepFunction) -> int:
+    """The highest eps exponent of the argument that fn's coefficients up to
+    eps^0 read, assuming no value has a negative power.
+
+    With every valuation >= 0, a node's coefficients up to eps^e read its
+    children's only up to eps^e: a sum, product, polynomial, form, minor or
+    sandwich of them has no term below eps^0 to pair with a higher one.
+    DivEps(k) reads its child up to eps^(e + k s), s the eps scale, and
+    Reparam(t) multiplies s by t, as evaluation does.  A node reads the
+    maximum over its children; a leaf reads the argument up to eps^e.
+    """
+    def walk(node, e, scale):
+        if isinstance(node, DivEps):
+            return walk(node.child, e + node.k * scale, scale)
+        if isinstance(node, Reparam):
+            return walk(node.child, e, scale * node.t)
+        if isinstance(node, (Product, SumNode)):
+            children = node.children
+        elif isinstance(node, (PolyApply, Sandwich, Affine)):
+            children = [node.child]
+        else:
+            return e
+        return max((walk(c, e, scale) for c in children), default=e)
+
+    return walk(fn, 0, 1)
+
+
 def _mat_json(m: Mat):
     return {
         "rows": m.rows,

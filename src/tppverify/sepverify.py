@@ -13,6 +13,37 @@ windows and effective valuations included, and reduce to the same lowest
 terms.  Every gated element has a packed inverse, so the skipped y^-1 hides
 no refusal.  Without the gate (a Y element known to a shorter window, a constant
 term other than I) the chain can differ, and all four factors are kept.
+
+Demand.  A verdict reads a value only up to eps^0: no negative power, and
+a constant term of exactly 1 or 0.  sepfun.demand gives the highest eps
+exponent D of the argument that this reads when no value has a negative
+power: DivEps(k) adds k times the eps scale, Reparam(t) multiplies the
+scale by t, and every other node passes its demand to its children, a
+node taking the maximum over them.  p0 demands 2 (su and GL), each su
+coordinate indicator 1, so p_xz = p0 r_ab demands 2.  Both border
+verifiers first evaluate every tuple at an argument built from truncated
+factors: each element truncated at eps^D, and the Neumann inverse of that
+truncation, which ends at eps^D too.  They do so when every member is a
+SepFunction and every element stores no negative power, has every window
+edge >= 0 and has a finite window on some entry or only eps^0 terms (so
+the full inverse is never refused where the truncated one is formed), and
+D (at least 0) is below some element's window edge.
+
+Lemma.  A truncated 'ok' is the outcome on the full windows.  The kernel's
+stored coefficients are exact on their windows, and every window rule is
+monotone in its inputs' edges and effective valuations, so each value
+computed from truncated factors agrees with the full-window value on its
+own window, which is no larger.  'ok' says that window reaches eps^0 with
+no stored negative power and the exact constant term expected; the full
+value then has the same coefficients up to eps^0, hi >= 0, and no
+negative power either (one would lie in the truncated window).
+
+Fallback.  Any other outcome ('fail', 'inconclusive', or an
+InsufficientOrderError) re-evaluates that tuple on the full-window
+argument, and that outcome is recorded; SepReport.fallbacks counts them.
+So correctness never depends on D, which only sets the speed, and reports
+are those of full-window evaluation (order_used stays the requested
+order).
 """
 
 from __future__ import annotations
@@ -22,9 +53,9 @@ from dataclasses import dataclass, field
 
 from .matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
 from .scalars import QQ, GaussRational
-from .sepfun import EvalContext, PolyApply, Product, SepFunction
-from .series import InsufficientOrderError
-from .tpp import TppInstance, quotient_product_set, unit_first_order_edge
+from .sepfun import EvalContext, PolyApply, Product, SepFunction, demand
+from .series import INF_ORDER, InsufficientOrderError
+from .tpp import TppInstance, _element_facts, quotient_product_set, unit_first_order_edge
 
 
 @dataclass
@@ -39,6 +70,7 @@ class SepReport:
     notes: list = field(default_factory=list)
     equal_pairs: int = 0
     unequal_pairs: int = 0
+    fallbacks: int = 0           # tuples re-evaluated on the full windows
 
     MAX_RECORDED = 10
 
@@ -76,6 +108,39 @@ def _eval_family_fn(fn, g, ctx=None):
     if isinstance(fn, SepFunction):
         return fn.eval(g, ctx or EvalContext())
     return fn(g.unpack() if isinstance(g, PackedSeriesMat) else g)
+
+
+def _truncation(fns, facts):
+    """The demand D at which to truncate every factor, or None for the full
+    windows only (the gate is in the module docstring)."""
+    if not all(isinstance(fn, SepFunction) for fn in fns):
+        return None
+    if not all(not f.negative and f.low >= 0 and (f.low < INF_ORDER or f.constant)
+               for f in facts):
+        return None
+    upto = max(0, *(demand(fn) for fn in fns))
+    return upto if upto < max(f.high for f in facts) else None
+
+
+def _first_ok(report, windows, argument, evaluate, expected: int):
+    """The outcome of evaluate(argument(d)) for each window d in turn, the
+    truncated one first, until one is 'ok' (module docstring, Fallback).
+
+    Only evaluation is caught: an unknown coefficient there is
+    inconclusive.  Errors in forming an argument propagate, as they did
+    before any truncation.
+    """
+    for n, d in enumerate(windows):
+        if n:
+            report.fallbacks += 1
+        m = argument(d)
+        try:
+            status, detail = check_border_value(evaluate(m), expected)
+        except InsufficientOrderError as exc:
+            status, detail = "inconclusive", str(exc)
+        if status == "ok":
+            break
+    return status, detail
 
 
 # Entries of the per-call memo of verify_separating_border (node values and
@@ -272,7 +337,24 @@ def verify_separating_border(family, inst: TppInstance, order: int,
     # y^-1 y is I on the one window edge of unit-constant elements, so M for
     # y = y' is x' z'^-1 bit for bit once reduced (see the module docstring)
     y_cancels = unit_first_order_edge(inst, "xyz") is not None
+    upto = None
+    if inst.mode == "family":
+        upto = _truncation(family.values(), [f for w in "xyz" for f in inst.element_facts(w)])
+    windows = (None,) if upto is None else (upto, None)
     prod_cache = {}
+
+    def argument(key, factors, d):
+        """M and its memo id, from factors truncated at eps^d (None: full)."""
+        cached = prod_cache.get((key, d))
+        if cached is None:
+            # M stays packed, in lowest terms: the tree reads its entries, and
+            # the memo its key
+            m = inst.product(factors, upto=d).reduced()
+            cached = m, memo.intern(m.lowest_terms_key())
+            if len(prod_cache) < 4096:
+                prod_cache[key, d] = cached
+        return cached
+
     for ix, iz, ix2, iy, iy2, iz2 in tuples():
         if y_cancels and iy == iy2:
             key = (ix2, iz2)
@@ -280,23 +362,12 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         else:
             key = (ix2, iy, iy2, iz2)
             factors = (("x", ix2, False), ("y", iy, True), ("y", iy2, False), ("z", iz2, True))
-        cached = prod_cache.get(key)
-        if cached is None:
-            # M stays packed, in lowest terms: the tree reads its entries, and
-            # the memo its key
-            m = inst.product(factors).reduced()
-            cached = m, memo.intern(m.lowest_terms_key())
-            if len(prod_cache) < 4096:
-                prod_cache[key] = cached
-        m, mid = cached
         expected = 1 if (ix2 == ix and iz2 == iz and iy == iy2) else 0
         fn = family[(ix, iz)]
-        try:
-            val = (memo.eval(fn, m, mid) if isinstance(fn, SepFunction)
-                   else _eval_family_fn(fn, m))
-            status, detail = check_border_value(val, expected)
-        except InsufficientOrderError as exc:
-            status, detail = "inconclusive", str(exc)
+        status, detail = _first_ok(
+            report, windows, lambda d: argument(key, factors, d),
+            lambda m_mid: (memo.eval(fn, *m_mid) if isinstance(fn, SepFunction)
+                           else _eval_family_fn(fn, m_mid[0])), expected)
         report.checked += 1
         report.record(status, {"tuple": (ix, iz, ix2, iy, iy2, iz2), "expected": expected,
                                "detail": detail})
@@ -308,8 +379,9 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
     """Check fn = 1 + O(eps) at I and 0 + O(eps) on y^-1 y' for y != y'.
 
     Each y is packed once per call, and each inverse computed once on the
-    packed kernel; each argument y^-1 y' is a packed product that is never
-    unpacked.
+    packed kernel, for y truncated at fn's demand and, on a fallback, for y
+    itself (module docstring); each argument y^-1 y' is a packed product
+    that is never unpacked.
     """
     n = len(yfams)
     report = SepReport("pass")
@@ -330,26 +402,34 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
             pairs += [(i, i) for i in {rng.randrange(n) for _ in range(8)}]
     if not pairs:
         raise ValueError("no pair to check: the Y family list or the pair list is empty")
-    invs = {}
-    packed_ys = {}
+    packed = {k: PackedSeriesMat.pack(yfams[k]) for k in sorted({k for p in pairs for k in p})}
+    upto = _truncation([fn], [_element_facts(p) for p in packed.values()])
+    windows = (None,) if upto is None else (upto, None)
+    factors = {}
+
+    def factor(k, inverse, d):
+        """y_k or its inverse, truncated at eps^d (None: full), memoised."""
+        key = (k, inverse, d)
+        p = factors.get(key)
+        if p is None:
+            if inverse:
+                p = factor(k, False, d).inverse()
+            else:
+                p = packed[k] if d is None else packed[k].truncate(d)
+            factors[key] = p
+        return p
+
     equal_pairs = 0
     unequal_pairs = 0
     for i, j in pairs:
-        if i not in invs:
-            invs[i] = PackedSeriesMat.pack(yfams[i]).inverse()
-        if j not in packed_ys:
-            packed_ys[j] = PackedSeriesMat.pack(yfams[j])
-        m = invs[i].matmul(packed_ys[j])
         expected = 1 if i == j else 0
         if expected:
             equal_pairs += 1
         else:
             unequal_pairs += 1
-        try:
-            val = _eval_family_fn(fn, m, ctx)
-            status, detail = check_border_value(val, expected)
-        except InsufficientOrderError as exc:
-            status, detail = "inconclusive", str(exc)
+        status, detail = _first_ok(
+            report, windows, lambda d: factor(i, True, d).matmul(factor(j, False, d)),
+            lambda m: _eval_family_fn(fn, m, ctx), expected)
         report.checked += 1
         entry = {"pair": (i, j), "detail": detail}
         if status == "fail":

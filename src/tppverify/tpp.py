@@ -189,13 +189,15 @@ class TppInstance:
         """Element idx of X, Y or Z; which is "x", "y" or "z"."""
         return getattr(self, which)[idx]
 
-    def product(self, factors):
+    def product(self, factors, upto: int | None = None):
         """The product of (which, idx, inverse) factors, left to right.
 
         Family mode returns the packed chain: each element and inverse is
         packed once and memoized per instance, an inverse computed on the
-        packed kernel and never unpacked.  Exact and table mode fold mul
-        over element/inv_element.
+        packed kernel and never unpacked.  With upto, each element is
+        truncated at eps^upto and each inverse is the Neumann inverse of
+        that truncation, which ends there too; both are memoized as well.
+        Exact and table mode fold mul over element/inv_element.
         """
         out = None
         if self.mode != "family":
@@ -204,20 +206,24 @@ class TppInstance:
                 out = m if out is None else self.mul(out, m)
             return out
         for key in factors:
-            p = self._packed_factor(key)
+            p = self._packed_factor(key if upto is None else (*key, upto))
             out = p if out is None else out.matmul(p)
         return out
 
     def _packed_factor(self, key):
-        """The packed element or inverse named by (which, idx, inverse), memoized."""
+        """The packed element or inverse named by (which, idx, inverse), or by
+        (which, idx, inverse, upto) for the element truncated at eps^upto and
+        the inverse of that truncation; memoized."""
         p = self._packed.get(key)
         if p is None:
-            which, idx, inverse = key
+            which, idx, inverse, *upto = key
             if inverse:
                 try:
-                    p = self._packed_factor((which, idx, False)).inverse()
+                    p = self._packed_factor((which, idx, False, *upto)).inverse()
                 except (ExactArithmeticError, InsufficientOrderError) as exc:
                     raise _no_inverse(which, idx, exc) from None
+            elif upto:
+                p = self._packed_factor((which, idx, False)).truncate(upto[0])
             else:
                 p = PackedSeriesMat.pack(self.element(which, idx))
             self._packed[key] = p

@@ -347,6 +347,17 @@ def sep_verify(sepfile):
                  "--set-cap must be at least 1", id="running-example-set-cap0"),
     pytest.param(["running-example", "--n", "3", "--q", "2", "--y-count", "0"],
                  "--y-count must be at least 1", id="running-example-y-count0"),
+    # running-example reads --sample-budget with --border only, and --tol and
+    # --y-count without it only: a flag the mode never reads is refused
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--sample-budget", "10"],
+                 "running-example reads --sample-budget only with --border",
+                 id="running-example-budget-without-border"),
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--border", "--tol", "1e-3"],
+                 "running-example reads --tol only without --border",
+                 id="running-example-border-tol"),
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--border", "--y-count", "3"],
+                 "running-example reads --y-count only without --border",
+                 id="running-example-border-y-count"),
     pytest.param(sep_verify("const.json"), "unknown node kind 'const'", id="sep-const"),
     pytest.param(sep_verify("trace.json"), "unknown node kind 'trace'", id="sep-trace"),
     pytest.param(sep_verify("shift.json"), "unknown node kind 'shift_identity'",
@@ -637,10 +648,13 @@ def matrix_instances(draw):
 small = st.integers(-1, 4)
 elements = st.lists(st.integers(0, 5), max_size=3, unique=True)
 cli_argv = st.one_of(
+    # each mode gets only the flags it reads: --sample-budget with --border,
+    # --y-count without it (an unread one exits 3, see the refusal cases)
     st.builds(lambda n, q, border, y_count, cap, budget, seed:
-              ["running-example", "--n", str(n), "--q", str(q), "--y-count", str(y_count),
-               "--set-cap", str(cap), "--sample-budget", str(budget), "--seed", str(seed)]
-              + (["--border"] if border else []),
+              ["running-example", "--n", str(n), "--q", str(q),
+               "--set-cap", str(cap), "--seed", str(seed)]
+              + (["--border", "--sample-budget", str(budget)] if border
+                 else ["--y-count", str(y_count)]),
               st.integers(0, 4), st.integers(-1, 3), st.booleans(), small,
               st.integers(-1, 8), st.integers(-1, 20), st.integers(0, 3)),
     st.builds(lambda n, q, trials, pairs, seed:

@@ -232,6 +232,29 @@ def test_packed_det_raises_on_empty_term_window():
         mat_det(m)
 
 
+@settings(max_examples=300, deadline=None)
+@given(det_matrices())
+def test_one_dp_leading_minors_match_block_dets(m):
+    # lpm_j from the one DP over the whole matrix is the j x j block's own
+    # det(), den and entries, on Laurent entries, short and unlimited windows
+    # and constants other than I; when a state outside a block has an empty
+    # window, lpm falls back to the block, which decides as before
+    p = PackedSeriesMat.pack(m)
+    minors = outcome(p.leading_minors)
+    for j in range(1, m.rows + 1):
+        want = outcome(p.submatrix(range(j), range(j)).det)
+        got = outcome(lpm, p, j)
+        if want is InsufficientOrderError:
+            assert got is InsufficientOrderError
+            assert minors is InsufficientOrderError
+            continue
+        assert (got.den, got.entries) == (want.den, want.entries)
+        if minors is not InsufficientOrderError:
+            assert (minors[j - 1].den, minors[j - 1].entries) == (want.den, want.entries)
+    if minors is not InsufficientOrderError:
+        assert minors is p.leading_minors()         # kept with the matrix
+
+
 def test_one_by_one_det_returns_its_entry():
     s = EpsLaurent({-1: 2, 1: GaussRational(1, 3)}, lo=-1, hi=2)
     assert mat_det(Mat(1, 1, [s])) is s
@@ -785,6 +808,57 @@ def test_packed_inverse_refuses_a_singular_laurent_matrix():
     assert min(x.hi for x in inv.data) == 2
     assert same_entries(inv, boxed_inv_series(u))
     assert multiplies_back(u, inv)
+
+
+def neumann_of_exact_constant(c: Mat) -> PackedSeriesMat:
+    """Oracle: what the Neumann sum leaves for an exact constant C.  Its first
+    term C^-1 C - I is zero, so the sum is I, times the packed C^-1: a zero
+    entry of that product is zero on [INF_ORDER, INF_ORDER]."""
+    c_inv = PackedSeriesMat.pack(mat_inv_exact(c))
+    return PackedSeriesMat.identity(c.rows).matmul(c_inv).truncate(INF_ORDER).reduced()
+
+
+@st.composite
+def unimodular(draw):
+    """An integer matrix of determinant +-1: a signed permutation times
+    elementary row operations; or such a matrix scaled by a rational."""
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    m = Mat(n, n, [draw(st.sampled_from([1, -1])) if perm[i] == j else 0
+                   for i in range(n) for j in range(n)])
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            e = Mat.identity(n)
+            e[i, j] = draw(st.integers(-3, 3))
+            m = m.matmul(e)
+    if draw(st.booleans()):
+        m = m.scale(draw(st.sampled_from([QQ(2), QQ(-1, 3), GaussRational(1, 1)])))
+    return m
+
+
+def check_exact_constant_inverse(c: Mat):
+    got = PackedSeriesMat.pack(mat_to_series(c)).inverse()
+    want = neumann_of_exact_constant(c)
+    assert (got.den, got.entries) == (want.den, want.entries)
+    # zero entries are zero on [INF, INF], where pack would give lo = 0
+    assert all(x == (INF_ORDER, INF_ORDER, INF_ORDER, ()) for x in got.entries if not x[3])
+    assert same_entries(got.unpack(), boxed_inv_series(mat_to_series(c)))
+
+
+def test_exact_constant_inverse_on_gl_border_constants():
+    from tppverify.running_example import build_unitriangular_sets
+
+    xq, zq, _ = build_unitriangular_sets(4, 4, cap=8, seed=1)
+    assert len(xq + zq) == 16
+    for c in xq + zq:
+        check_exact_constant_inverse(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular())
+def test_exact_constant_inverse_is_c0_inverse(c):
+    check_exact_constant_inverse(c)
 
 
 def test_packed_inverse_on_running_example_families():
