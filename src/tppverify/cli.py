@@ -19,7 +19,7 @@ import traceback
 
 from . import __version__
 from .embedding import cyclic_characters, embed_group_algebra, realize_algorithm
-from .groups import GroupFormatError, TableGroup
+from .groups import GroupFormatError, MatrixGroupOps, TableGroup
 from .instances import canonical_json, load_instance
 from .matrices import Mat
 from .repdim import (
@@ -30,21 +30,21 @@ from .repdim import (
     repdim_table,
 )
 from .running_example import (
+    SQUARE_LENGTH_NOTE,
     build_orthogonal_family,
     build_running_sep_family,
     build_unitriangular_sets,
-    exact_matrix,
     running_border_p0,
     verify_column_agreement,
-    verify_tpp_numeric,
 )
 from .scalars import GaussRational
 from .sepfun import SepFunction, SepFunctionError
 from .sepverify import verify_separating, verify_separating_border
 from .split import SplitError
 from .su import (
+    C_INTEGRALITY_NOTE,
     SuConstructionError,
-    kvn_inequality_check,
+    kvn_certificate,
     su_assemble,
     su_build,
     su_c_value,
@@ -81,7 +81,6 @@ class UsageError(Exception):
 # Flags that steer a run; each subcommand registers only those its driver reads.
 _RUN_FLAGS = {
     "seed": {"type": int, "default": 0},
-    "tol": {"type": float, "default": 1e-9},
     "order": {"type": int, "default": None},
     "mode": {"choices": ["auto", "exhaustive", "sampled"], "default": "auto"},
     "sample-budget": {"type": int, "default": 10 ** 4},
@@ -90,8 +89,6 @@ _RUN_FLAGS = {
 
 # running-example flags that one mode reads: dest -> (default, read with --border)
 _RUNNING_EXAMPLE_MODE_FLAGS = {
-    "sample_budget": (_RUN_FLAGS["sample-budget"]["default"], True),
-    "tol": (_RUN_FLAGS["tol"]["default"], False),
     "y_count": (4, False),
 }
 
@@ -147,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--border", action="store_true")
     p.add_argument("--y-count", type=int)
     p.add_argument("--set-cap", type=int, default=64)
-    _flags(p, "seed", "tol", "sample-budget")
+    _flags(p, "seed", "sample-budget")
     # read in one mode only (_running_example_mode_flags)
     p.set_defaults(**{dest: None for dest in _RUNNING_EXAMPLE_MODE_FLAGS})
 
@@ -158,9 +155,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("su-verify", help="identity checks for the split-form construction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--pairs", type=int, default=100)
-    _flags(p, "seed", "tol")
+    _flags(p, "seed")
 
     p = sub.add_parser("split-assemble", help="end-to-end split assembly + verification")
     p.add_argument("--n", type=int, required=True)
@@ -326,7 +322,6 @@ def _run_running_example(args):
         raise UsageError(f"--set-cap must be at least 1 (got {args.set_cap})")
     if args.y_count < 1 and not args.border:
         raise UsageError(f"--y-count must be at least 1 (got {args.y_count})")
-    deviations = []
     if args.border:
         p0, yfams, rep = running_border_p0(args.n, args.q, yfam_cap=args.set_cap,
                                            seed=args.seed,
@@ -340,30 +335,25 @@ def _run_running_example(args):
             "yfam_count": rep.yfam_count,
             "contract": rep.contract.to_json() if rep.contract else None,
         }
-        deviations.extend(rep.deviations)
-        return verdict, details, deviations, None
+        return verdict, details, list(rep.deviations), None
     xq, zq, sampled = build_unitriangular_sets(args.n, args.q, cap=args.set_cap,
                                                seed=args.seed)
     fam = build_orthogonal_family(args.n, args.q, count=args.y_count, seed=args.seed)
-    col_rep = verify_column_agreement(fam, tol=args.tol)
-    tpp = verify_tpp_numeric(xq, [m for _, m in fam.members], zq, tol=args.tol)
-    # one separating polynomial, sampled at a diagonal and an off-diagonal point
-    import numpy as np
-
+    col_rep = verify_column_agreement(fam)
+    ys = [m for _, m in fam.members]
+    inst = TppInstance(MatrixGroupOps(args.n), xq, ys, zq, "exact")
+    tpp = verify_tpp(inst, sample_budget=budget, seed=args.seed)
+    # one separating polynomial, sampled at a diagonal point, where it is 1
     rng = random.Random(args.seed)
     x = xq[rng.randrange(len(xq))]
     z = zq[rng.randrange(len(zq))]
     sep = build_running_sep_family(args.n, args.q, x, z, fam.wq)
-    y = fam.members[0][1]
-    xf = np.array([[float(v) for v in x.row(i)] for i in range(args.n)])
-    zf = np.array([[float(v) for v in z.row(i)] for i in range(args.n)])
-    m_diag = exact_matrix(xf @ (y.T @ y) @ zf)
-    diag_val = abs(complex(sep.eval(m_diag)) - 1)
-    sep_ok = diag_val <= 1e-6
+    y = ys[0]
+    diag_val = sep.eval(x.matmul(y.transpose().matmul(y)).matmul(z))
     verdict = "pass" if (col_rep.verdict == "pass" and tpp.verdict == "pass"
-                         and sep_ok) else "fail"
+                         and diag_val == 1) else "fail"
     details = {
-        "sizes": {"X": len(xq), "Y": len(fam.members), "Z": len(zq),
+        "sizes": {"X": len(xq), "Y": len(ys), "Z": len(zq),
                   "sampled": sampled},
         "wq_size": len(fam.wq),
         "wq_per_q2": len(fam.wq) / (args.q ** 2),
@@ -371,9 +361,9 @@ def _run_running_example(args):
                              "pairs": col_rep.pairs_checked},
         "tpp": tpp.to_json(),
         "separating_sample": {"degree": sep.degree,
-                              "diagonal_error": diag_val},
+                              "diagonal_value": str(diag_val)},
     }
-    return verdict, details, deviations, None
+    return verdict, details, [SQUARE_LENGTH_NOTE], None
 
 
 def _run_su_construct(args):
@@ -394,11 +384,9 @@ def _run_su_construct(args):
 def _run_su_verify(args):
     if args.q < 1:
         raise UsageError(f"--q must be at least 1 (got {args.q})")
-    # no pair or no trial would check nothing and pass
+    # no pair would check nothing and pass
     if args.pairs < 1:
         raise UsageError(f"--pairs must be at least 1 (got {args.pairs})")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1 (got {args.trials})")
     constr = su_build(args.n)
     rng = random.Random(args.seed)
     coords, _ = su_y_lattice(constr, args.q, cap=64, seed=args.seed)
@@ -419,19 +407,15 @@ def _run_su_verify(args):
             c_zero_iff = False
         if pairs <= 5 and not su_eps2_check(constr, a, b).ok:
             eps2_ok = False
-    kvn = kvn_inequality_check(args.n, trials=args.trials, tol=args.tol, seed=args.seed)
+    kvn = kvn_certificate(constr)
     verdict = "pass" if (eps2_ok and c_zero_iff and kvn.verdict == "pass") else "fail"
     details = {
         "eps2_identity": eps2_ok,
         "c_zero_iff_equal": c_zero_iff,
         "c_pairs_checked": pairs,
         "nominal_constant_integral_failures": nominal_integral_failures,
-        "kvn": {"verdict": kvn.verdict, "trials": kvn.trials,
-                "max_violation": kvn.max_violation,
-                "planted_gap": kvn.planted_equality_gap},
+        "kvn": kvn.to_json(),
     }
-    from .su import C_INTEGRALITY_NOTE
-
     return verdict, details, [C_INTEGRALITY_NOTE], None
 
 

@@ -1,9 +1,10 @@
 """Dense matrices generic over the package's scalar kinds.
 
-Entries may be ints, rationals, GaussRational, EpsLaurent, CycloNum, or
-float complex.  Exact inverses, solves, ranks and the determinant of a
-matrix without series entries all run one Gauss-Jordan row reduction over a
-field (row_reduce), integers lifted to QQ first.  A series matrix's
+Entries may be ints, rationals, GaussRational, EpsLaurent or CycloNum.  A
+float entry is carried, but every verifier refuses it.  Exact inverses,
+solves, ranks and the determinant of a matrix without series entries all
+run one Gauss-Jordan row reduction over a field (row_reduce), integers
+lifted to QQ first.  A series matrix's
 determinant is a cofactor expansion by DP over column subsets (n <= 10) on
 the packed kernel.
 

@@ -1,9 +1,12 @@
 """The unitriangular/orthogonal construction in GL_n(R), desk-scale checks.
 
 X_q and Z_q are lower/upper unitriangular integer matrices with off-diagonal
-entries in {1..q}; Y_q is a finite orthogonal family assembled column by
-column from integer unit-vector buckets, so that pairwise products have
-diagonal entries confined to a small exact rational set W_q.  The separating
+entries in {1..q}; Y_q is a finite, exactly orthogonal family of rational
+matrices assembled column by column from integer vectors of one
+perfect-square squared length per dimension (rational Householder
+completions), so that pairwise products have diagonal entries confined to a
+small exact rational set W_q.  Every check is exact: the column contract is
+membership in W_q, and the TPP runs on the exact tuple engine.  The separating
 polynomials peel one column/row per level, each level contributing an
 indicator over W_q and per-entry indicators over {1..q}.
 
@@ -39,7 +42,7 @@ from .sepfun import (
     lagrange_indicator,
 )
 from .sepverify import Eps2Report, SepReport, eps2_expansion_check, verify_indicator_border
-from .tpp import TppReport, TppWitness, lattice_tuples
+from .tpp import lattice_tuples
 
 SIGN_CORRECTION_NOTE = (
     "indicator argument uses (n - sum lpm_j)/eps^2, the expansion-consistent "
@@ -75,47 +78,50 @@ def build_unitriangular_sets(n: int, q: int, cap: int | None = None, seed: int =
     return xq, zq, sampled
 
 
+SQUARE_LENGTH_NOTE = (
+    "Y_q buckets hold the most popular perfect-square squared length among "
+    "integer vectors in [0, 4q]^d (not the most popular length), so each unit "
+    "vector is rational and a Householder completion keeps Y_q exactly "
+    "orthogonal"
+)
+
+
 @dataclass
 class OrthogonalFamily:
     n: int
     q: int
-    members: list                  # (index_tuple, float ndarray)
+    members: list                  # (index_tuple, exact orthogonal Mat)
     wq: list                       # exact rationals (QQ), sorted
     bucket_lengths: list           # squared length l_i per dimension i=1..n
     bucket_sizes: list
     entry_range: int
-    notes: list = field(default_factory=list)
-
-    @property
-    def wq_floats(self):
-        return sorted(float(w) for w in self.wq)
 
 
 def _unit_vector_bucket(dim: int, entry_max: int):
-    """Most popular squared-length bucket of integer vectors in [0, entry_max]^dim."""
-    import numpy as np
-
-    vecs = np.array(list(itertools.product(range(entry_max + 1), repeat=dim)), dtype=np.int64)
-    vecs = vecs[np.any(vecs != 0, axis=1)]
-    if len(vecs) == 0:
+    """(vectors, l): the integer vectors in [0, entry_max]^dim of the most
+    popular perfect-square squared length l (ties to the smallest), so that
+    v / sqrt(l) is rational."""
+    by_length = {}
+    for vec in itertools.product(range(entry_max + 1), repeat=dim):
+        length = sum(v * v for v in vec)
+        if length and math.isqrt(length) ** 2 == length:
+            by_length.setdefault(length, []).append(vec)
+    if not by_length:
         raise ValueError(f"empty unit-vector bucket for dimension {dim}")
-    lengths = np.sum(vecs * vecs, axis=1)
-    uniq, counts = np.unique(lengths, return_counts=True)
-    best = counts.max()
-    length = int(uniq[counts == best].min())  # tie -> smallest length
-    return vecs[lengths == length], length
+    length = min(by_length, key=lambda l: (-len(by_length[l]), l))
+    return by_length[length], length
 
 
 def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
                             entry_range_mult: int = 4) -> OrthogonalFamily:
-    """Sampled orthogonal family with the agreeing-prefix inner-product contract.
+    """Sampled exactly orthogonal family with the agreeing-prefix contract.
 
-    Column j is drawn from the unit-vector bucket of dimension n-j+1 and
-    mapped into the orthogonal complement of the previous columns by a
-    deterministic completion that depends only on those columns.
+    Column j is a rational unit vector v from the bucket of dimension n-j,
+    mapped into the orthogonal complement of the previous columns by an
+    isometry that depends only on those columns' indices (_assemble_orthogonal).
+    Two members that agree in their first i indices share that isometry, so
+    the (i+1, i+1) entry of y^T y' is v . v', an element of W_q.
     """
-    import numpy as np
-
     if n < 2 or q < 2:
         raise ValueError("need n >= 2 and q >= 2")
     entry_max = entry_range_mult * q
@@ -124,67 +130,48 @@ def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
     wq_set = set()
     for dim in range(1, n + 1):
         vecs, length = _unit_vector_bucket(dim, entry_max)
-        buckets.append(vecs)
+        root = math.isqrt(length)
+        buckets.append([[QQ(v, root) for v in vec] for vec in vecs])
         lengths.append(length)
-        grams = np.unique(vecs @ vecs.T)
-        for g in grams.tolist():
-            wq_set.add(QQ(int(g), length))
+        wq_set.update(QQ(sum(a * b for a, b in zip(u, v)), length) for u in vecs for v in vecs)
     wq = sorted(wq_set)
     rng = random.Random(seed)
     members = []
     seen = set()
     sizes = [len(b) for b in buckets]
-    max_count = 1
-    for dim in range(1, n + 1):
-        max_count *= sizes[dim - 1]
-    count = min(count, max_count)
+    count = min(count, math.prod(sizes))
     while len(members) < count:
         idx = tuple(rng.randrange(sizes[n - 1 - j]) for j in range(n))
         if idx in seen:
             continue
         seen.add(idx)
-        members.append((idx, _assemble_orthogonal(n, idx, buckets, lengths)))
+        members.append((idx, _assemble_orthogonal(n, idx, buckets)))
     return OrthogonalFamily(n=n, q=q, members=members, wq=wq,
                             bucket_lengths=lengths, bucket_sizes=sizes,
                             entry_range=entry_max)
 
 
-def _assemble_orthogonal(n: int, idx, buckets, lengths) -> np.ndarray:
-    import numpy as np
+def _assemble_orthogonal(n: int, idx, buckets) -> Mat:
+    """The exact orthogonal member with column indices idx.
 
-    cols = []
-    for j in range(n):
-        dim = n - j
-        v = buckets[dim - 1][idx[j]].astype(float) / math.sqrt(lengths[dim - 1])
-        if j == 0:
-            cols.append(v)
-        else:
-            basis = _complement_basis(np.column_stack(cols), n)
-            cols.append(basis @ v)
-    return np.column_stack(cols)
-
-
-def _complement_basis(prefix: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic orthonormal completion of the prefix columns.
-
-    Gram-Schmidt over the standard basis in fixed order; depends only on the
-    prefix, so equal prefixes get equal isometries.
+    Q starts as I.  At column j, with v the rational unit vector of
+    dimension n-j, Q[:, j:] is multiplied by the Householder reflection
+    H = I - 2 w w^T / (w^T w), w = e_1 - v, which is rational, orthogonal and
+    has H e_1 = v.  Column j becomes Q[:, j:] v and the later columns span
+    its complement; Q depends only on idx[:j + 1] after step j.
     """
-    import numpy as np
-
-    have = [prefix[:, k] for k in range(prefix.shape[1])]
-    out = []
+    cols = [[QQ(int(i == k)) for i in range(n)] for k in range(n)]
     for j in range(n):
-        w = np.zeros(n)
-        w[j] = 1.0
-        for u in have:
-            w = w - (u @ w) * u
-        for u in out:
-            w = w - (u @ w) * u
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            out.append(w / norm)
-    return np.column_stack(out)
+        v = buckets[n - j - 1][idx[j]]
+        w = [QQ(int(k == 0)) - vk for k, vk in enumerate(v)]
+        ww = sum(wk * wk for wk in w)
+        if not ww:
+            continue
+        sub = cols[j:]
+        u = [sum(wk * col[i] for wk, col in zip(w, sub)) for i in range(n)]
+        cols[j:] = [[c - 2 * wk / ww * ui for c, ui in zip(col, u)]
+                    for wk, col in zip(w, sub)]
+    return Mat(n, n, [cols[k][i] for i in range(n) for k in range(n)])
 
 
 @dataclass
@@ -194,87 +181,26 @@ class ColumnAgreementReport:
     violations: list = field(default_factory=list)
 
 
-def verify_column_agreement(fam: OrthogonalFamily, tol: float = 1e-9) -> ColumnAgreementReport:
+def verify_column_agreement(fam: OrthogonalFamily) -> ColumnAgreementReport:
     """For pairs agreeing in their first i columns (by chosen indices), the
-    (i+1, i+1) entry of y^T y' must be within tol of some element of W_q."""
-    import numpy as np
-
-    wq = np.array(fam.wq_floats)
+    (i+1, i+1) entry of y^T y' must be an element of W_q, exactly."""
+    wq = set(fam.wq)
+    n = fam.n
     report = ColumnAgreementReport("pass", 0)
-    for a in range(len(fam.members)):
-        idx_a, ya = fam.members[a]
-        for b in range(len(fam.members)):
-            idx_b, yb = fam.members[b]
+    for a, (idx_a, ya) in enumerate(fam.members):
+        for b, (idx_b, yb) in enumerate(fam.members):
             agree = 0
-            while agree < fam.n and idx_a[agree] == idx_b[agree]:
+            while agree < n and idx_a[agree] == idx_b[agree]:
                 agree += 1
-            gram = ya.T @ yb
             report.pairs_checked += 1
-            for pos in range(min(agree + 1, fam.n)):
-                val = gram[pos, pos]
-                if np.min(np.abs(wq - val)) > tol:
-                    report.violations.append({
-                        "pair": (a, b), "position": pos + 1, "value": float(val),
-                    })
+            for pos in range(min(agree + 1, n)):
+                val = sum(ya[i, pos] * yb[i, pos] for i in range(n))
+                if val not in wq:
+                    report.violations.append({"pair": (a, b), "position": pos + 1,
+                                              "value": val})
     if report.violations:
         report.verdict = "fail"
     return report
-
-
-# ---------------------------------------------------------------------------
-# Numeric TPP check (tolerance-tagged; the only float path in verification)
-# ---------------------------------------------------------------------------
-
-def verify_tpp_numeric(x_list, y_list, z_list, tol: float = 1e-9) -> TppReport:
-    """Exhaustive TPP check with float matrices compared to I within tol.
-
-    x/z entries may be exact matrices (converted to float); y entries are
-    float orthogonal matrices whose inverses are taken as transposes.
-    """
-    import numpy as np
-
-    def to_np(m):
-        if isinstance(m, np.ndarray):
-            return m
-        return np.array([[float(v) for v in m.row(i)] for i in range(m.rows)])
-
-    xs = [to_np(m) for m in x_list]
-    ys = [to_np(m) for m in y_list]
-    zs = [to_np(m) for m in z_list]
-    xinvs = [np.linalg.inv(m) for m in xs]
-    yinvs = [m.T for m in ys]
-    zinvs = [np.linalg.inv(m) for m in zs]
-    n = xs[0].shape[0]
-    ident = np.eye(n)
-    checked = 0
-    for ix, x in enumerate(xs):
-        for ix2 in range(len(xs)):
-            a = x @ xinvs[ix2]
-            for iy, y in enumerate(ys):
-                for iy2 in range(len(ys)):
-                    b = a @ y @ yinvs[iy2]
-                    for iz, z in enumerate(zs):
-                        for iz2 in range(len(zs)):
-                            checked += 1
-                            p = b @ z @ zinvs[iz2]
-                            is_ident = np.max(np.abs(p - ident)) <= tol
-                            all_eq = ix == ix2 and iy == iy2 and iz == iz2
-                            if is_ident != all_eq:
-                                return TppReport(
-                                    "fail",
-                                    witness=TppWitness("tpp", (ix, ix2, iy, iy2, iz, iz2)),
-                                    tuples_checked=checked,
-                                )
-    return TppReport("pass", tuples_checked=checked)
-
-
-def exact_matrix(a) -> Mat:
-    """The float array a as a Mat of the exact rationals its entries hold.
-
-    QQ(float) is exact, so a separating polynomial evaluated on the result
-    adds no rounding of its own to that of the float product.
-    """
-    return Mat.from_rows([[QQ(v) for v in row] for row in a.tolist()])
 
 
 # ---------------------------------------------------------------------------

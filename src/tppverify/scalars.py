@@ -5,8 +5,9 @@ All exact computation in this package runs on top of the rational backend
 fractions.Fraction otherwise.  Both keep values reduced to lowest terms with
 a positive denominator.
 
-Float-complex values are plain Python ``complex``; no exact check compares
-them, and the float paths of running_example and su take their own tolerance.
+Float-complex values are plain Python ``complex``.  No verdict reads one:
+the verifiers and SepFunction.eval refuse float entries, and no path takes a
+tolerance.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ SepFunction.eval is the one place where other kinds are converted:
     unpacked once, an EpsLaurent.  For an exact Mat the value is its exact
     constant term, a GaussRational; a value whose window starts below eps^0
     is refused, since only division by eps puts it there;
-  - a Mat with a float or complex entry is refused: float matrices are
-    converted to exact ones where they are made.  Any other argument, such
-    as a table group element, is refused.
+  - a Mat with a float or complex entry is refused; no path of the package
+    makes one.  Any other argument, such as a table group element, is
+    refused.
 
 Univariate polynomials are kept in product form scale * prod (x - root) and
 applied to series via their exact Taylor expansion around the argument's

@@ -32,6 +32,10 @@ unnecessary, while the achievable set stays in the hundreds.  The grid node
 count 2 P^4 * c_max is still reported, as the degree bound that scales
 linearly in q.
 
+The trace inequality p_1(M) <= Tr((D*D)^2) for unitary M, with equality at
+M = U diag(phases) U*, is a theorem; kvn_certificate checks its premises and
+two equality cases exactly (proof in its docstring).
+
 p_1 is the packed Hermitian form of sepfun.MinorInvariant.
 su_p1_cross_checked also reads it through the cofactors of Q M Q, which
 equal conj(M) only on the group, and su_eps2_check runs that cross-check
@@ -591,55 +595,78 @@ def su_assemble(n: int, q: int, sample_budget: int = 10 ** 4, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Float Monte-Carlo check of the trace inequality
+# The trace inequality, proved
 # ---------------------------------------------------------------------------
 
+KVN_PROOF = (
+    "for Hermitian P = D*D and unitary M, p_1(M) = Tr(M* P M P) is the "
+    "Frobenius inner product of M* P M and P; Cauchy-Schwarz with "
+    "||M* P M||_F = ||P||_F bounds it by Tr(P^2), as von Neumann's trace "
+    "inequality does; D = D* and Tr(P^2) = trace_dd2 = sum d_i^4 are checked "
+    "exactly"
+)
+
+# Gaussian-rational unit phases of the planted equality case, cycled along
+# the diagonal
+KVN_PHASES = (GaussRational(QQ(3, 5), QQ(4, 5)), GaussRational(QQ(5, 13), QQ(-12, 13)),
+              GaussRational(0, 1), GaussRational(-1))
+
+
 @dataclass
-class KvnReport:
+class KvnCertificate:
     verdict: str
-    trials: int
-    max_violation: float
-    planted_equality_gap: float
-    identity_gap: float
-    seed: int
-    tol: float
+    identity_equality: bool
+    planted_equality: bool
+    failures: list                 # the premises or equality cases that fail
+
+    def to_json(self):
+        return {"verdict": self.verdict, "proof": KVN_PROOF,
+                "identity_equality": self.identity_equality,
+                "planted_equality": self.planted_equality}
 
 
-def kvn_inequality_check(n: int, trials: int = 1000, tol: float = 1e-9,
-                         seed: int = 0) -> KvnReport:
-    """Tr(D* M* D* D M D) <= Tr((D*D)^2) for unitary M, floats within tol.
+def kvn_planted_unitary(constr: SuConstruction) -> Mat:
+    """M = (1/2) W diag(phi) W^T = U diag(phi) U*, the KVN_PHASES cycled.
 
-    Random unitaries come from QR of complex Gaussian matrices; the planted
-    equality case conjugates a unit-modulus diagonal by U.
+    Every |phi_i| = 1, so M is unitary; M commutes with P = U D0^2 U*, so
+    M* P M = P and p_1(M) = Tr(P^2).
     """
-    import numpy as np
+    phases = [KVN_PHASES[i % len(KVN_PHASES)] for i in range(constr.n)]
+    return _half_sandwich(constr.w_mat, phases)
 
-    constr = su_build(n)
-    half = n // 2
-    rng = np.random.default_rng(seed)
-    w = np.array([[float(constr.w_mat[i, j]) for j in range(n)] for i in range(n)])
-    u = w / math.sqrt(2.0)
-    d0 = np.array([float(v) for v in constr.d0])
-    d_mat = u @ np.diag(d0) @ u.conj().T
-    bound = float(constr.trace_dd2)
 
-    def trace_val(m):
-        inner = d_mat.conj().T @ m.conj().T @ d_mat.conj().T @ d_mat @ m @ d_mat
-        return float(np.trace(inner).real)
+def kvn_certificate(constr: SuConstruction, planted: Mat | None = None) -> KvnCertificate:
+    """Exact certificate of p_1(M) = Tr(D* M* D* D M D) <= Tr((D*D)^2) for
+    every unitary M, with its equality cases.
 
-    max_violation = 0.0
-    for _ in range(trials):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        qmat, rmat = np.linalg.qr(g)
-        qmat = qmat @ np.diag(np.diag(rmat) / np.abs(np.diag(rmat)))
-        max_violation = max(max_violation, trace_val(qmat) - bound)
-
-    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=n))
-    planted = u @ np.diag(phases) @ u.conj().T
-    planted_gap = abs(trace_val(planted) - bound)
-    identity_gap = abs(trace_val(np.eye(n)) - bound)
-    verdict = "pass" if (max_violation <= tol and planted_gap <= tol
-                         and identity_gap <= tol) else "fail"
-    return KvnReport(verdict=verdict, trials=trials, max_violation=max_violation,
-                     planted_equality_gap=planted_gap, identity_gap=identity_gap,
-                     seed=seed, tol=tol)
+    Proof.  Let P = D*D, which is Hermitian.  When D = D*, cyclicity gives
+    p_1(M) = Tr(M* P M P), the Frobenius inner product <M* P M, P>.  By
+    Cauchy-Schwarz it is at most ||M* P M||_F ||P||_F, and ||M* P M||_F =
+    ||P||_F for unitary M, so p_1(M) <= ||P||_F^2 = Tr(P^2).  Von Neumann's
+    trace inequality gives the same bound.  The premises are exact checks:
+    D = D*, and Tr(P^2) = trace_dd2 = sum d_i^4.  Equality must hold exactly
+    at M = I and at the planted unitary M (kvn_planted_unitary by default),
+    whose unitarity M* M = I is checked exactly too.
+    """
+    n = constr.n
+    d = constr.d_mat
+    ident = Mat.identity(n)
+    failures = []
+    if d != d.conj_transpose():
+        failures.append("D is not Hermitian")
+    p = d.conj_transpose().matmul(d)
+    trace_p2 = sum((x * y for x, y in zip(p.data, p.transpose().data)), QQ(0))
+    if not trace_p2 == constr.trace_dd2 == sum((v ** 4 for v in constr.d0), QQ(0)):
+        failures.append("Tr(P^2), trace_dd2 and sum d_i^4 differ")
+    identity_equality = su_trace_invariant(ident, constr) == constr.trace_dd2
+    if not identity_equality:
+        failures.append("p_1(I) != trace_dd2")
+    m = kvn_planted_unitary(constr) if planted is None else planted
+    unitary = m.conj_transpose().matmul(m) == ident
+    if not unitary:
+        failures.append("the planted M is not unitary")
+    planted_equality = unitary and su_trace_invariant(m, constr) == constr.trace_dd2
+    if unitary and not planted_equality:
+        failures.append("p_1(M) != trace_dd2 at the planted M")
+    return KvnCertificate("fail" if failures else "pass", identity_equality,
+                          planted_equality, failures)

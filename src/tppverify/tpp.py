@@ -51,6 +51,7 @@ tuple, and collisions) runs the packed chain.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -330,15 +331,16 @@ def lattice_tuples(values, d: int, cap: int | None = None, seed: int = 0):
 def _classifier(inst: TppInstance, kind: str, order):
     """tup -> (is_identity, window edge), is_identity None when unknown.
 
-    Exact and table products are decided by equality.  A family product is
-    proved to differ from I by a nonzero coefficient in its window, and never
-    proved equal to I: the coefficients beyond the window are unknown.  When
-    every element the check reads is I + eps A1 + O(eps^2) under one window
-    edge h, a nonzero first-order sum settles the tuple without its product,
-    else a constant product other than I may; the rest run the packed chain.
+    Exact and table products are decided by equality (_split_classifier).
+    A family product is proved to differ from I by a nonzero coefficient in
+    its window, and never proved equal to I: the coefficients beyond the
+    window are unknown.  When every element the check reads is
+    I + eps A1 + O(eps^2) under one window edge h, a nonzero first-order sum
+    settles the tuple without its product, else a constant product other
+    than I may; the rest run the packed chain.
     """
     if inst.mode != "family":
-        return lambda tup: (inst.is_identity(inst.product(_factors(kind, tup))), None)
+        return _split_classifier(inst, kind)
 
     def chain(tup):
         deviates, used = _series_deviation(inst.product(_factors(kind, tup)), order)
@@ -378,6 +380,34 @@ def unit_first_order_edge(inst: TppInstance, sets):
         return None
     (h,) = edges
     return h if 1 <= h < INF_ORDER else None
+
+
+# Bound on the products _split_classifier memoises per run
+_SPLIT_MEMO = 1 << 14
+
+
+def _split_classifier(inst: TppInstance, kind: str):
+    """The exact and table classifier.  Factors f_1 ... f_k multiply to I
+    exactly when the head f_1 ... f_(k-2) equals the inverse of the tail
+    f_(k-1) f_k, which is f_k^-1 f_(k-1)^-1: the tail reversed, each inverse
+    flag flipped.  Products are memoised, a product of more than two factors
+    built from the product two factors shorter and the last pair's, so a
+    tuple whose pairs were all seen costs at most one multiplication."""
+    split = len(_FACTORS[kind]) - 2
+
+    @functools.lru_cache(maxsize=_SPLIT_MEMO)
+    def product(factors):
+        if len(factors) > 1:
+            cut = max(len(factors) - 2, 1)
+            return inst.mul(product(factors[:cut]), product(factors[cut:]))
+        which, idx, inverse = factors[0]
+        return inst.inv_element(which, idx) if inverse else inst.element(which, idx)
+
+    def classify(tup):
+        factors = _factors(kind, tup)
+        tail = tuple((which, idx, not inverse) for which, idx, inverse in reversed(factors[split:]))
+        return product(tuple(factors[:split])) == product(tail), None
+    return classify
 
 
 def _constant_term_classifier(inst: TppInstance, kind: str, order, chain):
@@ -480,8 +510,8 @@ def _verify(inst: TppInstance, kind: str, order, mode, sample_budget, seed,
         or (isinstance(e, Mat) and any(isinstance(v, (float, complex)) for v in e.data))
         for lst in (inst.x, inst.y, inst.z) for e in lst
     ):
-        raise InstanceError(f"float elements are forbidden in verify_{kind}; "
-                            "use the tolerance-tagged numeric variant")
+        raise InstanceError(f"float elements are refused by verify_{kind}: give "
+                            "exact rationals (integers, 'p/q' strings or QQ)")
     sizes = tuple(len(getattr(inst, which)) for which, _, _ in _FACTORS[kind])
     how, budget = _tuple_space(sizes, exhaustive_cap, mode, sample_budget)
     sampled = how == "sampled"

@@ -19,7 +19,7 @@ import pytest
 
 from tppverify.cli import main as cli_main
 from tppverify.embedding import cyclic_characters, realize_algorithm
-from tppverify.groups import TableGroup
+from tppverify.groups import MatrixGroupOps, TableGroup
 from tppverify.matrices import Mat, mat_det, mat_exp_trunc
 from tppverify.repdim import (
     NoNontrivialBoundError,
@@ -37,7 +37,6 @@ from tppverify.running_example import (
     build_unitriangular_sets,
     lpm_expansion_check,
     running_border_p0,
-    verify_tpp_numeric,
 )
 from tppverify.scalars import QQ
 from tppverify.sepverify import verify_indicator_border
@@ -50,9 +49,9 @@ from tppverify.su import (
     su_s_matrix,
     su_trace_invariant,
     su_y_lattice,
-    kvn_inequality_check,
+    kvn_certificate,
 )
-from tppverify.tpp import TppInstance
+from tppverify.tpp import TppInstance, recheck_tpp_witness, verify_tpp
 
 
 def _line(tag, ok, desc, t0):
@@ -134,14 +133,19 @@ def test_a5_running_example_tpp():
     t0 = time.time()
     xq, zq, _ = build_unitriangular_sets(3, 2)
     fam = build_orthogonal_family(3, 2, count=4, seed=0)
-    rep = verify_tpp_numeric(xq, [m for _, m in fam.members], zq, tol=1e-9)
-    ok = rep.verdict == "pass" and len(xq) == 8 and len(zq) == 8
     ys = [m for _, m in fam.members]
-    ys.append(ys[0])  # planted violation: duplicate orthogonal factor
-    rep_bad = verify_tpp_numeric(xq, ys, zq, tol=1e-9)
-    ok = ok and rep_bad.verdict == "fail" and rep_bad.witness is not None
-    assert _line("A5", ok, "exhaustive TPP at n=3 (|X|=|Z|=8, 4 orthogonal), "
-                 "planted violation detected with witness", t0)
+    rep = verify_tpp(TppInstance(MatrixGroupOps(3), xq, ys, zq, "exact"))
+    ok = (rep.verdict == "pass" and not rep.sampled and len(xq) == 8 and len(zq) == 8
+          and rep.tuples_checked == (8 * 4 * 8) ** 2)
+    # planted violation: y0' = z1 z0^-1 y0 gives x x^-1 y0' y0^-1 z0 z1^-1 = I
+    z0_inv = MatrixGroupOps(3).inv(zq[0])
+    bad = TppInstance(MatrixGroupOps(3), xq, ys + [zq[1].matmul(z0_inv).matmul(ys[0])],
+                      zq, "exact")
+    rep_bad = verify_tpp(bad)
+    ok = (ok and rep_bad.verdict == "fail" and rep_bad.witness is not None
+          and recheck_tpp_witness(bad, rep_bad.witness))
+    assert _line("A5", ok, "exact exhaustive TPP at n=3 (|X|=|Z|=8, 4 orthogonal), "
+                 "planted violation detected with a rechecked witness", t0)
 
 
 # -- A6: lpm expansion ----------------------------------------------------------
@@ -283,12 +287,16 @@ def test_a7c_trace_deficit_integrality_corrected(constr4, lattice_pairs):
 # -- A8: trace inequality Monte Carlo ------------------------------------------
 
 def test_a8_kvn_monte_carlo():
+    from float_oracle import kvn_max_violation
+
     t0 = time.time()
-    rep = kvn_inequality_check(4, trials=1000, tol=1e-9, seed=8)
-    ok = (rep.verdict == "pass" and rep.max_violation <= 1e-9
-          and rep.planted_equality_gap <= 1e-9)
-    assert _line("A8", ok, "1000 random 4x4 unitaries satisfy the trace "
-                 "inequality within 1e-9; planted diagonal achieves equality", t0)
+    constr = su_build(4)
+    cert = kvn_certificate(constr)
+    ok = (cert.verdict == "pass" and cert.identity_equality and cert.planted_equality
+          and kvn_max_violation(constr, trials=1000, seed=8) <= 1e-9)
+    assert _line("A8", ok, "exact trace-inequality certificate with exact equality "
+                 "at I and a planted unitary; 1000 random 4x4 unitaries stay "
+                 "within 1e-9 of the bound", t0)
 
 
 # -- A9 + A11: end-to-end split assembly, determinism --------------------------

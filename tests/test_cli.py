@@ -151,7 +151,23 @@ def test_running_example_cli(capsys):
                          "--y-count", "3", "--no-timestamp"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["details"]["tpp"]["verdict"] == "pass"
+    # every tuple is checked exactly, and the separating sample is exactly 1
+    assert rep["details"]["tpp"] == {"verdict": "pass", "sampled": False,
+                                     "tuples_checked": (8 * 3 * 8) ** 2}
+    assert rep["details"]["separating_sample"]["diagonal_value"] == "1"
+    assert rep["details"]["column_agreement"] == {"verdict": "pass", "pairs": 9}
+    assert any("perfect-square" in d for d in rep["deviations"])
+
+
+def test_running_example_cli_reads_the_budget(capsys):
+    # (64 * 4 * 64)^2 tuples: the exact TPP is sampled at --sample-budget
+    code, out = run_cli(["running-example", "--n", "4", "--q", "2",
+                         "--sample-budget", "500", "--no-timestamp"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "pass"
+    assert rep["details"]["tpp"]["sampled"] is True
+    assert rep["details"]["tpp"]["tuples_checked"] == 500
 
 
 def test_running_example_border_cli_records_deviation(capsys):
@@ -165,11 +181,13 @@ def test_running_example_border_cli_records_deviation(capsys):
 def test_su_construct_and_verify_cli(capsys):
     code, out = run_cli(["su-construct", "--n", "4", "--no-timestamp"], capsys)
     assert code == 0
-    code, out = run_cli(["su-verify", "--n", "4", "--q", "2", "--trials", "50",
+    code, out = run_cli(["su-verify", "--n", "4", "--q", "2",
                          "--pairs", "20", "--no-timestamp"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["details"]["kvn"]["verdict"] == "pass"
+    kvn = rep["details"]["kvn"]
+    assert set(kvn) == {"verdict", "proof", "identity_equality", "planted_equality"}
+    assert kvn["verdict"] == "pass" and kvn["identity_equality"] and kvn["planted_equality"]
     assert rep["details"]["nominal_constant_integral_failures"] > 0
     assert any("2*(n!)^2" in d for d in rep["deviations"])
 
@@ -287,15 +305,18 @@ def sep_verify(sepfile):
                  "--q must be at least 2", id="running-example-border-q1"),
     pytest.param(["running-example", "--n", "1", "--q", "2"],
                  "--n must be at least 2", id="running-example-n1"),
-    pytest.param(["su-verify", "--n", "4", "--q", "0", "--trials", "5", "--pairs", "2"],
+    pytest.param(["su-verify", "--n", "4", "--q", "0", "--pairs", "2"],
                  "--q must be at least 1", id="su-verify-q0"),
-    # no pair or no trial checks nothing, and would pass
-    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "0", "--trials", "0"],
+    # no pair checks nothing, and would pass
+    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "0"],
                  "--pairs must be at least 1", id="su-verify-pairs0"),
-    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "-3", "--trials", "5"],
+    pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "-3"],
                  "--pairs must be at least 1", id="su-verify-pairs-3"),
+    # the trace inequality is proved, not sampled: no trial count, no tolerance
     pytest.param(["su-verify", "--n", "4", "--q", "2", "--pairs", "2", "--trials", "0"],
-                 "--trials must be at least 1", id="su-verify-trials0"),
+                 "unrecognized arguments: --trials 0", id="su-verify-trials0"),
+    pytest.param(["su-verify", "--n", "4", "--q", "2", "--tol", "1e-3"],
+                 "unrecognized arguments: --tol 1e-3", id="su-verify-tol"),
     pytest.param(["embed-demo", "--trials", "0"],
                  "--trials must be at least 1", id="embed-demo-trials0"),
     # the instance is never read: the budget is rejected before any driver runs
@@ -347,14 +368,13 @@ def sep_verify(sepfile):
                  "--set-cap must be at least 1", id="running-example-set-cap0"),
     pytest.param(["running-example", "--n", "3", "--q", "2", "--y-count", "0"],
                  "--y-count must be at least 1", id="running-example-y-count0"),
-    # running-example reads --sample-budget with --border only, and --tol and
-    # --y-count without it only: a flag the mode never reads is refused
-    pytest.param(["running-example", "--n", "3", "--q", "2", "--sample-budget", "10"],
-                 "running-example reads --sample-budget only with --border",
-                 id="running-example-budget-without-border"),
+    # running-example compares exactly in both modes and reads no tolerance;
+    # it reads --y-count without --border only: a flag never read is refused
     pytest.param(["running-example", "--n", "3", "--q", "2", "--border", "--tol", "1e-3"],
-                 "running-example reads --tol only without --border",
+                 "unrecognized arguments: --tol 1e-3",
                  id="running-example-border-tol"),
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--tol", "1e-3"],
+                 "unrecognized arguments: --tol 1e-3", id="running-example-tol"),
     pytest.param(["running-example", "--n", "3", "--q", "2", "--border", "--y-count", "3"],
                  "running-example reads --y-count only without --border",
                  id="running-example-border-y-count"),
@@ -412,9 +432,9 @@ RUN_FLAGS_READ = {
     "tpp-verify": {"--seed", "--order", "--mode", "--sample-budget"},
     "sep-verify": {"--seed", "--order", "--sample-budget"},
     "embed-demo": {"--seed"},
-    "running-example": {"--seed", "--tol", "--sample-budget"},
+    "running-example": {"--seed", "--sample-budget"},
     "su-construct": set(),
-    "su-verify": {"--seed", "--tol"},
+    "su-verify": {"--seed"},
     "split-assemble": {"--seed", "--order", "--sample-budget"},
 }
 
@@ -563,13 +583,17 @@ def test_split_assemble_golden_report(capsys):
     assert out == canonical_json(GOLDEN_SPLIT)
 
 
-# numpy serves only the float paths; a pytest plugin may have loaded it in
-# this process, so each check runs in a fresh interpreter
+# numpy is a test dependency only; a pytest plugin may have loaded it in this
+# process, so each check runs in a fresh interpreter
+_RUN = ("from tppverify.cli import main; rc = main({} + ['--no-timestamp', "
+        "'--output', os.devnull]); assert rc == 0, rc")
 NUMPY_FREE = {
     "import": "import tppverify.cli",
-    "split-assemble": "from tppverify.cli import main; rc = main(['split-assemble', "
-                      "'--n', '4', '--q', '2', '--y-cap', '2', '--sample-budget', '16', "
-                      "'--no-timestamp', '--output', os.devnull]); assert rc == 0, rc",
+    "split-assemble": _RUN.format("['split-assemble', '--n', '4', '--q', '2', "
+                                  "'--y-cap', '2', '--sample-budget', '16']"),
+    "running-example": _RUN.format("['running-example', '--n', '3', '--q', '2', "
+                                   "'--y-count', '2']"),
+    "su-verify": _RUN.format("['su-verify', '--n', '4', '--q', '2', '--pairs', '5']"),
 }
 
 
@@ -598,7 +622,7 @@ def _has_witness(obj) -> bool:
 
 
 def test_sep_verify_exact_compares_exactly(tmp_path, capsys):
-    # a value 1e-12 off the expected 1 is a failure, whatever --tol says
+    # a value 1e-12 off the expected 1 is a failure: there is no tolerance
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({
         "schema": 1, "mode": "exact", "group": {"type": "matrix", "dim": 1},
@@ -648,19 +672,18 @@ def matrix_instances(draw):
 small = st.integers(-1, 4)
 elements = st.lists(st.integers(0, 5), max_size=3, unique=True)
 cli_argv = st.one_of(
-    # each mode gets only the flags it reads: --sample-budget with --border,
-    # --y-count without it (an unread one exits 3, see the refusal cases)
+    # each mode gets only the flags it reads: --y-count without --border
+    # (an unread one exits 3, see the refusal cases)
     st.builds(lambda n, q, border, y_count, cap, budget, seed:
               ["running-example", "--n", str(n), "--q", str(q),
-               "--set-cap", str(cap), "--seed", str(seed)]
-              + (["--border", "--sample-budget", str(budget)] if border
-                 else ["--y-count", str(y_count)]),
+               "--set-cap", str(cap), "--seed", str(seed), "--sample-budget", str(budget)]
+              + (["--border"] if border else ["--y-count", str(y_count)]),
               st.integers(0, 4), st.integers(-1, 3), st.booleans(), small,
               st.integers(-1, 8), st.integers(-1, 20), st.integers(0, 3)),
-    st.builds(lambda n, q, trials, pairs, seed:
-              ["su-verify", "--n", str(n), "--q", str(q), "--trials", str(trials),
+    st.builds(lambda n, q, pairs, seed:
+              ["su-verify", "--n", str(n), "--q", str(q),
                "--pairs", str(pairs), "--seed", str(seed)],
-              st.integers(2, 6), st.integers(-1, 3), small, small, st.integers(0, 3)),
+              st.integers(2, 6), st.integers(-1, 3), small, st.integers(0, 3)),
     st.builds(lambda k, x, y, z, mode, budget, seed:
               ({"inst.json": _table_instance(k, x, y, z)},
                ["tpp-verify", "--instance", "inst.json", "--mode", mode,

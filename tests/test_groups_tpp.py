@@ -1,7 +1,10 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from tppverify import tpp
 from tppverify.groups import GroupFormatError, MatrixGroupOps, TableGroup
 from tppverify.matrices import Mat, mat_exp_trunc
 from tppverify.scalars import QQ
@@ -118,8 +121,83 @@ def test_float_elements_rejected():
     ops = MatrixGroupOps(2)
     m = Mat.from_rows([[1.0, 0.0], [0.0, 1.0]])
     inst = TppInstance(ops, [m], [m.copy()], [m.copy()], "exact")
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match=r"float elements are refused by verify_tpp: "
+                       r"give exact rationals \(integers, 'p/q' strings or QQ\)"):
         verify_tpp(inst)
+    with pytest.raises(InstanceError, match="give exact rationals"):
+        verify_dpp([m], [m.copy()], ops, "exact")
+
+
+# -- the exact and table classifier against the fold ---------------------------
+
+def _fold_classifier(inst, kind, order):
+    """The oracle: every tuple's whole product, folded left to right."""
+    return lambda tup: (inst.is_identity(inst.product(tpp._factors(kind, tup))), None)
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return TableGroup([[index[tuple(a[b[k]] for k in range(3))] for b in perms]
+                       for a in perms], identity=0)
+
+
+@st.composite
+def split_cases(draw):
+    """(kind, instance, mode, budget, seed, memo bound): small table (Z_6,
+    S_3) or exact (invertible L D U, rational entries) instances, with
+    planted collisions; a small memo bound makes products be evicted."""
+    kind = draw(st.sampled_from(["tpp", "dpp"]))
+    exact = draw(st.booleans())
+    if exact:
+        dim = draw(st.integers(1, 3))
+        group = MatrixGroupOps(dim)
+        entry = st.sampled_from([-2, -1, 0, 1, 2, QQ(1, 2), QQ(-3, 2)])
+
+        def element():
+            low, diag, up = Mat.identity(dim), Mat.identity(dim), Mat.identity(dim)
+            for i in range(dim):
+                diag[i, i] = draw(st.sampled_from([1, -1, 2, QQ(1, 3)]))
+                for j in range(i):
+                    low[i, j], up[j, i] = draw(entry), draw(entry)
+            return low.matmul(diag).matmul(up)
+    else:
+        group = draw(st.sampled_from([TableGroup.cyclic(6), _s3()]))
+
+        def element():
+            return draw(st.integers(0, group.order - 1))
+    sets = [[element() for _ in range(draw(st.integers(1, 3)))] for _ in "xyz"]
+    x, y, z = sets
+    plant = draw(st.sampled_from(["none", "z=x", "y", "dpp"]))
+    if plant == "z=x":          # x x'^-1 y y^-1 x' x^-1 = I
+        z = list(x)
+    elif plant == "y" and len(z) > 1:      # y0' = z1 z0^-1 y0
+        y = y + [group.mul(group.mul(z[1], group.inv(z[0])), y[0])]
+    elif plant == "dpp" and len(x) > 1:    # z1 = z0 x1^-1 x0
+        z = [z[0], group.mul(group.mul(z[0], group.inv(x[1])), x[0])]
+    if kind == "dpp":
+        y = [Mat.identity(group.dim) if exact else group.identity]
+    mode_kind = "exact" if exact else "table"
+    try:
+        inst = TppInstance(group, x, y, z, mode_kind)
+    except InstanceError:       # a planted element duplicated another
+        assume(False)
+    mode = draw(st.sampled_from(["auto", "exhaustive", "sampled"]))
+    return (kind, inst, mode, draw(st.integers(1, 40)), draw(st.integers(0, 3)),
+            draw(st.sampled_from([1, 3, tpp._SPLIT_MEMO])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_split_classifier_matches_the_fold(case):
+    kind, inst, mode, budget, seed, memo = case
+    with mock.patch.object(tpp, "_SPLIT_MEMO", memo):
+        got = tpp._verify(inst, kind, None, mode, budget, seed)
+    with mock.patch.object(tpp, "_classifier", _fold_classifier):
+        want = tpp._verify(inst, kind, None, mode, budget, seed)
+    assert got.to_json() == want.to_json()
+    if got.witness is not None:
+        assert recheck_tpp_witness(inst, got.witness)
 
 
 # -- series mode -------------------------------------------------------------

@@ -1,25 +1,26 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from tppverify.matrices import Mat, mat_det, mat_exp_trunc, mat_inv_series
+from tppverify.groups import MatrixGroupOps
+from tppverify.matrices import Mat, mat_det, mat_exp_trunc, mat_inv_exact, mat_inv_series
 from tppverify.scalars import QQ
 from tppverify.running_example import (
     SIGN_CORRECTION_NOTE,
     build_orthogonal_family,
     build_running_sep_family,
     build_unitriangular_sets,
-    exact_matrix,
     lpm_expansion_check,
     lpm_sum_node,
     running_border_p0,
     skew_symmetric_lattice,
     verify_column_agreement,
-    verify_tpp_numeric,
 )
-from tppverify.sepfun import Affine, Entry, PolyApply
+from tppverify.sepfun import Affine, Entry
 from tppverify.sepverify import check_border_value, verify_indicator_border
+from tppverify.tpp import TppInstance, recheck_tpp_witness, verify_tpp
 
 
 def to_float(m: Mat) -> np.ndarray:
@@ -66,74 +67,91 @@ def test_orthogonal_family_wq_properties():
     # every w is rational with denominator the bucket length; 1 is a member
     assert any(w == 1 for w in fam.wq)
     assert len(fam.wq) <= 40 * 9  # measured O(q^2) with recorded constant
+    # every bucket length is a perfect square, and every member is exactly orthogonal
+    assert all(math.isqrt(l) ** 2 == l for l in fam.bucket_lengths)
     for idx, y in fam.members:
-        assert np.max(np.abs(y.T @ y - np.eye(3))) < 1e-12
+        assert y.transpose().matmul(y) == Mat.identity(3)
+
+
+@pytest.mark.parametrize("n, q, sizes, wq_size", [
+    (3, 2, [1, 4, 12], 17), (3, 3, [1, 4, 15], 21), (4, 2, [1, 4, 12, 84], 54)])
+def test_square_length_buckets_keep_the_column_contract(n, q, sizes, wq_size):
+    fam = build_orthogonal_family(n, q, count=40, seed=1)
+    assert fam.bucket_sizes == sizes and len(fam.wq) == wq_size
+    assert all(y.transpose().matmul(y) == Mat.identity(n) for _, y in fam.members)
+    rep = verify_column_agreement(fam)
+    assert rep.verdict == "pass" and rep.pairs_checked == 40 * 40
+    # the contract is read on pairs that share a prefix and then differ
+    assert any(a[0] == b[0] and a != b for a, _ in fam.members for b, _ in fam.members)
 
 
 def test_column_agreement_and_planted_violation():
     fam = build_orthogonal_family(3, 2, count=5, seed=3)
-    rep = verify_column_agreement(fam, tol=1e-9)
+    rep = verify_column_agreement(fam)
     assert rep.verdict == "pass"
-    # plant: a member sharing the full index prefix whose second column is an
-    # arbitrary unit vector in the first column's complement (2-dimensional,
-    # so it genuinely differs), pushing the diagonal product off W_q
+    # plant: a member sharing the full index prefix whose columns 2 and 3 are
+    # turned by the rational rotation with cosine 5/13, which is not in W_q
+    # (its denominators divide the bucket lengths 1, 25 and 81)
     idx0, y0 = fam.members[0]
-    bad = y0.copy()
-    v = np.array([0.123, -0.456, 0.781])
-    v -= (bad[:, 0] @ v) * bad[:, 0]
-    v /= np.linalg.norm(v)
-    bad[:, 1] = v
-    w = np.cross(bad[:, 0], bad[:, 1])
-    bad[:, 2] = w / np.linalg.norm(w)
+    c, s = QQ(5, 13), QQ(12, 13)
+    turn = Mat.from_rows([[1, 0, 0], [0, c, -s], [0, s, c]])
+    bad = y0.matmul(turn)
+    assert bad.transpose().matmul(bad) == Mat.identity(3)
+    assert c not in fam.wq
     fam.members.append((idx0, bad))
-    rep2 = verify_column_agreement(fam, tol=1e-9)
+    rep2 = verify_column_agreement(fam)
     assert rep2.verdict == "fail"
-    assert any(viol["position"] == 2 for viol in rep2.violations)
+    assert any(viol["position"] == 2 and viol["value"] == c for viol in rep2.violations)
+
+
+def _running_instance(ys, n=3, q=2):
+    xq, zq, _ = build_unitriangular_sets(n, q)
+    return TppInstance(MatrixGroupOps(n), xq, ys, zq, "exact")
 
 
 def test_running_tpp_numeric_n3():
-    xq, zq, _ = build_unitriangular_sets(3, 2)
+    # exact: Y is exactly orthogonal, and every tuple is decided by equality
     fam = build_orthogonal_family(3, 2, count=4, seed=0)
-    rep = verify_tpp_numeric(xq, [m for _, m in fam.members], zq, tol=1e-9)
-    assert rep.verdict == "pass"
+    rep = verify_tpp(_running_instance([m for _, m in fam.members]))
+    assert rep.verdict == "pass" and not rep.sampled
     assert rep.tuples_checked == (8 * 8) * (4 * 4) * (8 * 8)
 
 
 def test_running_tpp_numeric_detects_planted_violation():
+    # a duplicate Y is refused at load, so plant y0' = z1 z0^-1 y0: the tuple
+    # (x, x, y0', y0, z0, z1) multiplies to I
     xq, zq, _ = build_unitriangular_sets(3, 2)
     fam = build_orthogonal_family(3, 2, count=3, seed=0)
     ys = [m for _, m in fam.members]
-    ys.append(ys[0])  # duplicate orthogonal element: x x'^-1 y y'^-1 z z'^-1 = I
-    rep = verify_tpp_numeric(xq, ys, zq, tol=1e-9)
+    ys.append(zq[1].matmul(mat_inv_exact(zq[0])).matmul(ys[0]))
+    inst = _running_instance(ys)
+    rep = verify_tpp(inst)
     assert rep.verdict == "fail"
-    assert rep.witness is not None
+    assert rep.witness is not None and recheck_tpp_witness(inst, rep.witness)
+    ix, ix2, iy, iy2, iz, iz2 = rep.witness.indices
+    assert not (ix == ix2 and iy == iy2 and iz == iz2)
 
 
-def test_sep_family_contract_float():
+def test_sep_family_contract_exact():
     n, q = 3, 2
     xq, zq, _ = build_unitriangular_sets(n, q)
     fam = build_orthogonal_family(n, q, count=3, seed=1)
     x, z = xq[5], zq[2]
     p = build_running_sep_family(n, q, x, z, fam.wq)
     y = fam.members[1][1]
-    m_diag = to_float(x) @ (y.T @ y) @ to_float(z)
-    assert abs(complex(p.eval(exact_matrix(m_diag))) - 1) < 1e-6
+
+    def at(x_, y_, y2_, z_):
+        return p.eval(x_.matmul(y_.transpose().matmul(y2_)).matmul(z_))
+
+    assert at(x, y, y, z) == 1
     # x mismatch in the first column: the per-entry indicator factor vanishes
     x_bad = next(m for m in xq if m[1, 0] != x[1, 0])
-    m_bad = to_float(x_bad) @ (y.T @ y) @ to_float(z)
-    assert abs(complex(p.eval(exact_matrix(m_bad)))) < 1e-6
-    # distinct orthogonal parts: the W_q indicator factor vanishes.  The
-    # top-left entry of y^T y2 is an exact W_q member, where the indicator is
-    # exactly zero; at the float-rounded product the dense Lagrange nodes
-    # amplify the 1e-16 input error, so the product only gets a loose envelope.
-    from tppverify.sepfun import lagrange_indicator
-
+    assert at(x_bad, y, y, z) == 0
+    # distinct orthogonal parts: a diagonal entry of y^T y2 is a W_q member
+    # other than 1, where its level's indicator is exactly zero
     y2 = fam.members[2][1]
-    r_poly = lagrange_indicator(1, fam.wq)
-    w_exact = next(w for w in fam.wq if abs(float(w) - (y.T @ y2)[0, 0]) < 1e-12)
-    assert PolyApply(r_poly, Entry(0, 0)).eval(Mat(1, 1, [w_exact])).is_zero()
-    m_y = to_float(x) @ (y.T @ y2) @ to_float(z)
-    assert abs(complex(p.eval(exact_matrix(m_y)))) < 1e-3
+    assert fam.members[1][0] != fam.members[2][0]
+    assert at(x, y, y2, z) == 0
 
 
 def test_sep_family_degree_budget():

@@ -21,8 +21,10 @@ from tppverify.sepfun import (
 from tppverify.series import EpsLaurent, series
 from tppverify.split import SplitError, SplitInputs, assemble_split, audit_p0_invariance
 from tppverify.su import (
+    KVN_PHASES,
     SuConstructionError,
-    kvn_inequality_check,
+    kvn_certificate,
+    kvn_planted_unitary,
     su_assemble,
     su_achievable_c_nodes,
     su_build,
@@ -310,11 +312,47 @@ def test_su_p0_planted_violation_detected(constr4):
 
 
 def test_kvn_inequality_monte_carlo():
-    rep = kvn_inequality_check(4, trials=200, tol=1e-9, seed=1)
-    assert rep.verdict == "pass"
-    assert rep.max_violation <= 1e-9
-    assert rep.planted_equality_gap <= 1e-9
-    assert rep.identity_gap <= 1e-9
+    # the float oracle never exceeds the bound the certificate proves
+    from float_oracle import kvn_max_violation
+
+    constr = su_build(4)
+    cert = kvn_certificate(constr)
+    assert cert.verdict == "pass" and cert.failures == []
+    assert cert.identity_equality and cert.planted_equality
+    assert kvn_max_violation(constr, trials=200, seed=1) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_kvn_certificate_passes_and_plants_an_exact_unitary(n):
+    constr = su_build(n)
+    cert = kvn_certificate(constr)
+    assert cert.to_json() == {"verdict": "pass", "proof": cert.to_json()["proof"],
+                              "identity_equality": True, "planted_equality": True}
+    m = kvn_planted_unitary(constr)
+    assert m.conj_transpose().matmul(m) == Mat.identity(n)
+    assert m != Mat.identity(n)
+    assert su_trace_invariant(m, constr) == constr.trace_dd2
+    assert all(phi.norm2() == 1 for phi in KVN_PHASES)
+
+
+def test_kvn_certificate_refuses_planted_defects():
+    import dataclasses
+
+    constr = su_build(4)
+    d = constr.d_mat.copy()
+    d[0, 1] = d[0, 1] + 1
+    cert = kvn_certificate(dataclasses.replace(constr, d_mat=d))
+    assert cert.verdict == "fail" and "D is not Hermitian" in cert.failures
+    off = dataclasses.replace(constr, trace_dd2=constr.trace_dd2
+                              + QQ(1, constr.trace_dd2.denominator))
+    cert = kvn_certificate(off)
+    assert cert.verdict == "fail"
+    assert "Tr(P^2), trace_dd2 and sum d_i^4 differ" in cert.failures
+    assert not cert.identity_equality
+    # (2M)* (2M) = 4I
+    cert = kvn_certificate(constr, planted=kvn_planted_unitary(constr).scale(2))
+    assert cert.verdict == "fail" and cert.failures == ["the planted M is not unitary"]
+    assert cert.identity_equality and not cert.planted_equality
 
 
 def sandwich_oracle(p0, xfams, zfams, trials: int, seed: int = 0,
