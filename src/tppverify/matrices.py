@@ -3,10 +3,9 @@
 Entries may be ints, rationals, GaussRational, EpsLaurent or CycloNum.  A
 float entry is carried, but every verifier refuses it.  Exact inverses,
 solves, ranks and the determinant of a matrix without series entries all
-run one Gauss-Jordan row reduction over a field (row_reduce), integers
-lifted to QQ first.  A series matrix's
-determinant is a cofactor expansion by DP over column subsets (n <= 10) on
-the packed kernel.
+run one boxed Gauss-Jordan row reduction over a field (row_reduce),
+integers lifted to QQ first.  A series matrix's determinant is a cofactor
+expansion by DP over column subsets (n <= 10) on the packed kernel.
 
 A matrix with a series entry is multiplied, and its determinant taken, on
 the packed kernel: PackedSeriesMat keeps one common denominator and maps the
@@ -36,6 +35,9 @@ unless a power of N is exactly zero.  A constant term of exactly I (every
 su and running-example Y family) skips C and its products.  An exact
 constant (only eps^0 terms, every window unlimited, as the GL example's X_q
 and Z_q) has N = 0, so its inverse is C^-1 itself, with no Neumann term.
+C^-1 is taken from the eps^0 numerators on integers, by one fraction-free
+(Bareiss) elimination whose every division is exact in Z[i], over |det|^2
+reduced by one gcd, with no boxed round trip.
 
 Chains of products (the TPP/DPP products, the Y inverses and the separation
 arguments) stay packed from factor to verdict; mat_det, lpm, mat_exp_trunc
@@ -422,8 +424,7 @@ class PackedSeriesMat:
             # C^-1 with the zero entries that product leaves, on [INF, INF]
             inv = self._constant_inverse()
             zero = (INF_ORDER, INF_ORDER, INF_ORDER, ())
-            return PackedSeriesMat(n, n, inv.den,
-                                   [x if x[3] else zero for x in inv.entries]).reduced()
+            return PackedSeriesMat(n, n, inv.den, [x if x[3] else zero for x in inv.entries])
         ident = PackedSeriesMat.identity(n)
         if self.has_unit_constant():
             c0_inv = None
@@ -452,12 +453,34 @@ class PackedSeriesMat:
         return acc.truncate(hi).reduced()
 
     def _constant_inverse(self) -> "PackedSeriesMat":
-        """C^-1, C the eps^0 coefficients, packed from the exact inverse."""
-        c0 = []
-        for _, _, _, t in self.entries:
-            re, im = next(((re, im) for e, re, im in t if e == 0), (0, 0))
-            c0.append(GaussRational.from_qq(QQ(re, self.den), QQ(im, self.den)))
-        return PackedSeriesMat.pack(mat_inv_exact(Mat(self.rows, self.rows, c0)))
+        """C^-1, C the eps^0 coefficients, in lowest terms: pack(C^-1).
+
+        The numerators A = den C and I are reduced by _fraction_free as
+        [A | I]; with p its last pivot (det A up to sign), row k becomes
+        [p e_k | p A^-1], so C^-1 = den X conj(p) / |p|^2 for X the right
+        block.  Dividing |p|^2 and those numerators by their gcd gives the
+        lcm of the reduced coefficient denominators, as pack does.
+        """
+        n, den = self.rows, self.den
+        c0 = [next(((re, im) for e, re, im in t if e == 0), (0, 0))
+              for _, _, _, t in self.entries]
+        re = [[a for a, _ in c0[i * n:(i + 1) * n]] + [int(i == j) for j in range(n)]
+              for i in range(n)]
+        im = ([[b for _, b in c0[i * n:(i + 1) * n]] + [0] * n for i in range(n)]
+              if any(b for _, b in c0) else None)
+        pivots, minors = _fraction_free(re, im, n)
+        if len(pivots) < n:
+            raise ExactArithmeticError("singular matrix")
+        pr, pi = minors[-1]
+        nums = []
+        for k in range(n):
+            for j in range(n, 2 * n):
+                xr, xi = re[k][j], im[k][j] if im else 0
+                nums.append((den * (xr * pr + xi * pi), den * (xi * pr - xr * pi)))
+        norm = pr * pr + pi * pi
+        g = math.gcd(norm, *[x for pair in nums for x in pair])
+        # den an int whatever the numerators' type, as pack's is
+        return PackedSeriesMat(n, n, int(norm // g), [_const_entry(a // g, b // g) for a, b in nums])
 
     def unpack_scalar(self):
         """The boxed entry of a 1x1 packed matrix."""
@@ -650,6 +673,67 @@ def row_reduce(rows: list, width: int):
         pivots.append(c)
         values.append(d)
     return a, pivots, values, sign
+
+
+# The packed constant inverse runs on integers: fraction-free elimination of
+# Gaussian-integer numerators, every division exact
+
+def _exact_quotient(row: list, d) -> list:
+    """Every entry of row divided by d, which must divide each one."""
+    if any(x % d for x in row):
+        raise ExactArithmeticError(f"fraction-free elimination: {d} does not divide a row")
+    return [x // d for x in row]
+
+
+def _fraction_free(re: list, im, width: int):
+    """Fraction-free Gauss-Jordan over Z[i] (Bareiss, Math. Comp. 22, 1968).
+
+    The rows are re + i im, lists of integers, reduced in place; im is None
+    when every imaginary part is zero.  The pivot of column c is the first
+    nonzero entry at or below the next pivot row, as in row_reduce.  With p
+    the previous pivot (1 before the first), a pivot q in row r turns every
+    other row x into (q x - x[c] row_r) / p.  By Sylvester's identity every
+    entry is then a minor of the input, so each division is exact in Z[i];
+    one that is not raises ExactArithmeticError.  When it ends, every pivot
+    row holds the last pivot at its pivot column.
+
+    Returns (pivots, minors): the pivot columns and the pivots as (re, im).
+    """
+    n = len(re)
+    pivots, minors = [], []
+    pr, pi = 1, 0
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if re[i][c] or im and im[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            re[r], re[piv] = re[piv], re[r]
+            if im:
+                im[r], im[piv] = im[piv], im[r]
+        qr, qi = re[r][c], im[r][c] if im else 0
+        for i in range(n):
+            fr, fi = re[i][c], im[i][c] if im else 0
+            if i == r or not (fr or fi) and qr == pr and qi == pi:
+                continue            # (q x - 0) / p with q = p leaves x
+            if im is None:
+                row = [qr * x - fr * y for x, y in zip(re[i], re[r])]
+                re[i] = row if pr == 1 else _exact_quotient(row, pr)
+                continue
+            rows = list(zip(re[i], im[i], re[r], im[r]))
+            tr = [qr * a - qi * b - fr * u + fi * v for a, b, u, v in rows]
+            ti = [qr * b + qi * a - fr * v - fi * u for a, b, u, v in rows]
+            if pi:                  # z / p = z conj(p) / |p|^2
+                tr, ti = ([a * pr + b * pi for a, b in zip(tr, ti)],
+                          [b * pr - a * pi for a, b in zip(tr, ti)])
+            d = pr * pr + pi * pi if pi else pr
+            if d != 1:
+                tr, ti = _exact_quotient(tr, d), _exact_quotient(ti, d)
+            re[i], im[i] = tr, ti
+        pivots.append(c)
+        minors.append((qr, qi))
+        pr, pi = qr, qi
+    return pivots, minors
 
 
 def mat_inv_exact(m: Mat) -> "Mat":

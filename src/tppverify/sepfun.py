@@ -33,7 +33,9 @@ are computed on Gaussian integers over one denominator: with c and the roots
 over L = lcm(den c, den roots), each factor c + h - r_i is (B_i + L h)/L for
 a Gaussian integer B_i, and the recurrence P_k <- P_k B_i + P_(k-1) builds
 the coefficients P_k of prod (B_i + u), so the h^k coefficient is
-scale * P_k * L^k / L^deg.  They are cached per expansion point.
+scale * P_k * L^k / L^deg.  They are cached per expansion point.  The value
+alone (order 0) at a root is 0 with no expansion: a set of the roots in
+lowest terms, built once per polynomial on first use, finds it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class UniPoly:
         self.scale = GaussRational.from_any(scale)
         self._roots_num, self._roots_den = _over_common_den(self.roots)
         (self._scale_num,), self._scale_den = _over_common_den([self.scale])
+        self._root_keys = None      # set on the first taylor call at order 0
         self._taylor_cache: dict = {}
 
     @property
@@ -88,8 +91,17 @@ class UniPoly:
 
         c is (re, im, den) in lowest terms.  Returns (numerators, den): the
         coefficient of h^k is (re_k + i im_k) / den, the numerator pairs
-        and den divided by their common gcd (see the module docstring).
+        and den divided by their common gcd (see the module docstring).  At
+        order 0, a c equal to a root in lowest terms gives t_0 = 0 with no
+        expansion: ([(0, 0)], 1), what that gcd reduction leaves.
         """
+        if order == 0:
+            if self._root_keys is None:
+                # each root as (re, im, den) in lowest terms, the form of c
+                self._root_keys = {(re, im, den) for ((re, im),), den
+                                   in map(_over_common_den, ([r] for r in self.roots))}
+            if c in self._root_keys:
+                return [(0, 0)], 1
         cached = self._taylor_cache.get(c)
         if cached is not None and len(cached[0]) > order:
             return cached

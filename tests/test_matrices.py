@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from tppverify.scalars import ExactArithmeticError, GaussRational, QQ
 from tppverify.matrices import (
     Mat,
+    PackedSeriesMat,
+    _exact_quotient,
     lpm,
     mat_det,
     mat_exp_trunc,
@@ -13,6 +15,7 @@ from tppverify.matrices import (
     mat_inv_series,
     mat_minor,
     mat_rank,
+    mat_to_series,
     solve_linear,
 )
 from series_oracle import oracle_det, oracle_det_dp
@@ -180,13 +183,17 @@ ENTRY_KINDS = {
 }
 
 
+# "mixed" draws the kind of each entry
+KINDS = sorted(ENTRY_KINDS) + ["mixed"]
+
+
 @st.composite
 def field_matrices(draw, rows, cols, kind):
     """rows x cols entries of one kind, small so that singular matrices are
     common; sometimes a row is a multiple of another."""
-    make = ENTRY_KINDS[kind]
-    data = [make(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
-            for _ in range(rows * cols)]
+    makers = [ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))] if kind == "mixed"
+              else ENTRY_KINDS[kind] for _ in range(rows * cols)]
+    data = [make(draw(st.integers(-2, 2)), draw(st.integers(-1, 1))) for make in makers]
     m = Mat(rows, cols, data)
     if rows > 1 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
@@ -198,7 +205,7 @@ def field_matrices(draw, rows, cols, kind):
 
 @st.composite
 def linear_systems(draw):
-    kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
+    kind = draw(st.sampled_from(KINDS))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if draw(st.booleans()):
         cols = rows
@@ -237,3 +244,48 @@ def test_integer_matrices_are_reduced_over_the_rationals():
         [[QQ(1, 2), 0], [0, 1]])
     assert mat_rank([[2, 1], [4, 2]]) == 1
     assert mat_det(Mat.from_rows([[0, 2], [3, 4]])) == -6
+
+
+# -- the packed constant inverse, fraction-free, against mat_inv_exact ---------
+
+def test_inexact_division_is_refused():
+    assert _exact_quotient([6, -4, 0], -2) == [-3, 2, 0]
+    with pytest.raises(ExactArithmeticError, match="does not divide"):
+        _exact_quotient([6, 3], 2)
+
+
+def check_constant_inverse(c: Mat):
+    packed = PackedSeriesMat.pack(mat_to_series(c))
+    try:
+        want = PackedSeriesMat.pack(mat_inv_exact(c))
+    except ExactArithmeticError:
+        with pytest.raises(ExactArithmeticError, match="singular matrix"):
+            packed._constant_inverse()
+        return
+    got = packed._constant_inverse()
+    assert (got.den, got.entries) == (want.den, want.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.sampled_from(KINDS).flatmap(lambda kind: field_matrices(n, n, kind))),
+    st.booleans())
+def test_constant_inverse_is_the_packed_exact_inverse(c, zero_corner):
+    if zero_corner:
+        c[0, 0] = c[0, 0] * 0       # the first pivot, if any, needs a row swap
+    check_constant_inverse(c)
+
+
+def test_constant_inverse_swaps_gaussian_rows():
+    # column 0 pivots in row 2, and the rows swapped have imaginary parts
+    i = GaussRational(0, 1)
+    check_constant_inverse(Mat.from_rows([[0, i, 1], [0, 2, 3 * i], [4 + i, 5, 6]]))
+
+
+def test_constant_inverse_on_gl_and_su_constants():
+    from tppverify.running_example import build_unitriangular_sets
+    from tppverify.su import su_build
+
+    xq, zq, _ = build_unitriangular_sets(4, 4, cap=8, seed=1)
+    for c in xq + zq + [su_build(4).d_mat, su_build(6).d_mat]:
+        check_constant_inverse(c)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from tppverify.sepfun import (
     UniPoly,
     lagrange_indicator,
 )
-from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError, series
+from tppverify.series import INF_ORDER, EpsLaurent, InsufficientOrderError, _const_entry, series
 
 from series_oracle import OracleSeries, oracle_poly_exact
 
@@ -199,6 +200,37 @@ def test_exact_evaluation_matches_product_form(p, x, d):
     for r in p.roots:
         acc = acc * (OracleSeries.of(s) - r)
     assert acc.eq_on_window(OracleSeries.of(series_at(p, s)))
+
+
+def lowest_terms(x: GaussRational):
+    """x as taylor's (re, im, den)."""
+    den = math.lcm(x.re.denominator, x.im.denominator)
+    return (x.re.numerator * (den // x.re.denominator),
+            x.im.numerator * (den // x.im.denominator), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys, st.data(), st.integers(1, 4))
+def test_value_at_a_root_is_looked_up(p, data, k):
+    # a root, or any value
+    at_root = bool(p.roots) and data.draw(st.booleans())
+    x = data.draw(st.sampled_from(p.roots) if at_root else gauss)
+    c = lowest_terms(x)
+    # eval_series reduces the constant term to lowest terms before taylor, so
+    # a packed x over k times its denominator (k > 1: equal to a root only
+    # after that reduction) takes the lookup too
+    re, im, den = c
+    packed = PackedSeriesMat(1, 1, den * k, [_const_entry(re * k, im * k)])
+    assert p.eval_series(packed).unpack_scalar() == oracle_poly_exact(p, x)
+    nums, den0 = p.taylor(c, 0)
+    assert GaussRational(QQ(nums[0][0], den0), QQ(nums[0][1], den0)) == oracle_poly_exact(p, x)
+    if at_root or x in p.roots:
+        # looked up, not expanded: an expansion is cached under c
+        assert (nums, den0) == ([(0, 0)], 1) and c not in p._taylor_cache
+    # a higher order is the expansion, whose value is the same
+    nums1, den1 = p.taylor(c, 1)
+    assert len(nums1) == 2
+    assert QQ(nums1[0][0], den1) == QQ(nums[0][0], den0)
 
 
 def test_serialization_roundtrip():
