@@ -36,6 +36,32 @@ the coefficients P_k of prod (B_i + u), so the h^k coefficient is
 scale * P_k * L^k / L^deg.  They are cached per expansion point.  The value
 alone (order 0) at a root is 0 with no expansion: a set of the roots in
 lowest terms, built once per polynomial on first use, finds it.
+
+Demand.  A caller reads a value through an order: the highest eps exponent
+it needs (EvalContext.order; None, the default, is every order, the full
+window).  The order travels down the tree as the eps scale does, one rule
+per node kind:
+  - DivEps(k) reads its child through order + k s, s the eps scale;
+  - Reparam(t) multiplies s by t and passes the order on;
+  - every other node passes its order on to its children;
+  - a Product read through an order <= 0 whose two or more factors store
+    no negative power and are known to eps^0 is the product of their eps^0
+    numerators over the product of their denominators, known to eps^0 (no
+    series product).  Any other Product multiplies its factors as series,
+    its full-window rule;
+  - a PolyApply whose argument stores no negative power stops its Taylor
+    sum at h^max(order, 0), since h^k starts at eps^k (order 0 reads t_0
+    alone); with a negative power it expands in full.
+Each value read through an order has the full value's coefficients on its
+own window, which is no larger (a product of factors with valuation >= 0
+has eps^0 term the product of theirs), so a verdict read from it holds on
+the full window (sepverify, Lemma).  demand() walks the same rules from the
+argument's side.  With every valuation >= 0, a node's coefficients up to
+eps^e read its children's only up to eps^e (a sum, product, polynomial,
+form, minor or sandwich of them has no term below eps^0 to pair with a
+higher one), so the highest argument exponent that eps^0 of a tree reads
+is the largest sum of k s over the DivEps nodes on a path from the root to
+a leaf.
 """
 
 from __future__ import annotations
@@ -135,15 +161,17 @@ class UniPoly:
         self._taylor_cache[c] = out
         return out
 
-    def eval_series(self, x: PackedSeriesMat) -> PackedSeriesMat:
-        """p(x) for a packed 1x1 x.
+    def eval_series(self, x: PackedSeriesMat, order: int | None = None) -> PackedSeriesMat:
+        """p(x) for a packed 1x1 x, read through eps^order (None: every order).
 
         With c the constant term of x (an unknown one raises) and h = x - c,
         p(x) = t_0 + sum_k t_k h^k, the t_k from taylor, summed as series
         products over every power of h when h has a negative power, else over
         as many as x's window reaches.  On an unlimited window with h zero,
         x is the exact constant c and p(x) = t_0.  A nonconstant p is
-        truncated to x's own window.
+        truncated to x's own window.  Without a negative power, h^k starts at
+        eps^k, so read through an order the sum stops at h^max(order, 0)
+        and the value is truncated there.
         """
         lo, hi, _, terms = x.entries[0]
         if hi < 0:
@@ -151,15 +179,19 @@ class UniPoly:
         den = x.den
         c_re, c_im = next(((re, im) for e, re, im in terms if e == 0), (0, 0))
         g = math.gcd(c_re, c_im, den)
-        # h = x - c: x's terms without eps^0, on the window [min(lo, 0), hi]
         h_terms = tuple([t for t in terms if t[0] != 0])
-        h = _entry(min(lo, 0), hi, h_terms)
         if h_terms and h_terms[0][0] < 0:
             needed = self.degree
-        elif hi < INF_ORDER:
-            needed = min(self.degree, hi)
         else:
-            needed = self.degree if h_terms else 0
+            if hi < INF_ORDER:
+                needed = min(self.degree, hi)
+            else:
+                needed = self.degree if h_terms else 0
+            if order is not None and needed > max(order, 0):
+                needed = hi = max(order, 0)
+                h_terms = tuple([t for t in h_terms if t[0] <= hi])
+        # h = x - c: x's terms without eps^0, on the window [min(lo, 0), hi]
+        h = _entry(min(lo, 0), hi, h_terms)
         nums, t_den = self.taylor((c_re // g, c_im // g, den // g), needed)
         # every t_k h^k over t_den * den^needed: t_k carries den^(needed - k)
         pairs = []
@@ -221,15 +253,21 @@ _ZERO = PackedSeriesMat(1, 1, 1, [_const_entry(0, 0)])
 
 
 class EvalContext:
-    """Evaluation context: the eps scaling that reparametrization sets."""
+    """Evaluation context: the eps scaling that reparametrization sets, and
+    the order through which the caller reads the value (None: every order,
+    the full window; module docstring, Demand)."""
 
-    __slots__ = ("eps_scale",)
+    __slots__ = ("eps_scale", "order")
 
-    def __init__(self, eps_scale: int = 1):
+    def __init__(self, eps_scale: int = 1, order: int | None = None):
         self.eps_scale = eps_scale
+        self.order = order
 
     def scaled(self, t: int) -> "EvalContext":
-        return EvalContext(self.eps_scale * t)
+        return EvalContext(self.eps_scale * t, self.order)
+
+    def at(self, order: int | None) -> "EvalContext":
+        return EvalContext(self.eps_scale, order)
 
 
 class SepFunction:
@@ -490,7 +528,7 @@ class PolyApply(SepFunction):
         return self.poly.degree * self.child.degree
 
     def _eval(self, m, ctx):
-        return self.poly.eval_series(self.child.eval(m, ctx))
+        return self.poly.eval_series(self.child.eval(m, ctx), ctx.order)
 
     def to_json(self):
         return {"kind": self.kind, "poly": self.poly.to_json(), "child": self.child.to_json()}
@@ -511,15 +549,39 @@ class Product(SepFunction):
         return sum(c.degree for c in self.children)
 
     @staticmethod
-    def combine(values):
-        """The left-to-right product of values, and 1 when there are none."""
+    def combine(values, order):
+        """The left-to-right product of values, and 1 when there are none.
+
+        Read through an order <= 0, two or more factors that store no
+        negative power and are known to eps^0 multiply only their eps^0
+        numerators, over the product of their denominators: that is the
+        product's eps^0 term, known to eps^0 (module docstring, Demand).
+        Every factor is evaluated first: a zero constant term decides
+        nothing while another factor may store eps^-1.
+        """
+        values = list(values)
+        if order is not None and order <= 0 and len(values) > 1:
+            den, re, im = 1, 1, 0
+            for v in values:
+                _, hi, _, terms = v.entries[0]
+                if hi < 0 or terms and terms[0][0] < 0:
+                    break
+                if terms and terms[0][0] == 0:
+                    _, c_re, c_im = terms[0]
+                    re, im = re * c_re - im * c_im, re * c_im + im * c_re
+                else:
+                    re = im = 0
+                den *= v.den
+            else:
+                terms = ((0, re, im),) if re or im else ()
+                return PackedSeriesMat(1, 1, den, [_entry(0, 0, terms)])
         acc = None
         for v in values:
             acc = v if acc is None else acc.matmul(v)
         return acc if acc is not None else _ONE
 
     def _eval(self, m, ctx):
-        return self.combine(c.eval(m, ctx) for c in self.children)
+        return self.combine([c.eval(m, ctx) for c in self.children], ctx.order)
 
     def to_json(self):
         return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
@@ -602,7 +664,10 @@ class DivEps(SepFunction):
         return self.child.degree
 
     def _eval(self, m, ctx):
-        return self.child.eval(m, ctx).shift(-self.k * ctx.eps_scale)
+        shift = self.k * ctx.eps_scale
+        if ctx.order is not None:
+            ctx = ctx.at(ctx.order + shift)
+        return self.child.eval(m, ctx).shift(-shift)
 
     def to_json(self):
         return {"kind": self.kind, "k": self.k, "child": self.child.to_json()}
@@ -643,31 +708,37 @@ class Reparam(SepFunction):
         return cls(obj["t"], SepFunction.from_json(obj["child"]))
 
 
-def demand(fn: SepFunction) -> int:
-    """The highest eps exponent of the argument that fn's coefficients up to
-    eps^0 read, assuming no value has a negative power.
+def demand(fns) -> int:
+    """The highest eps exponent of the argument that the coefficients up to
+    eps^0 read, of one tree or the maximum over an iterable of trees,
+    assuming no value has a negative power (rules in the module docstring,
+    Demand).
 
-    With every valuation >= 0, a node's coefficients up to eps^e read its
-    children's only up to eps^e: a sum, product, polynomial, form, minor or
-    sandwich of them has no term below eps^0 to pair with a higher one.
-    DivEps(k) reads its child up to eps^(e + k s), s the eps scale, and
-    Reparam(t) multiplies s by t, as evaluation does.  A node reads the
-    maximum over its children; a leaf reads the argument up to eps^e.
+    A node reached at eps scale s is walked once, however many trees or
+    parents share it: what it reads past its own order is memoised by
+    (node, s).
     """
-    def walk(node, e, scale):
-        if isinstance(node, DivEps):
-            return walk(node.child, e + node.k * scale, scale)
-        if isinstance(node, Reparam):
-            return walk(node.child, e, scale * node.t)
-        if isinstance(node, (Product, SumNode)):
-            children = node.children
-        elif isinstance(node, (PolyApply, Sandwich, Affine)):
-            children = [node.child]
-        else:
-            return e
-        return max((walk(c, e, scale) for c in children), default=e)
+    reach = {}
 
-    return walk(fn, 0, 1)
+    def walk(node, scale):
+        key = (id(node), scale)
+        r = reach.get(key)
+        if r is None:
+            if isinstance(node, DivEps):
+                r = node.k * scale + walk(node.child, scale)
+            elif isinstance(node, Reparam):
+                r = walk(node.child, scale * node.t)
+            elif isinstance(node, (Product, SumNode)):
+                r = max((walk(c, scale) for c in node.children), default=0)
+            elif isinstance(node, (PolyApply, Sandwich, Affine)):
+                r = walk(node.child, scale)
+            else:
+                r = 0
+            reach[key] = r
+        return r
+
+    roots = [fns] if isinstance(fns, SepFunction) else fns
+    return max((walk(fn, 1) for fn in roots), default=0)
 
 
 def _mat_json(m: Mat):

@@ -15,35 +15,41 @@ no refusal.  Without the gate (a Y element known to a shorter window, a constant
 term other than I) the chain can differ, and all four factors are kept.
 
 Demand.  A verdict reads a value only up to eps^0: no negative power, and
-a constant term of exactly 1 or 0.  sepfun.demand gives the highest eps
-exponent D of the argument that this reads when no value has a negative
-power: DivEps(k) adds k times the eps scale, Reparam(t) multiplies the
-scale by t, and every other node passes its demand to its children, a
-node taking the maximum over them.  p0 demands 2 (su and GL), each su
-coordinate indicator 1, so p_xz = p0 r_ab demands 2.  Both border
-verifiers first evaluate every tuple at an argument built from truncated
-factors: each element truncated at eps^D, and the Neumann inverse of that
-truncation, which ends at eps^D too.  They do so when every member is a
-SepFunction and every element stores no negative power, has every window
-edge >= 0 and has a finite window on some entry or only eps^0 terms (so
-the full inverse is never refused where the truncated one is formed), and
-D (at least 0) is below some element's window edge.
+a constant term of exactly 1 or 0.  The rules in the sepfun docstring
+(Demand) carry that order down the tree: DivEps(k) adds k times the eps
+scale, Reparam(t) multiplies the scale by t, and every other node passes
+its order on to its children.  sepfun.demand gives, by the same rules,
+the highest eps exponent D of the argument that eps^0 reads when no value
+has a negative power, a node taking the maximum over its children.  p0
+demands 2 (su and GL), each su coordinate indicator 1, so p_xz = p0 r_ab
+demands 2.  Both border verifiers first evaluate every tuple at an
+argument built from truncated factors, read through eps^0: each element
+truncated at eps^D, and the Neumann inverse of that truncation, which ends
+at eps^D too.  Read through eps^0, a coordinate indicator takes its Taylor
+term t_0 alone, and a member's product p0 r_ab is the product of its
+factors' constant terms.  They do so when every member is a SepFunction and
+every element stores no negative power, has every window edge >= 0 and has
+a finite window on some entry or only eps^0 terms (so the full inverse is
+never refused where the truncated one is formed), and D (at least 0) is
+below some element's window edge.
 
 Lemma.  A truncated 'ok' is the outcome on the full windows.  The kernel's
-stored coefficients are exact on their windows, and every window rule is
-monotone in its inputs' edges and effective valuations, so each value
-computed from truncated factors agrees with the full-window value on its
-own window, which is no larger.  'ok' says that window reaches eps^0 with
-no stored negative power and the exact constant term expected; the full
+stored coefficients are exact on their windows, every window rule is
+monotone in its inputs' edges and effective valuations, and a value read
+through an order has the full value's coefficients on its own window
+(sepfun, Demand); so each value computed from truncated factors and read
+through its node's order agrees with the full-window value on its own
+window, which is no larger.  'ok' says that window reaches eps^0 with no
+stored negative power and the exact constant term expected; the full
 value then has the same coefficients up to eps^0, hi >= 0, and no
 negative power either (one would lie in the truncated window).
 
 Fallback.  Any other outcome ('fail', 'inconclusive', or an
 InsufficientOrderError) re-evaluates that tuple on the full-window
-argument, and that outcome is recorded; SepReport.fallbacks counts them.
-So correctness never depends on D, which only sets the speed, and reports
-are those of full-window evaluation (order_used stays the requested
-order).
+argument at every order, and that outcome is recorded; SepReport.fallbacks
+counts them.  So correctness never depends on D, which only sets the
+speed, and reports are those of full-window evaluation (order_used stays
+the requested order).
 """
 
 from __future__ import annotations
@@ -118,13 +124,14 @@ def _truncation(fns, facts):
     if not all(not f.negative and f.low >= 0 and (f.low < INF_ORDER or f.constant)
                for f in facts):
         return None
-    upto = max(0, *(demand(fn) for fn in fns))
+    upto = max(0, demand(list(fns)))
     return upto if upto < max(f.high for f in facts) else None
 
 
 def _first_ok(report, windows, argument, evaluate, expected: int):
-    """The outcome of evaluate(argument(d)) for each window d in turn, the
-    truncated one first, until one is 'ok' (module docstring, Fallback).
+    """The outcome of evaluate(argument(d), order) for each window d in turn,
+    the truncated one first and read through eps^0, the full one at every
+    order, until one is 'ok' (module docstring, Fallback).
 
     Only evaluation is caught: an unknown coefficient there is
     inconclusive.  Errors in forming an argument propagate, as they did
@@ -135,7 +142,8 @@ def _first_ok(report, windows, argument, evaluate, expected: int):
             report.fallbacks += 1
         m = argument(d)
         try:
-            status, detail = check_border_value(evaluate(m), expected)
+            status, detail = check_border_value(evaluate(m, None if d is None else 0),
+                                                expected)
         except InsufficientOrderError as exc:
             status, detail = "inconclusive", str(exc)
         if status == "ok":
@@ -157,12 +165,13 @@ def _shared_nodes(family) -> set:
     parent alone is evaluated once per value of that parent anyway, so only
     nodes with two or more parents (p0 and the coordinate indicators across
     members; a coordinate's form argument across the indicator values) are
-    worth a memo entry.
+    worth a memo entry.  A node's children are the same for every member
+    that reaches it, so each node is walked once per call.
     """
     parents = {}
+    seen = set()
     for key, fn in family.items():
         parents.setdefault(id(fn), set()).add(("member", key))
-        seen = set()
         stack = [fn]
         while stack:
             node = stack.pop()
@@ -186,13 +195,14 @@ class _NodeMemo:
 
     Arguments are interned by their exact key (PackedSeriesMat.key for the
     packed products): equal keys are equal entries, windows included, so a
-    node's value at one is its value at the other.
+    node's value at one is its value at the other.  Each value is kept with
+    the order it was read through: it serves that order and every lower
+    one, and a full-window value (order None) serves every order.
     Values are handed out as they are and never mutated.
     """
 
-    def __init__(self, shared, ctx):
+    def __init__(self, shared):
         self.shared = shared
-        self.ctx = ctx
         self.cap = MEMO_CAP
         self.mids = {}
         self.values = {}
@@ -204,30 +214,40 @@ class _NodeMemo:
             mid = self.mids[key] = len(self.mids)
         return mid
 
-    def eval(self, node, m, mid):
-        """node.eval(m, ctx), with shared nodes taken from the memo."""
-        if id(node) in self.shared and mid is not None:
-            key = (id(node), mid)
-            v = self.values.get(key)
-            if v is None:
-                v = self._compute(node, m, mid)
-                if len(self.values) < self.cap:
-                    self.values[key] = v
-            return v
-        return self._compute(node, m, mid)
+    def eval(self, node, m, mid, ctx):
+        """node.eval(m, ctx), with shared nodes taken from the memo.
 
-    def _compute(self, node, m, mid):
-        """One node's value, its shared descendants taken from the memo.
-
-        A Product folds its children's values; a PolyApply with a shared
-        argument applies its polynomial to the argument's value.  These are
-        the nodes' own evaluation rules.  Every other node evaluates itself.
+        A Product folds its children's values, and a PolyApply with a shared
+        argument applies its polynomial to the argument's value, each read
+        through ctx.order: these are the nodes' own evaluation rules.  Every
+        other node evaluates itself, a shared one at every order: whether a
+        value read through an order lost a coefficient shows only inside its
+        rules, so the full-window value is kept, and it serves the truncated
+        windows and a fallback at the same argument alike.
         """
+        if id(node) not in self.shared or mid is None:
+            return self._compute(node, m, mid, ctx)
+        order = ctx.order if self._applies_rule(node) else None
+        key = (id(node), mid)
+        kept = self.values.get(key)
+        if kept is not None and (kept[0] is None or order is not None and kept[0] >= order):
+            return kept[1]
+        v = self._compute(node, m, mid, ctx if order == ctx.order else ctx.at(order))
+        if kept is not None or len(self.values) < self.cap:
+            self.values[key] = order, v
+        return v
+
+    def _applies_rule(self, node) -> bool:
+        return type(node) is Product or type(node) is PolyApply and id(node.child) in self.shared
+
+    def _compute(self, node, m, mid, ctx):
+        """One node's value, its shared descendants taken from the memo."""
         if type(node) is Product:
-            return Product.combine(self.eval(c, m, mid) for c in node.children)
+            return Product.combine([self.eval(c, m, mid, ctx) for c in node.children],
+                                   ctx.order)
         if type(node) is PolyApply and id(node.child) in self.shared:
-            return node.poly.eval_series(self.eval(node.child, m, mid))
-        return node.eval(m, self.ctx)
+            return node.poly.eval_series(self.eval(node.child, m, mid, ctx), ctx.order)
+        return node.eval(m, ctx)
 
 
 def _require_family(family):
@@ -333,7 +353,9 @@ def verify_separating_border(family, inst: TppInstance, order: int,
 
     # Members that share node objects (p0 and the coordinate indicators of an
     # assembled split family) evaluate each shared node once per distinct M.
-    memo = _NodeMemo(_shared_nodes(family), ctx or EvalContext())
+    memo = _NodeMemo(_shared_nodes(family))
+    ctx = ctx or EvalContext()
+    read = {0: ctx.at(0), None: ctx.at(None)}
     # y^-1 y is I on the one window edge of unit-constant elements, so M for
     # y = y' is x' z'^-1 bit for bit once reduced (see the module docstring)
     y_cancels = unit_first_order_edge(inst, "xyz") is not None
@@ -366,8 +388,8 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         fn = family[(ix, iz)]
         status, detail = _first_ok(
             report, windows, lambda d: argument(key, factors, d),
-            lambda m_mid: (memo.eval(fn, *m_mid) if isinstance(fn, SepFunction)
-                           else _eval_family_fn(fn, m_mid[0])), expected)
+            lambda m_mid, order: (memo.eval(fn, *m_mid, read[order]) if isinstance(fn, SepFunction)
+                                  else _eval_family_fn(fn, m_mid[0])), expected)
         report.checked += 1
         report.record(status, {"tuple": (ix, iz, ix2, iy, iy2, iz2), "expected": expected,
                                "detail": detail})
@@ -405,6 +427,7 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
     packed = {k: PackedSeriesMat.pack(yfams[k]) for k in sorted({k for p in pairs for k in p})}
     upto = _truncation([fn], [_element_facts(p) for p in packed.values()])
     windows = (None,) if upto is None else (upto, None)
+    ctx = ctx or EvalContext()
     factors = {}
 
     def factor(k, inverse, d):
@@ -429,7 +452,7 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
             unequal_pairs += 1
         status, detail = _first_ok(
             report, windows, lambda d: factor(i, True, d).matmul(factor(j, False, d)),
-            lambda m: _eval_family_fn(fn, m, ctx), expected)
+            lambda m, order: _eval_family_fn(fn, m, ctx.at(order)), expected)
         report.checked += 1
         entry = {"pair": (i, j), "detail": detail}
         if status == "fail":

@@ -358,6 +358,23 @@ def test_a9_end_to_end_split(split_reports):
     assert hashlib.sha256(text.encode()).hexdigest() == A9_REPORT_SHA256
 
 
+# n = 6 end to end at a small budget: each member is a product of p0 and 24
+# coordinate indicators, the widest constant-term products of any run
+N6_ARGS = ["split-assemble", "--n", "6", "--q", "2", "--y-cap", "16", "--sample-budget", "200",
+           "--seed", "1234", "--no-timestamp"]
+N6_REPORT_SHA256 = "1111606bba633179037bbd53e2f587bc0d409345ed0a59a40cb65c054fa8aa19"
+
+
+def test_n6_split_report_pinned(capsys):
+    code = cli_main(N6_ARGS)
+    out = capsys.readouterr().out
+    details = json.loads(out)["details"]
+    assert code == 0
+    assert details["tpp"]["verdict"] == details["separating"]["verdict"] == "pass"
+    assert details["separating"]["checked"] == 200
+    assert hashlib.sha256(out.encode()).hexdigest() == N6_REPORT_SHA256
+
+
 def test_a10_running_border_p0():
     t0 = time.time()
     p0, yfams, rep = running_border_p0(3, 4, yfam_cap=40, seed=10, check_pairs=0)

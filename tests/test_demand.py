@@ -5,7 +5,9 @@ factors truncated at the tree's demand (sepfun.demand), and re-evaluate on
 the full windows every tuple whose truncated outcome is not 'ok' (the
 sepverify module docstring).  The oracle here is the same verifier with
 truncation off: its demand is raised past every window edge, so every
-argument is today's full-window product.
+argument is the full-window product read at every order.  Values that a
+tree yields read through eps^0 are also compared with its full-window
+value directly.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from tppverify import sepverify
 from tppverify.groups import MatrixGroupOps
-from tppverify.matrices import Mat, mat_exp_trunc, mat_inv_series, mat_to_series
+from tppverify.matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series, mat_to_series
 from tppverify.running_example import running_border_p0
 from tppverify.scalars import QQ, ExactArithmeticError, GaussRational
 from tppverify.sepfun import (
@@ -35,7 +37,11 @@ from tppverify.sepfun import (
     demand,
     lagrange_indicator,
 )
-from tppverify.sepverify import verify_indicator_border, verify_separating_border
+from tppverify.sepverify import (
+    check_border_value,
+    verify_indicator_border,
+    verify_separating_border,
+)
 from tppverify.series import INF_ORDER, EpsLaurent
 from tppverify.split import SplitInputs, assemble_split
 from tppverify.su import su_build, su_p0, su_s_matrix, su_theta_psi, su_y_lattice
@@ -88,6 +94,29 @@ leaves = st.one_of(
 )
 
 
+def zero_factors(children):
+    """Factors whose constant term is 0: the exact 0, and 0 + c eps^k."""
+    return st.one_of(st.builds(lambda c: Affine(0, 0, c), children),
+                     st.builds(lambda k, c: DivEps(-k, c), st.integers(1, 2), children))
+
+
+def planted_products(children):
+    """Products whose factors defeat a constant-term product read at eps^0,
+    in either order: a stored eps^-1 (1 + child over eps) beside a factor
+    0 + c eps, where the constant term is c times the eps^-1 coefficient,
+    not 0; and a factor whose window ends below eps^0 (a child over eps^5;
+    element windows end at eps^4 at most) beside a zero factor."""
+    def product(first, second, flip):
+        return Product([second, first] if flip else [first, second])
+
+    negative = st.builds(lambda c: DivEps(1, Affine(1, 1, c)), children)
+    short = st.builds(lambda c: DivEps(5, c), children)
+    return st.one_of(
+        st.builds(product, negative, st.builds(lambda c: DivEps(-1, c), children), st.booleans()),
+        st.builds(product, short, zero_factors(children), st.booleans()),
+    )
+
+
 def extend(children):
     return st.one_of(
         st.builds(Sandwich, int_mats, int_mats, children),
@@ -101,6 +130,16 @@ def extend(children):
         # k = -1 multiplies by eps: a demand below 0, truncated at 0
         st.builds(DivEps, st.integers(-1, 2), children),
         st.builds(Reparam, st.integers(1, 2), children),
+        planted_products(children),
+        # the order a DivEps under a Reparam reads its child through is
+        # k t past its own
+        st.builds(lambda t, k, c: Reparam(t, DivEps(k, c)), st.integers(2, 3),
+                  st.integers(1, 2), children),
+        # sums of products, and a scale a other than 0 and 1, read at eps^0
+        st.builds(lambda cs: SumNode([Product(cs), Product(cs[::-1])]),
+                  st.lists(children, min_size=2, max_size=3)),
+        st.builds(Affine, st.sampled_from([-1, 2, QQ(1, 2), GaussRational(0, 1)]), small,
+                  st.builds(Product, st.lists(children, min_size=2, max_size=3))),
     )
 
 
@@ -221,6 +260,80 @@ def test_demand_rules():
         Mat.identity(2), Mat.identity(2), tree)))) == 3
     # a multiplication by eps lowers it; the verifiers truncate at 0 at least
     assert demand(DivEps(-1, entry)) == -1
+
+
+def outcomes_at(tree, m, expected):
+    """check_border_value of tree at m read through eps^0, or what it raised."""
+    try:
+        return check_border_value(tree.eval(m, EvalContext(order=0)), expected)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=trees, sets=element_sets([1]), truncated=st.booleans())
+def test_value_read_at_order_zero_is_the_full_value_on_its_window(tree, sets, truncated):
+    """A value read through eps^0 (on the argument truncated at the demand,
+    or on the whole one) has the full value's coefficients on its own
+    window, which is no larger, and an 'ok' outcome only where the full
+    value has one."""
+    ((y,),) = sets
+    m = PackedSeriesMat.pack(y)
+    try:
+        full = tree.eval(m)
+    except (ArithmeticError, ValueError):
+        assume(False)
+    arg = m.truncate(max(0, demand(tree))) if truncated else m
+    try:
+        v = tree.eval(arg, EvalContext(order=0))
+    except (ArithmeticError, ValueError):
+        return
+    (lo, hi, _, _), (_, full_hi, _, _) = v.entries[0], full.entries[0]
+    assert hi <= full_hi
+    boxed, full_boxed = v.unpack_scalar(), full.unpack_scalar()
+    assert ({e: c for e, c in boxed.coeffs.items() if e <= hi}
+            == {e: c for e, c in full_boxed.coeffs.items() if e <= hi})
+    for expected in (0, 1):
+        if check_border_value(v, expected)[0] == "ok":
+            assert check_border_value(full, expected)[0] == "ok"
+
+
+ONE = Product([])
+ZERO_ON_ITS_WINDOW = Entry(0, 1)      # the argument's (0, 1) entry is 0 + O(eps^4)
+
+
+@pytest.mark.parametrize("factors, expected", [
+    # 0 + eps before and after a stored eps^-1: the constant term is 1, not 0
+    ([DivEps(-1, ONE), DivEps(1, ONE)], 1),
+    ([DivEps(1, ONE), DivEps(-1, ONE)], 1),
+    ([Affine(2, 0, DivEps(-1, ONE)), ONE, DivEps(1, Affine(1, 1, Entry(0, 0)))], 4),
+    # a window that ends at eps^-2, with no stored power, beside the constant
+    # 1: the product's eps^0 term is unknown, not 0
+    ([DivEps(5, ZERO_ON_ITS_WINDOW), ONE], 0),
+    ([ONE, DivEps(5, ZERO_ON_ITS_WINDOW)], 0),
+    # beside a zero factor the product is 0 either way
+    ([DivEps(5, ZERO_ON_ITS_WINDOW), Affine(0, 0, ONE)], 0),
+    ([DivEps(-2, ONE), DivEps(5, ZERO_ON_ITS_WINDOW)], 0),
+])
+def test_constant_term_product_keeps_the_full_outcome(factors, expected):
+    x = EpsLaurent({0: 1, 1: 1, 2: 1, 3: 1}, lo=0, hi=3)
+    m = PackedSeriesMat.pack(Mat(2, 2, [x, EpsLaurent({}, lo=0, hi=3), 0, 1]))
+    for tree, want in ((Product(factors), expected),
+                       (SumNode([Product(factors), ONE]), expected + 1)):
+        assert outcomes_at(tree, m, want) == check_border_value(tree.eval(m), want)
+
+
+def test_reparam_over_div_eps_reads_k_times_the_scale():
+    """(x - 1)^2 / eps^2 at x = 1 + eps + eps^2 + eps^3 is 1 + 2 eps: under
+    Reparam(2), DivEps(1) reads (x - 1)^2 through eps^2, where its only
+    term of order below 3 lies; through eps^1 the value would end at eps^-1."""
+    x = EpsLaurent({0: 1, 1: 1, 2: 1, 3: 1}, lo=0, hi=3)
+    m = PackedSeriesMat.pack(Mat(2, 2, [x, 0, 0, 1]))
+    tree = Reparam(2, DivEps(1, PolyApply(UniPoly([1, 1]), Entry(0, 0))))
+    assert demand(tree) == 2
+    for arg in (m, m.truncate(2)):
+        assert outcomes_at(tree, arg, 1) == ("ok", None)
+        assert outcomes_at(Product([tree, tree]), arg, 1) == ("ok", None)
 
 
 def test_passing_su_and_gl_runs_never_fall_back(su_case, gl_case):
