@@ -87,12 +87,6 @@ _RUN_FLAGS = {
 }
 
 
-# running-example flags that one mode reads: dest -> (default, read with --border)
-_RUNNING_EXAMPLE_MODE_FLAGS = {
-    "y_count": (4, False),
-}
-
-
 def _flags(p, *run_flags):
     """The named run flags, and the output flags that every subcommand takes."""
     for name in run_flags:
@@ -142,11 +136,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--border", action="store_true")
+    # read without --border only; None marks it unset (_run_running_example)
     p.add_argument("--y-count", type=int)
     p.add_argument("--set-cap", type=int, default=64)
     _flags(p, "seed", "sample-budget")
-    # read in one mode only (_running_example_mode_flags)
-    p.set_defaults(**{dest: None for dest in _RUNNING_EXAMPLE_MODE_FLAGS})
 
     p = sub.add_parser("su-construct", help="build the split-form construction data")
     p.add_argument("--n", type=int, required=True)
@@ -296,20 +289,13 @@ def _run_embed_demo(args):
     return verdict, details, [], None
 
 
-def _running_example_mode_flags(args):
-    """Refuse a flag that the chosen mode never reads, then give each unset
-    one its default (so the config echo shows it as before)."""
-    for dest, (default, with_border) in _RUNNING_EXAMPLE_MODE_FLAGS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif with_border != args.border:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"running-example reads {flag} only "
-                             f"{'with' if with_border else 'without'} --border")
-
-
 def _run_running_example(args):
-    _running_example_mode_flags(args)
+    # --border never reads --y-count, so it refuses one; the config echo
+    # shows the default of an unset one in both modes
+    if args.y_count is None:
+        args.y_count = 4
+    elif args.border:
+        raise UsageError("running-example reads --y-count only without --border")
     budget = _sample_budget(args)
     if args.n < 2:
         raise UsageError(f"--n must be at least 2 (got {args.n})")

@@ -50,6 +50,9 @@ SIGN_CORRECTION_NOTE = (
     "with the lpm expansion and is not implemented)"
 )
 
+# running_border_p0 refuses an indicator grid of more nodes than this
+GRID_CAP = 20000
+
 
 # ---------------------------------------------------------------------------
 # Set construction
@@ -85,6 +88,9 @@ SQUARE_LENGTH_NOTE = (
     "orthogonal"
 )
 
+# unit-vector entries lie in [0, ENTRY_RANGE_PER_Q * q] (SQUARE_LENGTH_NOTE)
+ENTRY_RANGE_PER_Q = 4
+
 
 @dataclass
 class OrthogonalFamily:
@@ -94,7 +100,6 @@ class OrthogonalFamily:
     wq: list                       # exact rationals (QQ), sorted
     bucket_lengths: list           # squared length l_i per dimension i=1..n
     bucket_sizes: list
-    entry_range: int
 
 
 def _unit_vector_bucket(dim: int, entry_max: int):
@@ -112,8 +117,8 @@ def _unit_vector_bucket(dim: int, entry_max: int):
     return by_length[length], length
 
 
-def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
-                            entry_range_mult: int = 4) -> OrthogonalFamily:
+def build_orthogonal_family(n: int, q: int, count: int = 16,
+                            seed: int = 0) -> OrthogonalFamily:
     """Sampled exactly orthogonal family with the agreeing-prefix contract.
 
     Column j is a rational unit vector v from the bucket of dimension n-j,
@@ -124,7 +129,7 @@ def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
     """
     if n < 2 or q < 2:
         raise ValueError("need n >= 2 and q >= 2")
-    entry_max = entry_range_mult * q
+    entry_max = ENTRY_RANGE_PER_Q * q
     buckets = []
     lengths = []
     wq_set = set()
@@ -147,8 +152,7 @@ def build_orthogonal_family(n: int, q: int, count: int = 16, seed: int = 0,
         seen.add(idx)
         members.append((idx, _assemble_orthogonal(n, idx, buckets)))
     return OrthogonalFamily(n=n, q=q, members=members, wq=wq,
-                            bucket_lengths=lengths, bucket_sizes=sizes,
-                            entry_range=entry_max)
+                            bucket_lengths=lengths, bucket_sizes=sizes)
 
 
 def _assemble_orthogonal(n: int, idx, buckets) -> Mat:
@@ -305,8 +309,7 @@ class BorderP0Report:
 
 
 def running_border_p0(n: int, q: int, yfam_cap: int = 200, seed: int = 0,
-                      order: int = 3, check_pairs: int = 200,
-                      grid_cap: int = 20000):
+                      order: int = 3, check_pairs: int = 200):
     """(p0, yfams, report): the indicator over the achievable half-integer grid.
 
     p0(M) = r((n - sum_j lpm_j(M))/eps^2) with r the indicator of 0 on the
@@ -319,9 +322,9 @@ def running_border_p0(n: int, q: int, yfam_cap: int = 200, seed: int = 0,
     weight_total = sum(d * (n - d) for d in range(1, n))
     t_max = QQ(bound * bound * weight_total, 2)
     needed = int(2 * t_max) + 1
-    if needed > grid_cap:
+    if needed > GRID_CAP:
         raise ValueError(
-            f"indicator grid overflow: {needed} nodes required (cap {grid_cap})"
+            f"indicator grid overflow: {needed} nodes required (cap {GRID_CAP})"
         )
     grid = [QQ(k, 2) for k in range(0, needed)]
     r_poly = lagrange_indicator(0, grid)

@@ -49,9 +49,11 @@ per node kind:
     numerators over the product of their denominators, known to eps^0 (no
     series product).  Any other Product multiplies its factors as series,
     its full-window rule;
-  - a PolyApply whose argument stores no negative power stops its Taylor
-    sum at h^max(order, 0), since h^k starts at eps^k (order 0 reads t_0
-    alone); with a negative power it expands in full.
+  - a PolyApply reads its child through max(order, 0) (poly_child_order):
+    a Taylor expansion needs its argument's eps^0 however low the order
+    its parent reads.  When the argument stores no negative power it stops
+    its Taylor sum at h^max(order, 0), since h^k starts at eps^k (order 0
+    reads t_0 alone); with a negative power it expands in full.
 Each value read through an order has the full value's coefficients on its
 own window, which is no larger (a product of factors with valuation >= 0
 has eps^0 term the product of theirs), so a verdict read from it holds on
@@ -60,8 +62,8 @@ argument's side.  With every valuation >= 0, a node's coefficients up to
 eps^e read its children's only up to eps^e (a sum, product, polynomial,
 form, minor or sandwich of them has no term below eps^0 to pair with a
 higher one), so the highest argument exponent that eps^0 of a tree reads
-is the largest sum of k s over the DivEps nodes on a path from the root to
-a leaf.
+is the largest order that reaches a leaf: the sum of k s over the DivEps
+nodes on its path, raised to 0 below each PolyApply.
 """
 
 from __future__ import annotations
@@ -516,6 +518,13 @@ class LinearForm(SepFunction):
         return cls(de(obj["rr"]), de(obj["ri"]), de(obj["ir"]), de(obj["ii"]))
 
 
+def poly_child_order(order: int | None) -> int | None:
+    """The order through which a PolyApply read through order reads its
+    child: never below 0, since its Taylor expansion is around the child's
+    eps^0 term (module docstring, Demand)."""
+    return order if order is None or order >= 0 else 0
+
+
 class PolyApply(SepFunction):
     kind = "poly"
 
@@ -528,7 +537,8 @@ class PolyApply(SepFunction):
         return self.poly.degree * self.child.degree
 
     def _eval(self, m, ctx):
-        return self.poly.eval_series(self.child.eval(m, ctx), ctx.order)
+        child = self.child.eval(m, ctx.at(poly_child_order(ctx.order)))
+        return self.poly.eval_series(child, ctx.order)
 
     def to_json(self):
         return {"kind": self.kind, "poly": self.poly.to_json(), "child": self.child.to_json()}
@@ -714,31 +724,35 @@ def demand(fns) -> int:
     assuming no value has a negative power (rules in the module docstring,
     Demand).
 
-    A node reached at eps scale s is walked once, however many trees or
-    parents share it: what it reads past its own order is memoised by
-    (node, s).
+    The walk carries the order each node is read through, from 0 at a
+    root; a leaf reads the argument through its own order.  A node reached
+    at eps scale s through order o is walked once, however many trees or
+    parents share it: what it reads is memoised by (node, s, o).  The root
+    is not raised to 0: a tree that multiplies by eps can demand less.
     """
     reach = {}
 
-    def walk(node, scale):
-        key = (id(node), scale)
+    def walk(node, scale, order):
+        key = (id(node), scale, order)
         r = reach.get(key)
         if r is None:
             if isinstance(node, DivEps):
-                r = node.k * scale + walk(node.child, scale)
+                r = walk(node.child, scale, order + node.k * scale)
             elif isinstance(node, Reparam):
-                r = walk(node.child, scale * node.t)
+                r = walk(node.child, scale * node.t, order)
             elif isinstance(node, (Product, SumNode)):
-                r = max((walk(c, scale) for c in node.children), default=0)
-            elif isinstance(node, (PolyApply, Sandwich, Affine)):
-                r = walk(node.child, scale)
+                r = max((walk(c, scale, order) for c in node.children), default=order)
+            elif isinstance(node, PolyApply):
+                r = walk(node.child, scale, poly_child_order(order))
+            elif isinstance(node, (Sandwich, Affine)):
+                r = walk(node.child, scale, order)
             else:
-                r = 0
+                r = order
             reach[key] = r
         return r
 
     roots = [fns] if isinstance(fns, SepFunction) else fns
-    return max((walk(fn, 1) for fn in roots), default=0)
+    return max((walk(fn, 1, 0) for fn in roots), default=0)
 
 
 def _mat_json(m: Mat):

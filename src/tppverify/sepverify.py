@@ -17,21 +17,23 @@ term other than I) the chain can differ, and all four factors are kept.
 Demand.  A verdict reads a value only up to eps^0: no negative power, and
 a constant term of exactly 1 or 0.  The rules in the sepfun docstring
 (Demand) carry that order down the tree: DivEps(k) adds k times the eps
-scale, Reparam(t) multiplies the scale by t, and every other node passes
-its order on to its children.  sepfun.demand gives, by the same rules,
-the highest eps exponent D of the argument that eps^0 reads when no value
-has a negative power, a node taking the maximum over its children.  p0
+scale, Reparam(t) multiplies the scale by t, a PolyApply reads its child
+through max(order, 0) (sepfun.poly_child_order), and every other node
+passes its order on to its children.  sepfun.demand gives, by the same
+rules, the highest eps exponent D of the argument that eps^0 reads when no
+value has a negative power, a node taking the maximum over its children.  p0
 demands 2 (su and GL), each su coordinate indicator 1, so p_xz = p0 r_ab
 demands 2.  Both border verifiers first evaluate every tuple at an
 argument built from truncated factors, read through eps^0: each element
 truncated at eps^D, and the Neumann inverse of that truncation, which ends
 at eps^D too.  Read through eps^0, a coordinate indicator takes its Taylor
 term t_0 alone, and a member's product p0 r_ab is the product of its
-factors' constant terms.  They do so when every member is a SepFunction and
-every element stores no negative power, has every window edge >= 0 and has
-a finite window on some entry or only eps^0 terms (so the full inverse is
-never refused where the truncated one is formed), and D (at least 0) is
-below some element's window edge.
+factors' constant terms.  They do so when every element stores no negative
+power, has every window edge >= 0 and has a finite window on some entry or
+only eps^0 terms (so the full inverse is never refused where the truncated
+one is formed), and D (at least 0) is below some element's window edge.
+Both take SepFunction members only, whose demand and degree the tree
+states, and refuse any other member (SepFunctionError) before checking.
 
 Lemma.  A truncated 'ok' is the outcome on the full windows.  The kernel's
 stored coefficients are exact on their windows, every window rule is
@@ -59,7 +61,8 @@ from dataclasses import dataclass, field
 
 from .matrices import Mat, PackedSeriesMat, mat_exp_trunc, mat_inv_series
 from .scalars import QQ, GaussRational
-from .sepfun import EvalContext, PolyApply, Product, SepFunction, demand
+from .sepfun import (EvalContext, PolyApply, Product, SepFunction, SepFunctionError, demand,
+                     poly_child_order)
 from .series import INF_ORDER, InsufficientOrderError
 from .tpp import TppInstance, _element_facts, quotient_product_set, unit_first_order_edge
 
@@ -109,18 +112,22 @@ class SepReport:
                 self.verdict = "inconclusive"
 
 
-def _eval_family_fn(fn, g, ctx=None):
-    """A SepFunction reads a packed g as it is; a callable gets it boxed."""
-    if isinstance(fn, SepFunction):
-        return fn.eval(g, ctx or EvalContext())
-    return fn(g.unpack() if isinstance(g, PackedSeriesMat) else g)
+# the contexts a border verifier reads a member through: eps^0 on the
+# truncated windows, every order on the full ones
+_READ = {0: EvalContext(order=0), None: EvalContext()}
+
+
+def _require_sep_functions(fns):
+    """Refuse a border member that is not a SepFunction tree."""
+    for fn in fns:
+        if not isinstance(fn, SepFunction):
+            raise SepFunctionError("a border verifier takes SepFunction members, "
+                                   f"not {type(fn).__name__}")
 
 
 def _truncation(fns, facts):
     """The demand D at which to truncate every factor, or None for the full
     windows only (the gate is in the module docstring)."""
-    if not all(isinstance(fn, SepFunction) for fn in fns):
-        return None
     if not all(not f.negative and f.low >= 0 and (f.low < INF_ORDER or f.constant)
                for f in facts):
         return None
@@ -219,11 +226,12 @@ class _NodeMemo:
 
         A Product folds its children's values, and a PolyApply with a shared
         argument applies its polynomial to the argument's value, each read
-        through ctx.order: these are the nodes' own evaluation rules.  Every
-        other node evaluates itself, a shared one at every order: whether a
-        value read through an order lost a coefficient shows only inside its
-        rules, so the full-window value is kept, and it serves the truncated
-        windows and a fallback at the same argument alike.
+        through ctx.order (the argument through poly_child_order): these are
+        the nodes' own evaluation rules.  Every other node evaluates itself,
+        a shared one at every order: whether a value read through an order
+        lost a coefficient shows only inside its rules, so the full-window
+        value is kept, and it serves the truncated windows and a fallback at
+        the same argument alike.
         """
         if id(node) not in self.shared or mid is None:
             return self._compute(node, m, mid, ctx)
@@ -246,7 +254,8 @@ class _NodeMemo:
             return Product.combine([self.eval(c, m, mid, ctx) for c in node.children],
                                    ctx.order)
         if type(node) is PolyApply and id(node.child) in self.shared:
-            return node.poly.eval_series(self.eval(node.child, m, mid, ctx), ctx.order)
+            child = self.eval(node.child, m, mid, ctx.at(poly_child_order(ctx.order)))
+            return node.poly.eval_series(child, ctx.order)
         return node.eval(m, ctx)
 
 
@@ -259,7 +268,8 @@ def _require_family(family):
 def verify_separating(family, inst: TppInstance) -> SepReport:
     """Exact-mode check: f_{x,z} is 1 at x z^-1 and 0 on the rest of the quotient.
 
-    family maps (ix, iz) index pairs to SepFunctions or callables; exact and
+    family maps (ix, iz) index pairs to SepFunctions or callables (this
+    exact mode only: the border verifiers take SepFunctions); exact and
     table instances hold exact values, so every value is compared exactly.
     """
     _require_family(family)
@@ -273,7 +283,7 @@ def verify_separating(family, inst: TppInstance) -> SepReport:
             key = inst.element("x", ix).matmul(inst.inv_element("z", iz))
         for q_elt, provenance in quotient:
             expected = 1 if q_elt == key else 0
-            val = _eval_family_fn(fn, q_elt)
+            val = fn.eval(q_elt) if isinstance(fn, SepFunction) else fn(q_elt)
             report.checked += 1
             if not (val == expected or val == GaussRational(expected)):
                 report.record("fail", {
@@ -310,8 +320,7 @@ def check_border_value(val, expected: int):
 
 
 def verify_separating_border(family, inst: TppInstance, order: int,
-                             sample_budget: int = 10 ** 4, seed: int = 0,
-                             ctx: EvalContext | None = None) -> SepReport:
+                             sample_budget: int = 10 ** 4, seed: int = 0) -> SepReport:
     """Border-mode check over quotient tuples of a family instance.
 
     Tuples are (ix, iz, ix', iy, iy', iz'): f_{x,z} evaluated at
@@ -321,6 +330,7 @@ def verify_separating_border(family, inst: TppInstance, order: int,
     form a vanishing fraction of the grid) are exercised too.
     """
     _require_family(family)
+    _require_sep_functions(family.values())
     if sample_budget < 1:
         raise ValueError(f"a sampled run needs a budget of at least 1 (got {sample_budget})")
     nx, ny, nz = inst.sizes()
@@ -354,8 +364,6 @@ def verify_separating_border(family, inst: TppInstance, order: int,
     # Members that share node objects (p0 and the coordinate indicators of an
     # assembled split family) evaluate each shared node once per distinct M.
     memo = _NodeMemo(_shared_nodes(family))
-    ctx = ctx or EvalContext()
-    read = {0: ctx.at(0), None: ctx.at(None)}
     # y^-1 y is I on the one window edge of unit-constant elements, so M for
     # y = y' is x' z'^-1 bit for bit once reduced (see the module docstring)
     y_cancels = unit_first_order_edge(inst, "xyz") is not None
@@ -388,8 +396,7 @@ def verify_separating_border(family, inst: TppInstance, order: int,
         fn = family[(ix, iz)]
         status, detail = _first_ok(
             report, windows, lambda d: argument(key, factors, d),
-            lambda m_mid, order: (memo.eval(fn, *m_mid, read[order]) if isinstance(fn, SepFunction)
-                                  else _eval_family_fn(fn, m_mid[0])), expected)
+            lambda m_mid, order: memo.eval(fn, *m_mid, _READ[order]), expected)
         report.checked += 1
         report.record(status, {"tuple": (ix, iz, ix2, iy, iy2, iz2), "expected": expected,
                                "detail": detail})
@@ -397,7 +404,7 @@ def verify_separating_border(family, inst: TppInstance, order: int,
 
 
 def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
-                            seed: int = 0, ctx: EvalContext | None = None) -> SepReport:
+                            seed: int = 0) -> SepReport:
     """Check fn = 1 + O(eps) at I and 0 + O(eps) on y^-1 y' for y != y'.
 
     Each y is packed once per call, and each inverse computed once on the
@@ -405,6 +412,7 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
     itself (module docstring); each argument y^-1 y' is a packed product
     that is never unpacked.
     """
+    _require_sep_functions([fn])
     n = len(yfams)
     report = SepReport("pass")
     if pairs is None:
@@ -427,7 +435,6 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
     packed = {k: PackedSeriesMat.pack(yfams[k]) for k in sorted({k for p in pairs for k in p})}
     upto = _truncation([fn], [_element_facts(p) for p in packed.values()])
     windows = (None,) if upto is None else (upto, None)
-    ctx = ctx or EvalContext()
     factors = {}
 
     def factor(k, inverse, d):
@@ -452,7 +459,7 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
             unequal_pairs += 1
         status, detail = _first_ok(
             report, windows, lambda d: factor(i, True, d).matmul(factor(j, False, d)),
-            lambda m, order: _eval_family_fn(fn, m, ctx.at(order)), expected)
+            lambda m, order: fn.eval(m, _READ[order]), expected)
         report.checked += 1
         entry = {"pair": (i, j), "detail": detail}
         if status == "fail":
@@ -467,11 +474,7 @@ def verify_indicator_border(fn, yfams, pairs=None, sample_budget: int = 2000,
 @dataclass
 class Eps2Report:
     ok: bool
-    coeff0_ok: bool
-    coeff1_ok: bool
-    coeff2_ok: bool
     expected_coeff2: object
-    got_coeff2: object
 
 
 def eps2_expansion_check(value_of, a: Mat, b: Mat, coeff0, expected2) -> Eps2Report:
@@ -482,10 +485,6 @@ def eps2_expansion_check(value_of, a: Mat, b: Mat, coeff0, expected2) -> Eps2Rep
     """
     m = mat_exp_trunc(a, 3).matmul(mat_inv_series(mat_exp_trunc(b, 3)))
     val = value_of(m)
-    c0_ok = val.coeff(0) == GaussRational(coeff0)
-    c1_ok = val.coeff(1).is_zero()
-    got2 = val.coeff(2)
-    c2_ok = got2 == GaussRational(expected2)
-    return Eps2Report(ok=c0_ok and c1_ok and c2_ok, coeff0_ok=c0_ok,
-                      coeff1_ok=c1_ok, coeff2_ok=c2_ok,
-                      expected_coeff2=expected2, got_coeff2=got2)
+    ok = (val.coeff(0) == GaussRational(coeff0) and val.coeff(1).is_zero()
+          and val.coeff(2) == GaussRational(expected2))
+    return Eps2Report(ok=ok, expected_coeff2=expected2)

@@ -269,8 +269,6 @@ class SplitOutput:
     order: int
     degree_report: dict
     cardinalities: dict
-    sampled_coords: bool
-    seed: int | None
     notes: list = field(default_factory=list)
 
 
@@ -298,9 +296,13 @@ def coordinate_indicators(values, forms):
     return out
 
 
+# coordinate tuples per side past which assemble_split samples them, seeded
+COORD_CAP = 4096
+
+
 def assemble_split(inputs: SplitInputs, order: int | None = None,
-                   t: int | None = None, coord_cap: int = 4096,
-                   seed: int = 0, run_dpp_check: bool = True) -> SplitOutput:
+                   t: int | None = None, seed: int = 0,
+                   run_dpp_check: bool = True) -> SplitOutput:
     """Build X', Z', the reparametrized middle families, and all p_{x,z}."""
     inputs.check_left_inverse()
     dx, dz = inputs.fx.dim, inputs.fz.dim
@@ -315,11 +317,11 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
 
     # coordinate tuples (seeded sample when the grid exceeds the cap)
     def coord_tuples(values, d):
-        tuples, sampled = lattice_tuples(values, d, coord_cap, seed)
-        return (sorted(tuples, key=repr) if sampled else tuples), sampled
+        tuples, sampled = lattice_tuples(values, d, COORD_CAP, seed)
+        return sorted(tuples, key=repr) if sampled else tuples
 
-    a_tuples, sampled_a = coord_tuples(inputs.coord_set_a, dx)
-    b_tuples, sampled_b = coord_tuples(inputs.coord_set_b, dz)
+    a_tuples = coord_tuples(inputs.coord_set_a, dx)
+    b_tuples = coord_tuples(inputs.coord_set_b, dz)
     if not a_tuples or not b_tuples:
         raise SplitError(f"no coordinate tuples to assemble (q = {q})")
 
@@ -367,8 +369,6 @@ def assemble_split(inputs: SplitInputs, order: int | None = None,
             "X": len(xfams), "Y": len(yfams_reparam), "Z": len(zfams),
             "X_target": q ** dx, "Z_target": q ** dz,
         },
-        sampled_coords=sampled_a or sampled_b,
-        seed=seed if (sampled_a or sampled_b) else None,
     )
     if identity_middle and t == 1:
         out.notes.append(

@@ -375,15 +375,18 @@ class SuP0Report:
     deg_p0_tracked: int
     c_max: QQ
     degree_bound_grid: int         # corrected-quantum arithmetic-grid size - 1
-    degree_bound_grid_nominal: int   # with the nominal 2 (n!)^2 quantum
     nodes_exhaustive: bool
     contract: SepReport | None
     deviations: list = field(default_factory=list)
 
 
-def su_achievable_c_nodes(constr: SuConstruction, q: int,
-                          diff_cap: int = 10 ** 6,
-                          coords_for_sampling=None):
+# the difference lattice is enumerated up to this many points, else sampled
+DIFF_CAP = 10 ** 6
+# su_p0 refuses an indicator of more nodes than this
+NODE_CAP = 200000
+
+
+def su_achievable_c_nodes(constr: SuConstruction, q: int, coords_for_sampling=None):
     """Achievable trace-deficit values over the difference lattice.
 
     Exhaustive when the difference lattice is small enough; otherwise the
@@ -395,7 +398,7 @@ def su_achievable_c_nodes(constr: SuConstruction, q: int,
     _, m = su_lattice_entries(q)
     gram = constr.gram
     real_dim = 2 * constr.complex_dim
-    if (4 * m + 1) ** real_dim <= diff_cap:
+    if (4 * m + 1) ** real_dim <= DIFF_CAP:
         span = range(-2 * m, 2 * m + 1)
         nums = {_gram_value(gram, x) for x in itertools.product(span, repeat=real_dim)}
         scale = 1
@@ -418,7 +421,7 @@ def su_achievable_c_nodes(constr: SuConstruction, q: int,
 
 
 def su_p0(constr: SuConstruction, q: int, check_pairs: int = 100, seed: int = 0,
-          yfams=None, coords=None, node_cap: int = 200000):
+          yfams=None, coords=None):
     """(p0, report): the indicator of zero trace deficit over achievable values.
 
     p0(M) = r((Tr((D*D)^2) - p_1(M)) / eps^2), r vanishing on every nonzero
@@ -427,9 +430,9 @@ def su_p0(constr: SuConstruction, q: int, check_pairs: int = 100, seed: int = 0,
     if check_pairs < 0:
         raise ValueError(f"check_pairs must be at least 0 (got {check_pairs}); 0 skips the check")
     nodes, exhaustive = su_achievable_c_nodes(constr, q, coords_for_sampling=coords)
-    if len(nodes) > node_cap:
+    if len(nodes) > NODE_CAP:
         raise SuConstructionError(
-            f"indicator node overflow: {len(nodes)} achievable values (cap {node_cap})"
+            f"indicator node overflow: {len(nodes)} achievable values (cap {NODE_CAP})"
         )
     if QQ(0) not in nodes:
         nodes = [QQ(0)] + nodes
@@ -446,7 +449,6 @@ def su_p0(constr: SuConstruction, q: int, check_pairs: int = 100, seed: int = 0,
         deg_p0_tracked=p0.degree,
         c_max=c_max,
         degree_bound_grid=int(math.ceil(c_max * constr.clear_constant)),
-        degree_bound_grid_nominal=int(math.ceil(c_max * constr.nominal_constant)),
         nodes_exhaustive=exhaustive,
         contract=contract,
         deviations=[C_INTEGRALITY_NOTE, ACHIEVABLE_NODE_NOTE],

@@ -56,7 +56,7 @@ import itertools
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .matrices import Mat, PackedSeriesMat, mat_inv_exact
 from .scalars import ExactArithmeticError
@@ -88,7 +88,6 @@ class TppReport:
     seed: int | None = None
     sampled: bool = False
     inconclusive_count: int = 0
-    notes: list = field(default_factory=list)
 
     def to_json(self):
         out = {
@@ -104,8 +103,6 @@ class TppReport:
             out["seed"] = self.seed
         if self.inconclusive_count:
             out["inconclusive_count"] = self.inconclusive_count
-        if self.notes:
-            out["notes"] = self.notes
         return out
 
 

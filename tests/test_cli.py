@@ -176,6 +176,16 @@ def test_running_example_border_cli_records_deviation(capsys):
     assert code == 0
     rep = json.loads(out)
     assert any("sign" in d for d in rep["deviations"])
+    # an unset --y-count echoes its default in both modes
+    assert rep["config"]["y_count"] == 4
+
+
+def test_running_example_cli_echoes_the_default_y_count(capsys):
+    code, out = run_cli(["running-example", "--n", "3", "--q", "2", "--no-timestamp"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"]["y_count"] == 4
+    assert rep["details"]["sizes"]["Y"] == 4
 
 
 def test_su_construct_and_verify_cli(capsys):
@@ -378,6 +388,10 @@ def sep_verify(sepfile):
     pytest.param(["running-example", "--n", "3", "--q", "2", "--border", "--y-count", "3"],
                  "running-example reads --y-count only without --border",
                  id="running-example-border-y-count"),
+    # refused even at the value an unset --y-count takes
+    pytest.param(["running-example", "--n", "3", "--q", "2", "--border", "--y-count", "4"],
+                 "running-example reads --y-count only without --border",
+                 id="running-example-border-y-count-default"),
     pytest.param(sep_verify("const.json"), "unknown node kind 'const'", id="sep-const"),
     pytest.param(sep_verify("trace.json"), "unknown node kind 'trace'", id="sep-trace"),
     pytest.param(sep_verify("shift.json"), "unknown node kind 'shift_identity'",

@@ -32,6 +32,7 @@ from tppverify.sepfun import (
     Product,
     Reparam,
     Sandwich,
+    SepFunctionError,
     SumNode,
     UniPoly,
     demand,
@@ -260,6 +261,47 @@ def test_demand_rules():
         Mat.identity(2), Mat.identity(2), tree)))) == 3
     # a multiplication by eps lowers it; the verifiers truncate at 0 at least
     assert demand(DivEps(-1, entry)) == -1
+    # but a PolyApply reads its child through 0 at least: its Taylor
+    # expansion needs the child's eps^0
+    assert demand(DivEps(-1, PolyApply(UniPoly([0]), DivEps(1, entry)))) == 1
+    assert demand(DivEps(-2, PolyApply(UniPoly([0]), entry))) == 0
+    assert demand(Product([DivEps(-1, PolyApply(UniPoly([0]), entry)),
+                           PolyApply(UniPoly([0]), DivEps(-1, entry))])) == 0
+
+
+# x - 1 at x = 1 - c eps^2 + ..., through an affine map, and through a
+# Taylor expansion that stops at the order it is read through
+X_MINUS_ONE = [Affine(1, -1, Entry(0, 0)), PolyApply(UniPoly([1]), Entry(0, 0))]
+
+
+@pytest.mark.parametrize("inner", X_MINUS_ONE, ids=["affine", "taylor"])
+def test_poly_apply_below_order_zero_reads_its_child_through_zero(inner):
+    """DivEps(-1) over a PolyApply reads it through eps^-1, yet the Taylor
+    expansion needs its argument's eps^0, so the child is read through 0
+    and demand counts the DivEps(1) below it: the truncated windows carry
+    the equal pairs, and only the failing unequal pairs fall back."""
+    tree = Affine(1, 1, DivEps(-1, PolyApply(UniPoly([0]), DivEps(1, inner))))
+    assert demand(tree) == 1
+    yfams = [mat_exp_trunc(Mat(2, 2, [0, a, -a, 0]), 3) for a in (1, 2)]
+    rep = verify_indicator_border(tree, yfams)
+    assert rep.fallbacks == 2
+    assert rep.verdict == "fail"
+    assert [f["pair"] for f in rep.failures] == [(0, 1), (1, 0)]
+    with full_windows():
+        full = verify_indicator_border(tree, yfams)
+    assert full.to_json() == rep.to_json()
+    assert full.fallbacks == 0
+
+    # the same shape as the factors of a separating member
+    member = Product([Affine(1, 1, DivEps(-1, PolyApply(UniPoly(roots), DivEps(1, inner))))
+                      for roots in ([0], [0, 0])])
+    ident = mat_to_series(Mat.identity(2))
+    inst = TppInstance(MatrixGroupOps(2), [ident], yfams, [ident.copy()], "family")
+    rep = verify_separating_border({(0, 0): member}, inst, 3)
+    assert rep.fallbacks == 2
+    assert [f["tuple"] for f in rep.failures] == [(0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)]
+    with full_windows():
+        assert verify_separating_border({(0, 0): member}, inst, 3).to_json() == rep.to_json()
 
 
 def outcomes_at(tree, m, expected):
@@ -359,9 +401,15 @@ def test_truncation_gate(gl_case):
     p0, yfams = gl_case
     facts = [sepverify._element_facts(sepverify.PackedSeriesMat.pack(y)) for y in yfams]
     assert sepverify._truncation([p0], facts) == 2
-    # a callable member, a stored negative power, an edge below eps^0 and a
-    # non-constant unlimited window each keep the full windows
-    assert sepverify._truncation([lambda m: m], facts) is None
+    # a callable member states no demand: both border verifiers refuse it
+    with pytest.raises(SepFunctionError, match="SepFunction members, not function"):
+        verify_indicator_border(lambda m: m, yfams)
+    ident = mat_to_series(Mat.identity(4))
+    inst = TppInstance(MatrixGroupOps(4), [ident], yfams, [ident.copy()], "family")
+    with pytest.raises(SepFunctionError, match="SepFunction members, not function"):
+        verify_separating_border({(0, 0): p0, (0, 1): lambda m: m}, inst, 3)
+    # a stored negative power, an edge below eps^0 and a non-constant
+    # unlimited window each keep the full windows
     for bad in (facts[0]._replace(negative=True), facts[0]._replace(low=-1),
                 facts[0]._replace(low=INF_ORDER, constant=False)):
         assert sepverify._truncation([p0], facts + [bad]) is None
